@@ -1,15 +1,14 @@
 // Command fleetctl operates a clusterd fleet's control plane: inspect
 // membership, drain a worker out of the fleet without losing cache
-// affinity, scale up with a pre-warmed newcomer, re-admit recovered
-// workers on demand, and observe the fleet live — per-worker latency
-// percentiles by route (top) and per-job span trees (trace).
+// affinity, scale up with a pre-warmed newcomer, and observe the fleet
+// live — per-worker latency percentiles by route (top) and per-job span
+// trees (trace).
 //
 // Usage:
 //
 //	fleetctl -workers http://h1:8080,http://h2:8080 status
 //	fleetctl -workers http://h1:8080,http://h2:8080 drain http://h2:8080
 //	fleetctl -workers http://h1:8080 add http://h3:8080
-//	fleetctl -workers http://h1:8080,http://h2:8080 readmit
 //	fleetctl -workers http://h1:8080,http://h2:8080 top
 //	fleetctl -workers http://h1:8080,http://h2:8080 trace <trace-id>
 //	fleetctl -workers ... -coordinator http://coord:8080 drain http://h2:8080
@@ -18,8 +17,9 @@
 // consistent-hash successors before removing it, so the survivors
 // inherit its key range warm and nothing re-simulates. add health-checks
 // the newcomer and backfills the key ranges it will steal from their
-// current owners before announcing it. readmit probes workers the fleet
-// marked dead and restores the ones that answer.
+// current owners before announcing it. Worker health is not a command:
+// each fleet runner keeps its own circuit per worker and re-admits a
+// recovered one by itself (steerbench -readmit sets the cooldown).
 //
 // top and trace are read-only and tolerate down workers: top prints
 // p50/p99 per route for every worker that answers (plus the fleet-wide
@@ -57,7 +57,6 @@ commands:
   status          print the membership view and lifecycle counters
   drain <url>     migrate a worker's results to its ring successors, then remove it
   add <url>       health-check a new worker, backfill its key ranges, then admit it
-  readmit         probe dead workers now and re-admit the ones that recovered
   top             print per-worker p50/p99 latency by route, plus the fleet merge
   trace <id>      fetch a job's span tree from whichever worker owns it
 
@@ -92,8 +91,6 @@ func main() {
 		coordURL  = flag.String("coordinator", "", "clusterd -coordinator URL: transitions go through the shared ring register")
 		token     = flag.String("token", "", "bearer token for workers started with -token")
 		timeout   = flag.Duration("timeout", 10*time.Minute, "bound the whole operation (drains move every blob the worker holds)")
-		brkTrip   = flag.Int("breaker-trip", 5, "consecutive failures that open a worker's circuit breaker (0 disables)")
-		brkCool   = flag.Duration("breaker-cooldown", 5*time.Second, "breaker open -> half-open cooldown")
 		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		logFormat = flag.String("log-format", "text", "log format: text or json")
 	)
@@ -149,9 +146,6 @@ func main() {
 	if *coordURL != "" {
 		fopts = append(fopts, fleet.WithCoordinator(*coordURL))
 	}
-	if *brkTrip > 0 {
-		fopts = append(fopts, fleet.WithBreaker(*brkTrip, *brkCool))
-	}
 	f, err := fleet.New(urls, fopts...)
 	if err != nil {
 		fail(log, "fleet construction", err)
@@ -174,8 +168,6 @@ func main() {
 		if err := f.AddWorker(ctx, arg); err != nil {
 			fail(log, "add "+arg, err)
 		}
-	case "readmit":
-		f.Readmit(ctx)
 	default:
 		usage()
 	}
@@ -225,8 +217,8 @@ func printStatus(fs fleet.Stats) {
 		fs.Epoch, assignable, len(fs.Members), fs.Readmissions, fs.DrainMigrated, fs.Backfilled)
 	for _, m := range fs.Members {
 		fmt.Printf("  %-8s %s (epoch %d)", m.State, m.URL, m.Epoch)
-		if m.Breaker != "" {
-			fmt.Printf("  breaker %s", m.Breaker)
+		if m.Health != "" {
+			fmt.Printf("  circuit %s", m.Health)
 		}
 		if m.LastError != "" {
 			fmt.Printf("  last error: %s", m.LastError)

@@ -39,11 +39,12 @@
 // With several comma-separated URLs the batch shards across the fleet by
 // consistent hash of each job's result key, and a worker lost mid-run is
 // survived: its unfinished jobs re-shard onto the remaining workers (the
-// report stays byte-identical). -readmit re-probes dead workers and
-// re-admits the recovered ones mid-suite; -coordinator converges
-// membership with other concurrent runners through a clusterd started
+// report stays byte-identical). A lost or failing worker's circuit opens;
+// -readmit sets how long it is routed around before a half-open probe
+// re-admits it mid-suite. -coordinator converges planned membership
+// changes with other concurrent runners through a clusterd started
 // with -coordinator. Fleet runs append a "# fleet:" footer (membership
-// epoch plus per-worker state) next to the "# engine:" one — consumers
+// epoch plus per-worker state and circuit) next to the "# engine:" one — consumers
 // diffing saved reports strip the "# "-prefixed lines.
 //
 // Ctrl-C cancels in-flight simulations and exits cleanly with status 130.
@@ -126,7 +127,7 @@ func main() {
 		compress = flag.Bool("compress", false, "gzip result blobs in the -cachedir store (old uncompressed blobs stay readable)")
 		steal    = flag.Int("steal", 0, "with a multi-worker -remote: let idle workers duplicate up to this many straggler jobs per batch (first result wins)")
 		coordURL = flag.String("coordinator", "", "with a multi-worker -remote: share one membership view with other runners through this clusterd -coordinator URL")
-		readmit  = flag.Duration("readmit", 0, "with a multi-worker -remote: re-probe dead workers at this interval and re-admit the ones that recovered (0 = leave dead workers dead)")
+		readmit  = flag.Duration("readmit", 0, "with a multi-worker -remote: how long a failed worker is routed around before a half-open probe may re-admit it (0 = fleet default, 5s)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (pprof format; profiles are flushed on clean exit)")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file after the run (pprof format)")
 		traceOut = flag.String("trace-out", "", "write a Chrome trace-event JSON timeline of the whole run to this file (open in chrome://tracing or Perfetto)")
@@ -283,9 +284,7 @@ func main() {
 		if *coordURL != "" {
 			fopts = append(fopts, fleet.WithCoordinator(*coordURL))
 		}
-		if *readmit > 0 {
-			fopts = append(fopts, fleet.WithReadmit(*readmit))
-		}
+		fopts = append(fopts, fleet.WithReadmit(*readmit))
 		var err error
 		fl, err = fleet.New(urls, fopts...)
 		if err != nil {
@@ -501,7 +500,7 @@ func fleetFooter(fs fleet.Stats) string {
 	fmt.Fprintf(&b, "# fleet: epoch %d, readmissions %d, drain-migrated %d, backfilled %d\n",
 		fs.Epoch, fs.Readmissions, fs.DrainMigrated, fs.Backfilled)
 	for _, m := range fs.Members {
-		fmt.Fprintf(&b, "# fleet: worker %s %s (epoch %d)", m.URL, m.State, m.Epoch)
+		fmt.Fprintf(&b, "# fleet: worker %s %s (epoch %d) circuit %s", m.URL, m.State, m.Epoch, m.Health)
 		if m.LastError != "" {
 			fmt.Fprintf(&b, " last error: %s", m.LastError)
 		}

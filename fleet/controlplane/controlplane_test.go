@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
@@ -18,45 +17,33 @@ func TestMembershipLifecycle(t *testing.T) {
 		t.Fatalf("seed epoch = %d, want 1", m.Epoch())
 	}
 
-	// alive -> dead -> alive (crash + re-admission).
-	if ch, err := m.Transition(api.RingMarkDead, "http://a", "connection refused"); err != nil || !ch {
-		t.Fatalf("mark_dead: changed=%v err=%v", ch, err)
-	}
-	if m.State("http://a") != api.MemberDead || m.Assignable("http://a") {
-		t.Fatalf("dead member state=%q assignable=%v", m.State("http://a"), m.Assignable("http://a"))
-	}
-	v := m.View()
-	if v.Members[0].LastError != "connection refused" {
-		t.Errorf("dead member LastError = %q", v.Members[0].LastError)
-	}
-	if ch, err := m.Transition(api.RingReadmit, "http://a", ""); err != nil || !ch {
-		t.Fatalf("readmit: changed=%v err=%v", ch, err)
-	}
-	if m.State("http://a") != api.MemberAlive || m.View().Members[0].LastError != "" {
-		t.Error("re-admitted member not alive with cleared error")
-	}
-
 	// alive -> draining -> removed (planned drain). Draining stays
 	// assignable; removed does not.
-	if ch, err := m.Transition(api.RingDrain, "http://b", ""); err != nil || !ch {
+	if ch, err := m.Transition(api.RingDrain, "http://b"); err != nil || !ch {
 		t.Fatalf("drain: changed=%v err=%v", ch, err)
 	}
 	if !m.Assignable("http://b") {
 		t.Error("draining member must remain assignable until removed")
 	}
-	if ch, err := m.Transition(api.RingRemove, "http://b", ""); err != nil || !ch {
+	if ch, err := m.Transition(api.RingRemove, "http://b"); err != nil || !ch {
 		t.Fatalf("remove: changed=%v err=%v", ch, err)
 	}
 	if m.Assignable("http://b") || m.State("http://b") != api.MemberRemoved {
 		t.Error("removed member still assignable")
 	}
 
-	// removed -> alive (scale the worker back in).
-	if ch, err := m.Transition(api.RingAdd, "http://b", ""); err != nil || !ch {
+	// removed -> alive (scale the worker back in), and a brand-new URL.
+	if ch, err := m.Transition(api.RingAdd, "http://b"); err != nil || !ch {
 		t.Fatalf("re-add: changed=%v err=%v", ch, err)
 	}
 	if m.State("http://b") != api.MemberAlive {
 		t.Errorf("re-added member state = %q", m.State("http://b"))
+	}
+	if ch, err := m.Transition(api.RingAdd, "http://c"); err != nil || !ch || !m.Assignable("http://c") {
+		t.Fatalf("add new: changed=%v err=%v", ch, err)
+	}
+	if m.Epoch() != 5 {
+		t.Errorf("epoch = %d after four transitions, want 5", m.Epoch())
 	}
 }
 
@@ -64,58 +51,69 @@ func TestMembershipInvalidTransitions(t *testing.T) {
 	m := NewMembership("http://a")
 	// Removing an alive member must be refused: a remove cuts the ring
 	// over, and an undrained alive member still owns live keys.
-	if _, err := m.Transition(api.RingRemove, "http://a", ""); err == nil {
+	if _, err := m.Transition(api.RingRemove, "http://a"); err == nil {
 		t.Error("remove of alive member succeeded")
 	}
-	m.Transition(api.RingMarkDead, "http://a", "x")
-	// A dead member's store is unreachable, so it cannot be drained.
-	if _, err := m.Transition(api.RingDrain, "http://a", ""); err == nil {
-		t.Error("drain of dead member succeeded")
+	m.Transition(api.RingDrain, "http://a")
+	m.Transition(api.RingRemove, "http://a")
+	// A removed member's store is gone from the fleet, so it cannot be
+	// drained again.
+	if _, err := m.Transition(api.RingDrain, "http://a"); err == nil {
+		t.Error("drain of removed member succeeded")
 	}
-	// But a dead member can be retired directly (no keys to save).
-	if ch, err := m.Transition(api.RingRemove, "http://a", ""); err != nil || !ch {
-		t.Errorf("remove of dead member: changed=%v err=%v", ch, err)
-	}
-	for _, action := range []string{api.RingMarkDead, api.RingReadmit, api.RingDrain, api.RingRemove} {
-		if _, err := m.Transition(action, "http://nope", ""); err == nil {
+	for _, action := range []string{api.RingDrain, api.RingRemove} {
+		if _, err := m.Transition(action, "http://nope"); err == nil {
 			t.Errorf("%s of unknown member succeeded", action)
 		}
 	}
-	if _, err := m.Transition("bogus", "http://a", ""); err == nil {
-		t.Error("unknown action succeeded")
+	// Health is each runner's own observation: the register refuses the
+	// old failure-driven actions like any unknown one, and changes nothing.
+	epoch := m.Epoch()
+	for _, action := range []string{"bogus", "mark_dead", "readmit"} {
+		if _, err := m.Transition(action, "http://a"); err == nil {
+			t.Errorf("action %q succeeded", action)
+		}
+	}
+	if m.Epoch() != epoch {
+		t.Errorf("refused actions moved the epoch %d -> %d", epoch, m.Epoch())
 	}
 }
 
 // No-op transitions succeed without bumping the epoch — the property
-// that lets N runners report the same observation idempotently.
+// that lets N runners propose the same change idempotently.
 func TestMembershipIdempotentNoOps(t *testing.T) {
 	cases := []struct{ action, setup string }{
-		{api.RingAdd, ""},     // already alive
-		{api.RingReadmit, ""}, // readmit of alive member
-		{api.RingMarkDead, api.RingMarkDead},
+		{api.RingAdd, ""},            // already alive
+		{api.RingAdd, api.RingDrain}, // adding a draining member
 		{api.RingDrain, api.RingDrain},
 	}
 	for _, c := range cases {
 		m2 := NewMembership("http://a")
 		if c.setup != "" {
-			if _, err := m2.Transition(c.setup, "http://a", ""); err != nil {
+			if _, err := m2.Transition(c.setup, "http://a"); err != nil {
 				t.Fatal(err)
 			}
 		}
 		before := m2.Epoch()
-		ch, err := m2.Transition(c.action, "http://a", "")
+		ch, err := m2.Transition(c.action, "http://a")
 		if err != nil || ch {
-			t.Errorf("%s twice: changed=%v err=%v", c.action, ch, err)
+			t.Errorf("%s after %q: changed=%v err=%v", c.action, c.setup, ch, err)
 		}
 		if m2.Epoch() != before {
 			t.Errorf("%s no-op bumped epoch %d -> %d", c.action, before, m2.Epoch())
 		}
 	}
+	m3 := NewMembership("http://a")
+	m3.Transition(api.RingDrain, "http://a")
+	m3.Transition(api.RingRemove, "http://a")
+	if ch, err := m3.Transition(api.RingRemove, "http://a"); err != nil || ch {
+		t.Errorf("remove twice: changed=%v err=%v", ch, err)
+	}
 }
 
 func TestViewApplyNewestWins(t *testing.T) {
 	m := NewMembership("http://a", "http://b")
-	m.Transition(api.RingMarkDead, "http://b", "boom") // epoch 2
+	m.Transition(api.RingDrain, "http://b") // epoch 2
 	v := m.View()
 	if !sort.SliceIsSorted(v.Members, func(i, j int) bool { return v.Members[i].URL < v.Members[j].URL }) {
 		t.Error("view members not sorted by URL")
@@ -126,7 +124,7 @@ func TestViewApplyNewestWins(t *testing.T) {
 	if m.Apply(stale) {
 		t.Error("stale view applied")
 	}
-	if m.State("http://b") != api.MemberDead {
+	if m.State("http://b") != api.MemberDraining {
 		t.Error("stale view clobbered local state")
 	}
 
@@ -151,70 +149,29 @@ func TestViewApplyNewestWins(t *testing.T) {
 }
 
 func TestSatisfied(t *testing.T) {
-	m := NewMembership("http://a", "http://b")
-	m.Transition(api.RingMarkDead, "http://b", "x")
+	m := NewMembership("http://a", "http://b", "http://c")
+	m.Transition(api.RingDrain, "http://b")
+	m.Transition(api.RingDrain, "http://c")
+	m.Transition(api.RingRemove, "http://c")
 	checks := []struct {
 		action, url string
 		want        bool
 	}{
 		{api.RingAdd, "http://a", true},
+		{api.RingAdd, "http://b", true},
+		{api.RingAdd, "http://c", false},
 		{api.RingAdd, "http://new", false},
-		{api.RingMarkDead, "http://b", true},
-		{api.RingMarkDead, "http://a", false},
-		{api.RingReadmit, "http://a", true},
-		{api.RingReadmit, "http://b", false},
 		{api.RingDrain, "http://a", false},
+		{api.RingDrain, "http://b", true},
+		{api.RingDrain, "http://c", true},
 		{api.RingRemove, "http://b", false},
+		{api.RingRemove, "http://c", true},
+		{"mark_dead", "http://a", false},
 	}
 	for _, c := range checks {
-		if got := m.Satisfied(c.action, c.url); got != c.want {
-			t.Errorf("Satisfied(%s, %s) = %v, want %v", c.action, c.url, got, c.want)
+		if got := actionSatisfied(c.action, m.State(c.url)); got != c.want {
+			t.Errorf("satisfied(%s, %s) = %v, want %v", c.action, c.url, got, c.want)
 		}
-	}
-}
-
-func TestProberReadmitsRecovered(t *testing.T) {
-	m := NewMembership("http://up", "http://down")
-	m.Transition(api.RingMarkDead, "http://up", "was down")
-	m.Transition(api.RingMarkDead, "http://down", "still down")
-
-	var probed []string
-	p := &Prober{
-		Dead: func() []string {
-			var dead []string
-			for _, ms := range m.View().Members {
-				if ms.State == api.MemberDead {
-					dead = append(dead, ms.URL)
-				}
-			}
-			return dead
-		},
-		Probe: func(_ context.Context, url string) error {
-			probed = append(probed, url)
-			if strings.Contains(url, "down") {
-				return errors.New("refused")
-			}
-			return nil
-		},
-		Readmit: func(_ context.Context, url string) {
-			m.Transition(api.RingReadmit, url, "")
-		},
-	}
-	p.Tick(context.Background())
-	if len(probed) != 2 {
-		t.Fatalf("probed %v, want both dead members", probed)
-	}
-	if m.State("http://up") != api.MemberAlive {
-		t.Error("recovered member not re-admitted")
-	}
-	if m.State("http://down") != api.MemberDead {
-		t.Error("unreachable member re-admitted")
-	}
-	// The recovered member leaves the probe set.
-	probed = nil
-	p.Tick(context.Background())
-	if len(probed) != 1 || probed[0] != "http://down" {
-		t.Errorf("second tick probed %v, want only the still-dead member", probed)
 	}
 }
 
@@ -243,7 +200,7 @@ func (f *fakeCoord) ProposeRing(ctx context.Context, tr api.RingTransition) (*ap
 		v := f.m.View()
 		return &v, &api.Error{Code: api.CodeEpochConflict, Message: "stale epoch", Status: 409}
 	}
-	if _, err := f.m.Transition(tr.Action, tr.URL, tr.Error); err != nil {
+	if _, err := f.m.Transition(tr.Action, tr.URL); err != nil {
 		return nil, &api.Error{Code: api.CodeBadRequest, Message: err.Error(), Status: 400}
 	}
 	v := f.m.View()
@@ -256,10 +213,10 @@ func TestCoordinatorProposeRetriesConflicts(t *testing.T) {
 	fc := &fakeCoord{m: server, conflicts: 2}
 	co := NewCoordinator(fc, local)
 
-	if err := co.Propose(context.Background(), api.RingMarkDead, "http://b", "gone"); err != nil {
+	if err := co.Propose(context.Background(), api.RingDrain, "http://b"); err != nil {
 		t.Fatalf("Propose: %v", err)
 	}
-	if server.State("http://b") != api.MemberDead {
+	if server.State("http://b") != api.MemberDraining {
 		t.Error("transition never landed on the coordinator")
 	}
 	if local.Epoch() != server.Epoch() {
@@ -267,23 +224,23 @@ func TestCoordinatorProposeRetriesConflicts(t *testing.T) {
 	}
 }
 
-// Losing the race to a runner that made the same observation is success:
-// the conflict response shows the goal satisfied and Propose stops.
+// Losing the race to a runner that made the same change is success: the
+// conflict response shows the goal satisfied and Propose stops.
 func TestCoordinatorProposeSatisfiedByRival(t *testing.T) {
 	server := NewMembership("http://a", "http://b")
-	server.Transition(api.RingMarkDead, "http://b", "rival saw it first")
+	server.Transition(api.RingDrain, "http://b")   // a rival started the drain first
 	local := NewMembership("http://a", "http://b") // stale: thinks epoch 1
 	fc := &fakeCoord{m: server}
 	co := NewCoordinator(fc, local)
 
-	if err := co.Propose(context.Background(), api.RingMarkDead, "http://b", "me too"); err != nil {
+	if err := co.Propose(context.Background(), api.RingDrain, "http://b"); err != nil {
 		t.Fatalf("Propose after rival: %v", err)
 	}
 	if fc.proposals != 1 {
 		t.Errorf("proposals = %d, want 1 (conflict view already satisfied the goal)", fc.proposals)
 	}
-	if local.State("http://b") != api.MemberDead {
-		t.Error("local table did not adopt the rival's observation")
+	if local.State("http://b") != api.MemberDraining {
+		t.Error("local table did not adopt the rival's change")
 	}
 }
 
@@ -293,27 +250,11 @@ func TestCoordinatorNilIsLocal(t *testing.T) {
 	if co.Enabled() {
 		t.Fatal("nil client reports enabled")
 	}
-	if err := co.Propose(context.Background(), api.RingMarkDead, "http://a", "x"); err != nil {
+	if err := co.Propose(context.Background(), api.RingDrain, "http://a"); err != nil {
 		t.Fatalf("local propose: %v", err)
 	}
-	if local.State("http://a") != api.MemberDead {
+	if local.State("http://a") != api.MemberDraining {
 		t.Error("local propose did not apply")
-	}
-}
-
-func TestCoordinatorSeed(t *testing.T) {
-	server := NewMembership() // fresh coordinator: empty, epoch 0
-	local := NewMembership("http://a", "http://b")
-	local.Transition(api.RingMarkDead, "http://b", "down") // dead members are not seeded
-	co := NewCoordinator(&fakeCoord{m: server}, local)
-	if err := co.Seed(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if server.State("http://a") != api.MemberAlive {
-		t.Error("alive member not seeded")
-	}
-	if server.State("http://b") != "" {
-		t.Error("dead member seeded")
 	}
 }
 

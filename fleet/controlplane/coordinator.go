@@ -30,10 +30,10 @@ type CoordClient interface {
 // operation — the fleet works coordinator-free exactly as before.
 //
 // The coordinator's epoch and the local table's epoch are tracked
-// separately: a runner whose table raced ahead (transitions applied
-// while the coordinator was unreachable, or a table seeded before the
-// coordinator was) must still CAS against what the *coordinator* last
-// published, not against its own count.
+// separately: a runner whose table raced ahead (a table seeded from the
+// runner's worker list before it reached the coordinator) must still CAS
+// against what the *coordinator* last published, not against its own
+// count.
 type Coordinator struct {
 	c CoordClient
 	m *Membership
@@ -53,7 +53,7 @@ func (co *Coordinator) Enabled() bool { return co != nil && co.c != nil }
 // proposeRetries bounds how many CAS rounds a single Propose may lose
 // before giving up. Each lost round means another runner advanced the
 // epoch, so the bound is only reachable under a pathological proposal
-// storm — and even then the loser's transition is usually Satisfied by
+// storm — and even then the loser's transition is usually satisfied by
 // whoever beat it.
 const proposeRetries = 8
 
@@ -93,36 +93,16 @@ func (co *Coordinator) Sync(ctx context.Context) (*api.RingView, error) {
 	return v, nil
 }
 
-// Seed publishes the local membership to an empty coordinator by
-// proposing an add for every locally-known assignable member. A fresh
-// coordinator holds no view; the first runner to reach it seeds the
-// member list, and later runners find it already populated (their adds
-// are idempotent no-ops).
-func (co *Coordinator) Seed(ctx context.Context) error {
-	if !co.Enabled() {
-		return nil
-	}
-	for _, ms := range co.m.View().Members {
-		if ms.State != api.MemberAlive && ms.State != api.MemberDraining {
-			continue
-		}
-		if err := co.Propose(ctx, api.RingAdd, ms.URL, ""); err != nil {
-			return fmt.Errorf("controlplane: seeding coordinator with %s: %w", ms.URL, err)
-		}
-	}
-	return nil
-}
-
 // Propose drives one membership transition to agreement. With a
 // coordinator it is a CAS loop: propose against the coordinator's
 // last-seen epoch; on epoch_conflict adopt the fresher view, check
 // whether the goal already holds there (another runner made the same
-// observation first), and otherwise retry. Without a coordinator it
+// change first), and otherwise retry. Without a coordinator it
 // applies the transition locally. Either way the local table reflects
 // the outcome on return.
-func (co *Coordinator) Propose(ctx context.Context, action, url, errMsg string) error {
+func (co *Coordinator) Propose(ctx context.Context, action, url string) error {
 	if !co.Enabled() {
-		_, err := co.m.Transition(action, url, errMsg)
+		_, err := co.m.Transition(action, url)
 		return err
 	}
 	for attempt := 0; attempt < proposeRetries; attempt++ {
@@ -130,7 +110,6 @@ func (co *Coordinator) Propose(ctx context.Context, action, url, errMsg string) 
 			BaseEpoch: co.base(),
 			Action:    action,
 			URL:       url,
-			Error:     errMsg,
 		})
 		if err == nil {
 			co.observe(v)

@@ -1,9 +1,10 @@
 // Package controlplane is the fleet's membership brain: the state
-// machine that says which workers exist and what may be asked of them,
-// the liveness prober that turns a dead worker back into a live one, the
-// coordinator protocol that lets N concurrent fleet runners converge on
-// one view, and the key-migration engine behind planned drains and
-// scale-up backfills.
+// machine for the planned, operator-driven transitions (add, drain,
+// remove) that say which workers exist, the coordinator protocol that
+// lets N concurrent fleet runners converge on one view, and the
+// key-migration engine behind planned drains and scale-up backfills.
+// Whether a member currently answers is not membership: each runner
+// observes worker health locally and never publishes it.
 //
 // The design follows the scalable-synchronization playbook: placement is
 // never transmitted — every runner recomputes the consistent-hash ring
@@ -96,9 +97,9 @@ func (m *Membership) View() api.RingView {
 // Apply adopts a (coordinator-published) view wholesale when it is at
 // least as new as the local one, and reports whether it did. Views never
 // merge — the coordinator's epoch totally orders them, so the newest
-// view simply wins; a local table that raced ahead (transitions applied
-// while the coordinator was unreachable) keeps its own state until the
-// coordinator catches up past it.
+// view simply wins; a local table that is ahead (seeded from a runner's
+// worker list, or changed locally before a coordinator was configured)
+// keeps its own state until the coordinator catches up past it.
 func (m *Membership) Apply(v api.RingView) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -117,80 +118,42 @@ func (m *Membership) Apply(v api.RingView) bool {
 	return true
 }
 
-// Transition applies one membership action and reports whether it
-// changed anything (no-op transitions — marking a dead member dead,
-// re-adding a live one — succeed without bumping the epoch, which is
-// what lets N runners propose the same observation idempotently). An
-// error means the transition is invalid from the member's current state
-// and was not applied.
-func (m *Membership) Transition(action, url, errMsg string) (changed bool, err error) {
+// Transition applies one planned membership action and reports whether
+// it changed anything (no-op transitions — re-adding a live member,
+// draining a draining one — succeed without bumping the epoch, which is
+// what lets N runners propose the same change idempotently). An error
+// means the transition is invalid from the member's current state and
+// was not applied.
+func (m *Membership) Transition(action, url string) (changed bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ms := m.members[url]
+	if ms == nil && action != api.RingAdd {
+		return false, fmt.Errorf("controlplane: %s of unknown member %s", action, url)
+	}
+	from, to := "", ""
 	switch action {
 	case api.RingAdd:
+		from, to = api.MemberRemoved, api.MemberAlive
 		if ms == nil {
-			m.bump(&api.MemberState{URL: url, State: api.MemberAlive})
-			return true, nil
+			ms = &api.MemberState{URL: url, State: from}
 		}
-		if ms.State == api.MemberRemoved {
-			ms.State = api.MemberAlive
-			ms.LastError = ""
-			m.bump(ms)
-			return true, nil
-		}
-		return false, nil // already present
-	case api.RingMarkDead:
-		if ms == nil {
-			return false, fmt.Errorf("controlplane: mark_dead of unknown member %s", url)
-		}
-		switch ms.State {
-		case api.MemberAlive, api.MemberDraining:
-			ms.State = api.MemberDead
-			ms.LastError = errMsg
-			m.bump(ms)
-			return true, nil
-		}
-		return false, nil // already dead (or removed: nothing to exclude)
-	case api.RingReadmit:
-		if ms == nil {
-			return false, fmt.Errorf("controlplane: readmit of unknown member %s", url)
-		}
-		if ms.State == api.MemberDead {
-			ms.State = api.MemberAlive
-			ms.LastError = ""
-			m.bump(ms)
-			return true, nil
-		}
-		return false, nil
 	case api.RingDrain:
-		if ms == nil {
-			return false, fmt.Errorf("controlplane: drain of unknown member %s", url)
-		}
-		switch ms.State {
-		case api.MemberAlive:
-			ms.State = api.MemberDraining
-			m.bump(ms)
-			return true, nil
-		case api.MemberDraining:
-			return false, nil
-		}
-		return false, fmt.Errorf("controlplane: cannot drain %s member %s (its store is unreachable)", ms.State, url)
+		from, to = api.MemberAlive, api.MemberDraining
 	case api.RingRemove:
-		if ms == nil {
-			return false, fmt.Errorf("controlplane: remove of unknown member %s", url)
-		}
-		switch ms.State {
-		case api.MemberDraining, api.MemberDead:
-			ms.State = api.MemberRemoved
-			m.bump(ms)
-			return true, nil
-		case api.MemberRemoved:
-			return false, nil
-		}
-		return false, fmt.Errorf("controlplane: cannot remove alive member %s — drain it first", url)
+		from, to = api.MemberDraining, api.MemberRemoved
+	default:
+		return false, fmt.Errorf("controlplane: unknown ring action %q", action)
 	}
-	return false, fmt.Errorf("controlplane: unknown ring action %q", action)
+	switch {
+	case ms.State == from:
+		ms.State = to
+		m.bump(ms)
+		return true, nil
+	case ms.State == to, action == api.RingAdd: // adding a draining member is a no-op too
+		return false, nil
+	}
+	return false, fmt.Errorf("controlplane: cannot %s %s member %s", action, ms.State, url)
 }
 
 // bump records a state change: the table's epoch advances and the member
@@ -201,24 +164,14 @@ func (m *Membership) bump(ms *api.MemberState) {
 	m.members[ms.URL] = ms
 }
 
-// Satisfied reports whether a transition's goal already holds in the
-// current table — the check a proposer runs after losing a CAS race:
-// if another runner already made the same observation, there is nothing
-// left to propose.
-func (m *Membership) Satisfied(action, url string) bool {
-	return actionSatisfied(action, m.State(url))
-}
-
 // actionSatisfied reports whether a member in the given state already
-// meets a transition's goal ("" means unknown member).
+// meets a transition's goal ("" means unknown member) — the check a
+// proposer runs after losing a CAS race: if another runner already made
+// the same change, there is nothing left to propose.
 func actionSatisfied(action, state string) bool {
 	switch action {
 	case api.RingAdd:
 		return state != "" && state != api.MemberRemoved
-	case api.RingMarkDead:
-		return state == api.MemberDead || state == api.MemberRemoved
-	case api.RingReadmit:
-		return state == api.MemberAlive || state == api.MemberDraining
 	case api.RingDrain:
 		return state == api.MemberDraining || state == api.MemberRemoved
 	case api.RingRemove:

@@ -20,31 +20,37 @@
 // 2-idle-connections-per-host limit.
 //
 // Resilience is layered on top of the client's reconnect machinery:
-// every worker is health-checked at construction, a worker whose
-// transport fails for good mid-stream is marked dead and its unfinished
+// every worker is health-checked at construction, and from then on each
+// member carries one circuit (health.go) that this runner keeps to
+// itself. A worker whose transport fails for good mid-stream and whose
+// liveness probe fails too is routed around at once, and its unfinished
 // jobs are re-sharded onto the survivors (each lost job re-runs exactly
-// once — deterministic job failures are never retried), and an optional
-// bounded work-stealing policy lets idle workers duplicate the tail of a
-// straggler's shard, first result wins.
+// once — deterministic job failures are never retried); one that still
+// answers but keeps failing is routed around after a few consecutive
+// failures. After the WithReadmit cooldown, a half-open /healthz probe
+// plus one probe shard re-admits it onto its exact old ring points. An
+// optional bounded work-stealing policy lets idle workers duplicate the
+// tail of a straggler's shard, first result wins.
 //
-// Membership is live, not frozen (see lifecycle.go): a worker marked
-// dead is periodically re-probed and re-admitted when it recovers
-// (WithReadmit), Drain migrates a departing worker's key range to its
+// Planned membership changes are shared, health is not (see
+// lifecycle.go): Drain migrates a departing worker's key range to its
 // ring successors before removing it, AddWorker backfills a newcomer's
 // stolen ranges from the previous owners, and WithCoordinator makes N
 // concurrent runners converge on one membership view through a shared
-// epoch register. Placement is a pure function of the membership view:
-// the ring's points depend only on member URLs, and non-assignable
-// members are skipped by the clockwise walk — which is exactly
-// equivalent to a ring without their points, so every state transition
-// except adding a brand-new URL changes placement without rebuilding
-// anything.
+// epoch register that holds only those add/drain/remove transitions.
+// Placement is a pure function of the membership view and the circuits:
+// the ring's points depend only on member URLs, and members that are
+// removed or whose circuit is open are skipped by the clockwise walk —
+// which is exactly equivalent to a ring without their points, so every
+// change except adding a brand-new URL moves placement without
+// rebuilding anything.
 package fleet
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,13 +63,13 @@ import (
 	"clustersim/internal/sim"
 )
 
-// member is one clusterd worker: its transport and its runner. Liveness
-// lives in the Runner's membership table, not here — the member itself
-// is just the connection.
+// member is one clusterd worker: its transport, its runner, and this
+// runner's circuit for it.
 type member struct {
 	url    string
 	c      *client.Client
 	runner *client.Runner
+	h      *health
 }
 
 // config collects construction options.
@@ -78,9 +84,7 @@ type config struct {
 	clientOpts    []client.Option
 	runnerOpts    []client.RunnerOption
 	coordURL      string
-	readmit       time.Duration
-	breakerTrip   int
-	breakerCool   time.Duration
+	cooldown      time.Duration
 }
 
 // Option configures a fleet Runner.
@@ -102,8 +106,8 @@ func WithProgress(fn func(done, total int, label string)) Option {
 }
 
 // WithLog sets the sink for operational messages — worker loss,
-// re-sharding, work stealing, membership transitions. The default
-// discards them.
+// re-sharding, work stealing, re-admission, membership transitions. The
+// default discards them.
 func WithLog(fn func(format string, args ...any)) Option {
 	return func(c *config) { c.logf = fn }
 }
@@ -159,23 +163,12 @@ func WithCoordinator(url string) Option {
 	return func(c *config) { c.coordURL = strings.TrimRight(url, "/") }
 }
 
-// WithBreaker installs a per-worker circuit breaker: trip consecutive
-// transport failures stop new shards from routing to the worker (even
-// though it still answers health probes), and after cooldown a single
-// half-open probe shard decides whether it rejoins. Complements the
-// dead/readmit machinery, which only reacts to workers that are gone
-// outright. trip <= 0 disables the policy (the default).
-func WithBreaker(trip int, cooldown time.Duration) Option {
-	return func(c *config) { c.breakerTrip, c.breakerCool = trip, cooldown }
-}
-
-// WithReadmit starts the liveness prober: every interval, workers the
-// fleet marked dead are health-probed, and the ones that answer are
-// re-admitted — their virtual ring points come back, restoring their
-// exact pre-death placement. Zero (the default) leaves dead workers
-// dead for the runner's lifetime. Stop the prober with Close.
-func WithReadmit(interval time.Duration) Option {
-	return func(c *config) { c.readmit = interval }
+// WithReadmit sets the circuit cooldown: how long a worker whose circuit
+// opened — lost, or failing while it still answers — is routed around
+// before a half-open /healthz probe plus one probe shard may re-admit it
+// onto its exact pre-failure ring points. Zero or unset means 5s.
+func WithReadmit(cooldown time.Duration) Option {
+	return func(c *config) { c.cooldown = cooldown }
 }
 
 // placement is one consistent snapshot of the routable fleet: the member
@@ -187,12 +180,26 @@ type placement struct {
 	ring    *ring
 }
 
+// newPlacement builds the ring over members' URLs.
+func newPlacement(members []*member) placement {
+	urls := make([]string, len(members))
+	for i, m := range members {
+		urls[i] = m.url
+	}
+	return placement{members: members, ring: newRing(urls)}
+}
+
+// with returns the placement grown by m: the one membership change that
+// rebuilds the ring.
+func (pl placement) with(m *member) placement {
+	return newPlacement(append(pl.members[:len(pl.members):len(pl.members)], m))
+}
+
 // Runner shards engine jobs across a fleet of clusterd workers. Safe for
 // concurrent use.
 type Runner struct {
-	mu    sync.RWMutex
-	pl    placement
-	byURL map[string]*member
+	mu sync.RWMutex
+	pl placement
 
 	// mship is the membership table placement filters through;
 	// coordinator binds it to the shared epoch register (and degrades to
@@ -204,17 +211,14 @@ type Runner struct {
 	progress func(done, total int, label string)
 	logf     func(format string, args ...any)
 	steal    int
+	cooldown time.Duration
 	// maxRetries bounds how often one job may fail with a worker-loss
 	// error before the error is delivered: enough for every member to
 	// die under it plus a couple of transient blips on live members.
 	maxRetries int
 
-	// keyer computes result content keys for sharding. It never executes
-	// anything: only its fingerprint memo and key derivation are used.
-	keyer *engine.Engine
-
-	// copts/ropts rebuild clients for workers that join after
-	// construction (AddWorker, coordinator adoption).
+	// copts/ropts build clients for every member, including workers that
+	// join after construction (AddWorker, coordinator adoption).
 	copts []client.Option
 	ropts []client.RunnerOption
 
@@ -222,15 +226,6 @@ type Runner struct {
 
 	// Control-plane counters surfaced by FleetStats.
 	readmissions, drainMigrated, backfilled atomic.Int64
-
-	// Circuit-breaker policy (breaker.go); breakerTrip <= 0 disables it.
-	breakerTrip     int
-	breakerCooldown time.Duration
-	breakerMu       sync.Mutex
-	breakers        map[string]*breaker
-
-	proberStop context.CancelFunc
-	proberDone chan struct{}
 }
 
 var _ engine.Runner = (*Runner)(nil)
@@ -254,14 +249,24 @@ func New(urls []string, opts ...Option) (*Runner, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-
-	copts := cfg.clientOpts
-	if cfg.token != "" {
-		copts = append(copts[:len(copts):len(copts)], client.WithToken(cfg.token))
+	if cfg.cooldown <= 0 {
+		cfg.cooldown = defaultCooldown
 	}
-	ropts := cfg.runnerOpts
+	f := &Runner{
+		fallback:   cfg.fallback,
+		progress:   cfg.progress,
+		logf:       cfg.logf,
+		steal:      cfg.steal,
+		cooldown:   cfg.cooldown,
+		maxRetries: len(urls) + 2,
+		copts:      cfg.clientOpts,
+		ropts:      cfg.runnerOpts,
+	}
+	if cfg.token != "" {
+		f.copts = append(f.copts[:len(f.copts):len(f.copts)], client.WithToken(cfg.token))
+	}
 	if cfg.maxParallel > 0 {
-		ropts = append(ropts[:len(ropts):len(ropts)], client.WithBatchParallel(cfg.maxParallel))
+		f.ropts = append(f.ropts[:len(f.ropts):len(f.ropts)], client.WithBatchParallel(cfg.maxParallel))
 	}
 
 	// Canonicalize before the duplicate check and ring construction:
@@ -269,23 +274,18 @@ func New(urls []string, opts ...Option) (*Runner, error) {
 	// worker must count as the same member (and shard identically from
 	// every client, whichever spelling it was configured with).
 	canon := make([]string, 0, len(urls))
-	seen := map[string]bool{}
 	members := make([]*member, 0, len(urls))
-	byURL := make(map[string]*member, len(urls))
 	for _, u := range urls {
 		u = strings.TrimRight(u, "/")
-		if seen[u] {
+		if slices.Contains(canon, u) {
 			return nil, fmt.Errorf("fleet: duplicate worker URL %q", u)
 		}
-		seen[u] = true
-		canon = append(canon, u)
-		c, err := client.New(u, copts...)
+		m, err := f.newMember(u)
 		if err != nil {
 			return nil, err
 		}
-		m := &member{url: u, c: c, runner: client.NewRunner(c, ropts...)}
+		canon = append(canon, u)
 		members = append(members, m)
-		byURL[u] = m
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.healthTimeout)
@@ -306,37 +306,24 @@ func New(urls []string, opts ...Option) (*Runner, error) {
 		return nil, err
 	}
 
-	f := &Runner{
-		pl:         placement{members: members, ring: newRing(canon)},
-		byURL:      byURL,
-		mship:      controlplane.NewMembership(canon...),
-		fallback:   cfg.fallback,
-		progress:   cfg.progress,
-		logf:       cfg.logf,
-		steal:      cfg.steal,
-		maxRetries: len(members) + 2,
-		keyer:      engine.New(engine.Options{Parallelism: 1, DisableCache: true}),
-		copts:      copts,
-		ropts:      ropts,
-	}
-	if cfg.breakerTrip > 0 {
-		f.breakerTrip, f.breakerCooldown = cfg.breakerTrip, cfg.breakerCool
-		if f.breakerCooldown <= 0 {
-			f.breakerCooldown = 5 * time.Second
-		}
-		f.breakers = make(map[string]*breaker, len(members))
-	}
+	f.pl = newPlacement(members)
+	f.mship = controlplane.NewMembership(canon...)
 	f.coordinator = controlplane.NewCoordinator(nil, f.mship)
-
 	if cfg.coordURL != "" {
 		if err := f.connectCoordinator(ctx, cfg.coordURL); err != nil {
 			return nil, err
 		}
 	}
-	if cfg.readmit > 0 {
-		f.startProber(cfg.readmit)
-	}
 	return f, nil
+}
+
+// newMember builds the connection to one worker, its circuit closed.
+func (f *Runner) newMember(url string) (*member, error) {
+	c, err := client.New(url, f.copts...)
+	if err != nil {
+		return nil, err
+	}
+	return &member{url: url, c: c, runner: client.NewRunner(c, f.ropts...), h: newHealth(f.cooldown)}, nil
 }
 
 // placementSnapshot returns the current (members, ring) pair.
@@ -346,33 +333,31 @@ func (f *Runner) placementSnapshot() placement {
 	return f.pl
 }
 
-// lookupMember resolves a canonical URL to its member.
+// lookupMember resolves a canonical URL to its member, nil when unknown.
 func (f *Runner) lookupMember(url string) *member {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.byURL[url]
-}
-
-// assignable reports whether the membership table allows routing new
-// work to url.
-func (f *Runner) assignable(url string) bool { return f.mship.Assignable(url) }
-
-// Members returns the worker URLs, in construction/admission order.
-func (f *Runner) Members() []string {
-	pl := f.placementSnapshot()
-	urls := make([]string, len(pl.members))
-	for i, m := range pl.members {
-		urls[i] = m.url
+	for _, m := range f.placementSnapshot().members {
+		if m.url == url {
+			return m
+		}
 	}
-	return urls
+	return nil
 }
 
-// Alive reports how many workers the fleet can currently route to
-// (alive or draining).
+// answering reports whether m is assignable in the membership table and
+// not known to be unreachable: the workers a round may still hope to
+// route to, and the ones whose stores a migration may read.
+func (f *Runner) answering(m *member) bool {
+	_, lost, _ := m.h.status()
+	return !lost && f.mship.Assignable(m.url)
+}
+
+// Alive reports how many workers are assignable and not known to be
+// unreachable — routable now, or answering probes while their circuit
+// cools down.
 func (f *Runner) Alive() int {
 	n := 0
 	for _, m := range f.placementSnapshot().members {
-		if f.assignable(m.url) {
+		if f.answering(m) {
 			n++
 		}
 	}
@@ -390,8 +375,8 @@ func (f *Runner) Run(ctx context.Context, job engine.Job) *engine.Result {
 
 // Stats aggregates the work attributable to this runner: the sum of
 // every routable member runner's server-counter deltas, plus the
-// fallback's counters when one is configured. Dead and removed members
-// are skipped — their counters are unreachable, so work a member
+// fallback's counters when one is configured. Removed and unreachable
+// members are skipped — their counters cannot be read, so work a member
 // completed and delivered before it was lost drops out of the aggregate
 // (its *unfinished* jobs re-ran on survivors and are counted there).
 // After a mid-run worker loss the totals therefore undercount rather
@@ -403,7 +388,7 @@ func (f *Runner) Stats() engine.CacheStats {
 	parts := make([]engine.CacheStats, len(members))
 	var wg sync.WaitGroup
 	for i, m := range members {
-		if !f.assignable(m.url) {
+		if !f.answering(m) {
 			continue
 		}
 		wg.Add(1)
@@ -448,6 +433,10 @@ func (f *Runner) Stream(ctx context.Context, jobs []engine.Job) <-chan engine.Jo
 		defer close(out)
 		f.syncMembership(ctx)
 
+		// A keyer scoped to this call: engines memoize a fingerprint per
+		// program, and a runner-lifetime memo would keep every program
+		// ever sharded reachable.
+		keyer := engine.New(engine.Options{Parallelism: 1, DisableCache: true})
 		var tasks []task
 		var localJobs []engine.Job
 		var localIdx []int
@@ -464,7 +453,7 @@ func (f *Runner) Stream(ctx context.Context, jobs []engine.Job) <-chan engine.Jo
 				}
 				continue
 			}
-			key, ok := f.keyer.ResultKey(job)
+			key, ok := keyer.ResultKey(job)
 			if !ok {
 				// Unreachable: every remoteable job has a content key
 				// (SpecFromJob rejects the uncacheable shapes). Shard by
@@ -516,19 +505,20 @@ func (f *Runner) finish(jr engine.JobResult) engine.JobResult {
 // ran out), so the job is safe and worthwhile to re-run on a survivor.
 // Failures the server itself reported — protocol refusals (api.Error)
 // and executed-but-failed jobs (client.JobError) — are deterministic and
-// would fail identically anywhere; context cancellation is the caller's
-// own signal. A version-mismatched worker counts as lost: the job may
-// still succeed on a correctly versioned survivor.
+// would fail identically anywhere, except not_found: a worker that no
+// longer knows the submission or the result (it restarted mid-stream)
+// lost state, not the job. Context cancellation is the caller's own
+// signal. A version-mismatched worker counts as lost: the job may still
+// succeed on a correctly versioned survivor.
 func retryable(err error) bool {
-	if err == nil {
-		return false
-	}
 	var apiErr *api.Error
 	var jobErr *client.JobError
 	switch {
-	case errors.As(err, &apiErr), errors.As(err, &jobErr),
+	case err == nil, errors.As(err, &jobErr),
 		errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return false
+	case errors.As(err, &apiErr):
+		return apiErr.Code == api.CodeNotFound
 	}
 	return true
 }
@@ -602,15 +592,14 @@ func (rs *roundState) stealFor(thief int) []task {
 // re-shard tasks stranded on lost workers onto the survivors.
 // Termination: every re-queue burns one of its task's bounded retry
 // attempts (tasks that exhaust them deliver their error), so the round
-// loop cannot spin — at most maxRetries+1 routed rounds, and in the
-// common worker-loss case each round also shrinks the alive set. A
-// round in which every surviving member was refused by its circuit
-// breaker routes nothing and burns nothing: it waits out the shortest
-// breaker cooldown and retries, so a correlated blip is ridden out
-// rather than failing the batch, while a genuinely sick fleet still
-// fails tasks (and burns their retries) once probes are re-admitted.
-// Each round takes a fresh placement snapshot, so workers re-admitted
-// by the prober (or added by another runner through the coordinator)
+// loop cannot spin. A round in which no circuit admits work routes
+// nothing and burns nothing: if some member still answers its liveness
+// probe, the round waits out the shortest cooldown and probes again, so
+// a correlated blip is ridden out rather than failing the batch, while
+// a sick fleet still fails its probe shards (burning their retries); if
+// none answers, every pending task fails at once. Each round takes a
+// fresh placement snapshot and asks every circuit afresh, so recovered
+// workers (and workers another runner added through the coordinator)
 // rejoin the sharding between rounds.
 func (f *Runner) runSharded(ctx context.Context, jobs []engine.Job, tasks []task, out chan<- engine.JobResult) {
 	var mu sync.Mutex
@@ -633,92 +622,59 @@ func (f *Runner) runSharded(ctx context.Context, jobs []engine.Job, tasks []task
 		defer mu.Unlock()
 		return delivered[idx]
 	}
+	failAll := func(ts []task, cause error, format string) {
+		for _, t := range ts {
+			err := t.err
+			if err == nil {
+				err = cause
+			}
+			deliver(engine.JobResult{Index: t.idx, Job: jobs[t.idx], Result: &engine.Result{
+				Simpoint: jobs[t.idx].Simpoint, Setup: jobs[t.idx].Setup.Label,
+				Err: fmt.Errorf(format, err),
+			}})
+		}
+	}
 
 	pending := tasks
 	stealBudget := f.steal // spans rounds: the WithSteal bound is per Stream call
 	for round := 0; len(pending) > 0; round++ {
 		pl := f.placementSnapshot()
-		// This round's routing view: membership first, then the circuit
-		// breaker. Breaker admission is computed once per member per round,
-		// so a half-open circuit spends its single probe slot on one shard
-		// rather than being consulted per key.
+		// This round's routing view. Each circuit is asked once per round,
+		// so a half-open one spends its single probe on one shard rather
+		// than being consulted per key.
 		routable := make([]bool, len(pl.members))
-		breakerHeld := false // some member is alive but breaker-refused
-		for i, mm := range pl.members {
-			ok := f.assignable(mm.url)
-			if ok && !f.breakerAllows(mm.url) {
-				breakerHeld = true
-				ok = false
-			}
-			routable[i] = ok
-		}
-		alive := func(i int) bool { return routable[i] }
-		groups := map[int][]task{}
-		var stranded []task
-		for _, t := range pending {
-			if m := pl.ring.pick(t.key, alive); m >= 0 {
-				groups[m] = append(groups[m], t)
-			} else {
-				stranded = append(stranded, t)
+		grants := make([]int, len(pl.members))
+		for i, m := range pl.members {
+			if f.mship.Assignable(m.url) {
+				routable[i], grants[i] = m.h.allow(func() bool { return probeAlive(m) })
 			}
 		}
-		// A half-open member granted a probe this round but handed no
-		// task has no request whose outcome could resolve the probe —
-		// return the slot so the breaker cannot wedge half-open.
-		for i, mm := range pl.members {
-			if routable[i] && len(groups[i]) == 0 {
-				f.breakerProbeUnused(mm.url)
-			}
-		}
-		var held []task
-		if len(stranded) > 0 {
-			if breakerHeld {
-				// No member took the keys, but only because every
-				// survivor's breaker refused this round — a correlated
-				// blip (network hiccup, rolling restart), not a lost
-				// fleet. Hold the tasks: cooldown re-admits a probe,
-				// and genuinely sick workers still fail tasks until
-				// their bounded retries deliver the error.
-				held = stranded
-			} else {
-				for _, t := range stranded {
-					err := t.err
-					if err == nil {
-						err = errors.New("fleet: no workers alive")
-					}
-					deliver(engine.JobResult{Index: t.idx, Job: jobs[t.idx], Result: &engine.Result{
-						Simpoint: jobs[t.idx].Simpoint, Setup: jobs[t.idx].Setup.Label,
-						Err: fmt.Errorf("fleet: every worker lost (last failure: %w)", err),
-					}})
-				}
-			}
-		}
-		if len(groups) == 0 {
-			if len(held) == 0 {
+		if !slices.Contains(routable, true) {
+			if !slices.ContainsFunc(pl.members, f.answering) {
+				failAll(pending, errors.New("fleet: no workers alive"), "fleet: every worker lost (last failure: %w)")
 				return
 			}
-			f.logf("fleet: every breaker open; holding %d task(s) until a probe is re-admitted", len(held))
+			f.logf("fleet: every circuit open; holding %d task(s) until a half-open probe re-admits a worker", len(pending))
 			select {
 			case <-ctx.Done():
-				for _, t := range held {
-					err := t.err
-					if err == nil {
-						err = ctx.Err()
-					}
-					deliver(engine.JobResult{Index: t.idx, Job: jobs[t.idx], Result: &engine.Result{
-						Simpoint: jobs[t.idx].Simpoint, Setup: jobs[t.idx].Setup.Label,
-						Err: fmt.Errorf("fleet: canceled while waiting out breaker cooldown (last failure: %w)", err),
-					}})
-				}
+				failAll(pending, ctx.Err(), "fleet: canceled while waiting out the circuit cooldown (last failure: %w)")
 				return
-			case <-time.After(f.breakerRetryDelay()):
+			case <-time.After(f.retryDelay(pl)):
 			}
-			pending = held
 			continue
 		}
+		groups := map[int][]task{}
+		for _, t := range pending {
+			m := pl.ring.pick(t.key, func(i int) bool { return routable[i] })
+			groups[m] = append(groups[m], t)
+		}
+		for i, m := range pl.members {
+			if len(groups[i]) == 0 {
+				m.h.unused(grants[i])
+			}
+		}
 		if round > 0 {
-			f.logf("fleet: retry round %d: re-sharding %d job(s) across %d surviving worker(s)",
-				round, len(pending)-len(stranded), f.Alive())
+			f.logf("fleet: retry round %d: re-sharding %d job(s) across %d worker(s)", round, len(pending), len(groups))
 		}
 
 		rs := &roundState{
@@ -743,6 +699,9 @@ func (f *Runner) runSharded(ctx context.Context, jobs []engine.Job, tasks []task
 		}
 		wg.Wait()
 		stealBudget = rs.stealLeft // whatever this round didn't use carries over
+		for i, m := range pl.members {
+			m.h.unused(grants[i]) // a probe shard canceled before any outcome
+		}
 
 		// Tasks still in the requeue pool had their owner die after every
 		// other member had already drained and exited — the next round
@@ -756,21 +715,33 @@ func (f *Runner) runSharded(ctx context.Context, jobs []engine.Job, tasks []task
 		}
 		if len(pending) > 0 {
 			// Between failover rounds, pull the freshest view: a worker
-			// another runner re-admitted or added may take the strays.
+			// another runner added may take the strays.
 			f.syncMembership(ctx)
 		}
 	}
 }
 
+// retryDelay is how long a round in which no circuit admitted work
+// waits before asking again: the shortest retryAfter across pl's
+// members, at least a millisecond so a race with an expiring cooldown
+// cannot busy-spin.
+func (f *Runner) retryDelay(pl placement) time.Duration {
+	d := f.cooldown
+	for _, m := range pl.members {
+		d = min(d, m.h.retryAfter())
+	}
+	return max(d, time.Millisecond)
+}
+
 // runGroup streams one member's shard; a task failing with a worker-loss
-// error marks the member dead and returns the task to the round's
-// requeue pool. A member that drains its shard does not idle behind the
-// round barrier: it first adopts requeued tasks from lost workers (so
-// failover overlaps the surviving shards instead of serializing after
-// them), then — if the steal policy is on — duplicates part of the tail
-// still in flight on other members. Stolen attempts never requeue: the
-// owning member remains responsible for each of its tasks, so a failed
-// duplicate is simply dropped.
+// error counts against the member's circuit and returns the task to the
+// round's requeue pool. A member that drains its shard does not idle
+// behind the round barrier: it first adopts requeued tasks from lost
+// workers (so failover overlaps the surviving shards instead of
+// serializing after them), then — if the steal policy is on —
+// duplicates part of the tail still in flight on other members. Stolen
+// attempts never requeue: the owning member remains responsible for
+// each of its tasks, so a failed duplicate is simply dropped.
 func (f *Runner) runGroup(ctx context.Context, pl placement, m int, ts []task, jobs []engine.Job,
 	rs *roundState, deliver func(engine.JobResult), isDelivered func(int) bool) {
 	mem := pl.members[m]
@@ -799,7 +770,7 @@ func (f *Runner) runGroup(ctx context.Context, pl placement, m int, ts []task, j
 		}
 	}
 
-	if f.steal <= 0 || ctx.Err() != nil || !f.assignable(mem.url) {
+	if f.steal <= 0 || ctx.Err() != nil || !f.mship.Assignable(mem.url) {
 		return
 	}
 	stolen := rs.stealFor(m)
@@ -811,6 +782,7 @@ func (f *Runner) runGroup(ctx context.Context, pl placement, m int, ts []task, j
 	for i, t := range stolen {
 		dup[i] = jobs[t.idx]
 	}
+	probed, alive := false, false
 	for jr := range mem.runner.Stream(ctx, dup) {
 		t := stolen[jr.Index]
 		if err := jr.Result.Err; err != nil && ctx.Err() == nil {
@@ -818,79 +790,109 @@ func (f *Runner) runGroup(ctx context.Context, pl placement, m int, ts []task, j
 			// carries the task. Even a "terminal" failure here may be
 			// thief-local state (an evicted blob 404ing the fetch), and
 			// delivering it would preempt the owner's eventual success.
-			// Dead-marking needs the same liveness probe as streamTasks:
-			// a transient blip on a stolen job must not cost the fleet a
-			// healthy worker.
 			if retryable(err) {
-				f.breakerFailure(mem.url)
-				if f.assignable(mem.url) && !f.probeAlive(mem) {
-					f.markLost(mem, fmt.Errorf("lost while stealing: %w", err))
+				if !probed {
+					probed, alive = true, probeAlive(mem)
 				}
+				f.failed(mem, err, alive)
 			}
 			continue
 		}
-		f.breakerSuccess(mem.url)
+		f.succeeded(mem)
 		deliver(engine.JobResult{Index: t.idx, Job: jobs[t.idx], Result: jr.Result})
 	}
 }
 
-// streamTasks runs one batch of exclusively owned tasks on member m,
-// delivering successes and terminal failures, requeueing worker-loss
-// failures. A failure only marks the member dead after a liveness probe
-// also fails — a single dropped connection on a one-shot request
-// (submit, result fetch) must not permanently halve the fleet — and
-// each task's retries are bounded so a flapping-but-alive worker cannot
-// loop a job forever. own marks the member's originally sharded tasks,
-// which are tracked in the steal pool and must be resolved out of it.
-// Reports whether the member became unroutable along the way.
+// streamTasks runs exclusively owned tasks on member m, delivering
+// successes and terminal failures. A worker-loss failure is followed by
+// one liveness probe per batch, which tells the circuit whether the
+// worker is gone (open at once) or merely failing (count toward the
+// trip) — a single dropped connection on a one-shot request (submit,
+// result fetch) must not cost the fleet a healthy worker. While the
+// circuit stays closed, failed tasks retry on the same member, which
+// keeps their keys where their results are cached; once it opens they
+// go back to the round's requeue pool for the survivors. Each task's
+// retries are bounded, so a flapping-but-alive worker cannot loop a job
+// forever. own marks the member's originally sharded tasks, which are
+// tracked in the steal pool and must be resolved out of it. Reports
+// whether the member was found unreachable along the way.
 func (f *Runner) streamTasks(ctx context.Context, pl placement, m int, ts []task, jobs []engine.Job,
-	rs *roundState, deliver func(engine.JobResult), own bool) (died bool) {
+	rs *roundState, deliver func(engine.JobResult), own bool) (lost bool) {
 	mem := pl.members[m]
-	batch := make([]engine.Job, len(ts))
-	for i, t := range ts {
-		batch[i] = jobs[t.idx]
-	}
-	probed, alive := false, false // one probe per batch at most
-	for jr := range mem.runner.Stream(ctx, batch) {
-		t := ts[jr.Index]
-		if own {
-			rs.resolve(m, t.idx)
+	for len(ts) > 0 {
+		batch := make([]engine.Job, len(ts))
+		for i, t := range ts {
+			batch[i] = jobs[t.idx]
 		}
-		if err := jr.Result.Err; err != nil && ctx.Err() == nil && retryable(err) {
-			f.breakerFailure(mem.url)
-			t.attempts++
-			t.err = err
-			if t.attempts > f.maxRetries {
-				deliver(engine.JobResult{Index: t.idx, Job: jobs[t.idx], Result: &engine.Result{
-					Simpoint: jobs[t.idx].Simpoint, Setup: jobs[t.idx].Setup.Label,
-					Err: fmt.Errorf("fleet: job failed %d times across workers (last: %w)", t.attempts, err),
-				}})
+		var again []task
+		probed, alive := false, false // one probe per batch at most
+		for jr := range mem.runner.Stream(ctx, batch) {
+			t := ts[jr.Index]
+			if own {
+				rs.resolve(m, t.idx)
+			}
+			switch err := jr.Result.Err; {
+			case err != nil && ctx.Err() == nil && retryable(err):
+				if !probed {
+					probed, alive = true, probeAlive(mem)
+				}
+				f.failed(mem, err, alive)
+				t.attempts++
+				t.err = err
+				if t.attempts > f.maxRetries {
+					deliver(engine.JobResult{Index: t.idx, Job: jobs[t.idx], Result: &engine.Result{
+						Simpoint: jobs[t.idx].Simpoint, Setup: jobs[t.idx].Setup.Label,
+						Err: fmt.Errorf("fleet: job failed %d times across workers (last: %w)", t.attempts, err),
+					}})
+					continue
+				}
+				again = append(again, t)
 				continue
+			case ctx.Err() == nil:
+				// The worker answered — deterministic job failures included —
+				// so its transport is healthy as far as the circuit goes.
+				f.succeeded(mem)
 			}
-			if !probed && f.assignable(mem.url) {
-				probed, alive = true, f.probeAlive(mem)
-			}
-			if alive {
-				f.logf("fleet: transient failure on %s (%v); retrying job", mem.url, err)
-			} else {
-				f.markLost(mem, err)
-			}
-			rs.requeue(t)
-			continue
+			deliver(engine.JobResult{Index: t.idx, Job: jobs[t.idx], Result: jr.Result})
 		}
-		// The worker answered — deterministic job failures included — so
-		// its transport is healthy as far as the breaker is concerned.
-		f.breakerSuccess(mem.url)
-		deliver(engine.JobResult{Index: t.idx, Job: jobs[t.idx], Result: jr.Result})
+		state, lost, _ := mem.h.status()
+		if state != HealthClosed {
+			for _, t := range again {
+				rs.requeue(t)
+			}
+			return lost
+		}
+		ts = again
 	}
-	return !f.assignable(mem.url)
+	return false
 }
 
-// probeAlive asks whether a worker that just failed a request is still
-// there at all: a quick liveness round trip, distinguishing a transient
-// blip (retry on the same member) from a lost worker (mark dead and
-// re-shard).
-func (f *Runner) probeAlive(mem *member) bool {
+// failed feeds a worker-loss failure into mem's circuit and logs what
+// it changed.
+func (f *Runner) failed(mem *member, err error, alive bool) {
+	switch opened := mem.h.failure(err, alive); {
+	case opened && !alive:
+		f.logf("fleet: worker %s lost (%v); re-sharding its unfinished jobs", mem.url, err)
+	case opened:
+		f.logf("fleet: worker %s failing while it answers probes (%v); circuit open", mem.url, err)
+	case alive:
+		f.logf("fleet: transient failure on %s (%v); retrying job", mem.url, err)
+	}
+}
+
+// succeeded feeds an answered request into mem's circuit, counting the
+// re-admission when it closed an open one.
+func (f *Runner) succeeded(mem *member) {
+	if mem.h.success() {
+		f.readmissions.Add(1)
+		f.logf("fleet: worker %s recovered; re-admitted", mem.url)
+	}
+}
+
+// probeAlive asks whether a worker is there at all: a quick /healthz
+// round trip, distinguishing a transient blip (retry on the same
+// member) from a lost worker (open its circuit and re-shard).
+func probeAlive(mem *member) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	return mem.c.Health(ctx) == nil

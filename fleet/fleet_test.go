@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,6 +17,7 @@ import (
 	"clustersim/fleet"
 	"clustersim/internal/engine"
 	"clustersim/internal/pipeline"
+	"clustersim/internal/prog"
 	"clustersim/internal/service"
 	"clustersim/internal/sim"
 	"clustersim/internal/store"
@@ -32,24 +34,40 @@ type worker struct {
 	dead        atomic.Bool  // every request aborts at the transport level
 	sick        atomic.Bool  // like dead, but liveness probes still answer
 	killOnIndex atomic.Int64 // arm: die right after the Nth submit (1-based)
+	forget      atomic.Bool  // arm: the next stream finds the worker restarted, its submissions gone
+	restarted   atomic.Pointer[service.Server]
 	submits     atomic.Int64
+	requests    atomic.Int64  // every request that reached the worker, dead or not
+	probes      atomic.Int64  // the /healthz ones among them
 	streamDelay time.Duration // slows SSE delivery: a straggler worker
 }
 
 func (w *worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
+	w.requests.Add(1)
+	if r.URL.Path == "/healthz" {
+		w.probes.Add(1)
+	}
 	if w.dead.Load() {
 		panic(http.ErrAbortHandler) // the transport dies, no HTTP answer
 	}
 	if w.sick.Load() && r.URL.Path != "/healthz" {
-		// Sick, not gone: the breaker's target case — health probes pass
-		// while every real request dies at the transport.
+		// Sick, not gone: health probes pass while every real request
+		// dies at the transport, so the circuit trips on its count.
 		panic(http.ErrAbortHandler)
 	}
 	if w.streamDelay > 0 && strings.HasSuffix(r.URL.Path, "/stream") {
 		time.Sleep(w.streamDelay)
 	}
+	if strings.HasSuffix(r.URL.Path, "/stream") && w.forget.CompareAndSwap(true, false) {
+		st := store.NewMemory(64 << 20)
+		w.restarted.Store(service.New(context.Background(), engine.New(engine.Options{Parallelism: 2, ResultStore: st}), st))
+	}
+	svc := w.svc
+	if fresh := w.restarted.Load(); fresh != nil {
+		svc = fresh
+	}
 	isSubmit := r.Method == http.MethodPost && r.URL.Path == "/v1/jobs"
-	w.svc.ServeHTTP(rw, r)
+	svc.ServeHTTP(rw, r)
 	if isSubmit && w.submits.Add(1) == w.killOnIndex.Load() {
 		// The submission was accepted and its jobs are running; every
 		// request from here on — the SSE stream, result fetches — hits
@@ -243,17 +261,17 @@ func TestFleetKillWorkerMidStream(t *testing.T) {
 	}
 }
 
-// A round in which every worker is alive but breaker-refused (breakers
-// tripped by an earlier batch, e.g. a correlated blip) must hold the
-// work through the cooldown and probe, not fail it as "every worker
-// lost".
+// A round in which every worker still answers its liveness probe but
+// every circuit is open (tripped by an earlier batch, e.g. a correlated
+// blip) must hold the work through the cooldown and probe, not fail it
+// as "every worker lost".
 func TestFleetAllBreakersOpenHoldsNotFails(t *testing.T) {
 	w1, w2 := startWorker(t), startWorker(t)
 
 	var logMu sync.Mutex
 	var logs []string
 	f, err := fleet.New([]string{w1.ts.URL, w2.ts.URL}, fastClient(),
-		fleet.WithBreaker(1, 2*time.Second),
+		fleet.WithReadmit(2*time.Second),
 		fleet.WithLog(func(format string, args ...any) {
 			logMu.Lock()
 			logs = append(logs, fmt.Sprintf(format, args...))
@@ -267,7 +285,7 @@ func TestFleetAllBreakersOpenHoldsNotFails(t *testing.T) {
 
 	// The first batch fails outright — both workers answer health probes
 	// but abort every job request — exhausting each task's retries and
-	// leaving both breakers open while the workers stay assignable. The
+	// leaving both circuits open while the workers still answer. The
 	// full suite matrix shards across both workers, tripping both.
 	_, _, jobs := suiteJobs(t, 8)
 	for idx, jr := range collect(t, f.Stream(context.Background(), jobs), len(jobs)) {
@@ -280,7 +298,7 @@ func TestFleetAllBreakersOpenHoldsNotFails(t *testing.T) {
 	}
 
 	// Heal the workers and immediately resubmit: round 0 finds every
-	// member alive yet breaker-refused.
+	// member answering yet its circuit open.
 	w1.sick.Store(false)
 	w2.sick.Store(false)
 	for idx, jr := range collect(t, f.Stream(context.Background(), jobs), len(jobs)) {
@@ -290,8 +308,148 @@ func TestFleetAllBreakersOpenHoldsNotFails(t *testing.T) {
 	}
 	logMu.Lock()
 	defer logMu.Unlock()
-	if joined := strings.Join(logs, "\n"); !strings.Contains(joined, "every breaker open") {
-		t.Errorf("breaker hold not logged; logs:\n%s", joined)
+	if joined := strings.Join(logs, "\n"); !strings.Contains(joined, "every circuit open") {
+		t.Errorf("circuit hold not logged; logs:\n%s", joined)
+	}
+}
+
+// When a lost worker's cooldown is over but it still does not answer,
+// the half-open /healthz probe fails before any task is placed on it:
+// the batch runs entirely on the survivor at the first attempt, with no
+// retry spent.
+func TestFleetFailedHealthProbeSpendsNoRetries(t *testing.T) {
+	w1, w2 := startWorker(t), startWorker(t)
+	var logMu sync.Mutex
+	var logs []string
+	f, err := fleet.New([]string{w1.ts.URL, w2.ts.URL}, fastClient(),
+		fleet.WithReadmit(10*time.Millisecond),
+		fleet.WithLog(func(format string, args ...any) {
+			logMu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			logMu.Unlock()
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, jobs := suiteJobs(t, 8)
+	w2.dead.Store(true)
+	collect(t, f.Stream(context.Background(), jobs), len(jobs))
+	if f.Alive() != 1 {
+		t.Fatalf("fleet reports %d alive after kill, want 1", f.Alive())
+	}
+
+	time.Sleep(20 * time.Millisecond) // the cooldown is over; the worker is still down
+	logMu.Lock()
+	logs = nil
+	logMu.Unlock()
+	reqs, probes := w2.requests.Load(), w2.probes.Load()
+	for idx, jr := range collect(t, f.Stream(context.Background(), jobs), len(jobs)) {
+		if jr.Result.Err != nil {
+			t.Errorf("job %d failed: %v", idx, jr.Result.Err)
+		}
+	}
+	if dp := w2.probes.Load() - probes; dp != 1 || w2.requests.Load()-reqs != dp {
+		t.Errorf("lost worker saw %d request(s), %d of them /healthz; want exactly the one half-open probe",
+			w2.requests.Load()-reqs, dp)
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	if joined := strings.Join(logs, "\n"); strings.Contains(joined, "retry round") || strings.Contains(joined, "failure") {
+		t.Errorf("a failed half-open probe cost tasks a retry; logs:\n%s", joined)
+	}
+	if f.Alive() != 1 {
+		t.Errorf("fleet reports %d alive, want 1", f.Alive())
+	}
+}
+
+// A half-open probe shard whose batch is canceled before any outcome
+// must not leave the worker's circuit wedged half-open: the next batch
+// probes again and re-admits it.
+func TestFleetCanceledProbeDoesNotWedge(t *testing.T) {
+	w := startWorker(t)
+	w.streamDelay = 300 * time.Millisecond
+	f, err := fleet.New([]string{w.ts.URL}, fastClient(), fleet.WithReadmit(10*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, jobs := suiteJobs(t, 2)
+	w.dead.Store(true)
+	collect(t, f.Stream(context.Background(), jobs), len(jobs))
+	if f.Alive() != 0 {
+		t.Fatalf("fleet reports %d alive after kill, want 0", f.Alive())
+	}
+
+	w.dead.Store(false)
+	time.Sleep(20 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	collect(t, f.Stream(ctx, jobs), len(jobs)) // the probe shard, canceled mid-stream
+	cancel()
+
+	ctx, cancel = context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for idx, jr := range collect(t, f.Stream(ctx, jobs), len(jobs)) {
+		if jr.Result.Err != nil {
+			t.Errorf("job %d failed after the canceled probe: %v", idx, jr.Result.Err)
+		}
+	}
+	if st := f.FleetStats(); st.Readmissions != 1 || st.Members[0].Health != fleet.HealthClosed {
+		t.Errorf("readmissions = %d, health = %q; want 1 and closed", st.Readmissions, st.Members[0].Health)
+	}
+}
+
+// A runner keeps nothing of the programs it sharded once their stream
+// has drained. The experiment harness regenerates the suite for every
+// experiment, so a runner-lifetime fingerprint memo would keep every
+// program ever sharded reachable.
+func TestFleetStreamReleasesPrograms(t *testing.T) {
+	w1 := startWorker(t)
+	f, err := fleet.New([]string{w1.ts.URL}, fastClient())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var freed atomic.Int64
+	n := func() int {
+		sps := workload.QuickSuite()
+		jobs := make([]engine.Job, len(sps))
+		for i, sp := range sps {
+			runtime.SetFinalizer(sp.Program, func(*prog.Program) { freed.Add(1) })
+			jobs[i] = engine.Job{Simpoint: sp, Setup: sim.SetupOP(2), Opts: engine.RunOptions{NumUops: 2000}}
+		}
+		collect(t, f.Stream(context.Background(), jobs), len(jobs))
+		return len(sps)
+	}()
+	// sim.SpecFromJob's identity memo is bounded and drops itself once
+	// full. Feed it fresh programs until it has, so that only the runner
+	// could still hold the sharded ones.
+	for i := 0; i < 100 && freed.Load() < int64(n); i++ {
+		for _, sp := range workload.Suite() {
+			sim.SpecFromJob(engine.Job{Simpoint: sp, Setup: sim.SetupOP(2)})
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond) // let queued finalizers run
+	}
+	if got := freed.Load(); got != int64(n) {
+		t.Errorf("%d of %d sharded programs collectable after the stream drained", got, n)
+	}
+	runtime.KeepAlive(f)
+}
+
+// A worker that restarts between accepting a shard and streaming it
+// answers the stream with not_found: it lost the submission, not the
+// jobs, so they re-run rather than fail.
+func TestFleetWorkerRestartMidStream(t *testing.T) {
+	w1, w2 := startWorker(t), startWorker(t)
+	f, err := fleet.New([]string{w1.ts.URL, w2.ts.URL}, fastClient(), fleet.WithReadmit(10*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w1.forget.Store(true)
+	w2.forget.Store(true)
+	_, _, jobs := suiteJobs(t, 8)
+	for idx, jr := range collect(t, f.Stream(context.Background(), jobs), len(jobs)) {
+		if jr.Result.Err != nil {
+			t.Errorf("job %d failed across a worker restart: %v", idx, jr.Result.Err)
+		}
 	}
 }
 

@@ -1,16 +1,16 @@
 package fleet
 
 // This file is the fleet's live-membership surface: coordinator wiring,
-// the liveness prober that re-admits recovered workers, planned drains
-// that migrate a departing worker's key range to its ring successors,
-// scale-up backfills that warm a newcomer from the previous owners, and
-// the FleetStats snapshot operators read to see why a worker is
-// excluded.
+// planned drains that migrate a departing worker's key range to its ring
+// successors, scale-up backfills that warm a newcomer from the previous
+// owners, and the FleetStats snapshot operators read to see why a worker
+// is excluded.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -21,28 +21,24 @@ import (
 	"clustersim/internal/api"
 )
 
-// transitionTimeout bounds membership proposals issued from failure
-// paths, where no caller context is available (or the caller's is
-// already canceled).
-const transitionTimeout = 5 * time.Second
-
 // drainMaxPasses bounds Drain's migrate-until-stable loop: each pass
 // moves the keys that landed on the drainer since the previous listing,
 // so a second pass normally finds nothing and the bound exists only to
 // keep a worker that fails every upload from looping forever.
 const drainMaxPasses = 8
 
-// MemberStatus is one worker's entry in FleetStats: its state on the
-// ring, the membership epoch of its last state change, and — for dead
-// workers — the failure that got it excluded.
+// MemberStatus is one worker's entry in FleetStats: its planned state in
+// the membership register and the epoch of its last change, then this
+// runner's own circuit for it and the failure that last counted against
+// that circuit.
 type MemberStatus struct {
-	URL       string
-	State     string // alive | dead | draining | removed
-	Epoch     int64
+	URL   string
+	State string // alive | draining | removed
+	Epoch int64
+	// Health is closed | open | half-open; empty for a register member
+	// this runner holds no connection to.
+	Health    string
 	LastError string
-	// Breaker is the worker's circuit-breaker state (closed | open |
-	// half-open), empty when the WithBreaker policy is not configured.
-	Breaker string
 }
 
 // Stats is the fleet's control-plane snapshot, distinct from the
@@ -53,63 +49,22 @@ type Stats struct {
 	// Members lists every worker the fleet has ever admitted (including
 	// removed ones), sorted by URL.
 	Members []MemberStatus
-	// Readmissions counts dead workers the prober brought back.
+	// Readmissions counts circuits a successful request closed again.
 	Readmissions int64
 	// DrainMigrated counts result blobs moved off draining workers;
 	// Backfilled counts blobs copied onto newly added ones.
 	DrainMigrated int64
 	Backfilled    int64
-	// Routes holds the fleet-merged per-route latency histograms — the
-	// pairwise bucket sum of every assignable worker's /v1/stats routes.
-	// Populated only by StatsWithLatency (FleetStats stays a synchronous,
-	// network-free snapshot).
-	Routes []api.LatencyHistogram
 }
 
 // WorkerLatency is one worker's per-route latency histograms, as
-// fetched by RouteLatencies.
+// fetched by fleetctl top.
 type WorkerLatency struct {
 	URL    string
 	Routes []api.LatencyHistogram
 	// Err records a fetch failure; Routes is nil then. A down worker
 	// costs its own error entry, never the whole listing.
 	Err error
-}
-
-// RouteLatencies fetches every assignable worker's per-route latency
-// histograms (one /v1/stats round trip each, in parallel) and returns
-// the per-worker snapshots sorted by URL plus the fleet-wide merge —
-// the data behind fleetctl top.
-func (f *Runner) RouteLatencies(ctx context.Context) ([]WorkerLatency, []api.LatencyHistogram) {
-	members := f.placementSnapshot().members
-	per := make([]WorkerLatency, 0, len(members))
-	idx := map[string]int{}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, m := range members {
-		if !f.assignable(m.url) {
-			continue
-		}
-		mu.Lock()
-		idx[m.url] = len(per)
-		per = append(per, WorkerLatency{URL: m.url})
-		mu.Unlock()
-		wg.Add(1)
-		go func(m *member) {
-			defer wg.Done()
-			st, err := m.c.Stats(ctx)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				per[idx[m.url]].Err = err
-				return
-			}
-			per[idx[m.url]].Routes = st.Routes
-		}(m)
-	}
-	wg.Wait()
-	sort.Slice(per, func(i, j int) bool { return per[i].URL < per[j].URL })
-	return per, MergeRouteLatencies(per)
 }
 
 // MergeRouteLatencies folds per-worker route histograms into one set:
@@ -137,17 +92,9 @@ func MergeRouteLatencies(per []WorkerLatency) []api.LatencyHistogram {
 	return out
 }
 
-// StatsWithLatency is FleetStats plus the fleet-merged per-route
-// latency histograms — the one extra field costs one parallel stats
-// round trip across the assignable workers, so it takes a context.
-func (f *Runner) StatsWithLatency(ctx context.Context) Stats {
-	s := f.FleetStats()
-	_, s.Routes = f.RouteLatencies(ctx)
-	return s
-}
-
-// FleetStats snapshots the control plane: the membership view plus the
-// lifetime re-admission and migration counters.
+// FleetStats snapshots the control plane: the membership view, each
+// member's circuit, and the lifetime re-admission and migration
+// counters.
 func (f *Runner) FleetStats() Stats {
 	v := f.mship.View()
 	s := Stats{
@@ -158,8 +105,10 @@ func (f *Runner) FleetStats() Stats {
 		Backfilled:    f.backfilled.Load(),
 	}
 	for i, ms := range v.Members {
-		s.Members[i] = MemberStatus{URL: ms.URL, State: ms.State, Epoch: ms.Epoch,
-			LastError: ms.LastError, Breaker: f.breakerState(ms.URL)}
+		s.Members[i] = MemberStatus{URL: ms.URL, State: ms.State, Epoch: ms.Epoch}
+		if m := f.lookupMember(ms.URL); m != nil {
+			s.Members[i].Health, _, s.Members[i].LastError = m.h.status()
+		}
 	}
 	return s
 }
@@ -167,37 +116,15 @@ func (f *Runner) FleetStats() Stats {
 // transition drives one membership change through the coordinator (or
 // the local table when none is configured) and logs actual state
 // changes.
-func (f *Runner) transition(ctx context.Context, action, url, errMsg string) error {
+func (f *Runner) transition(ctx context.Context, action, url string) error {
 	before := f.mship.State(url)
-	if err := f.coordinator.Propose(ctx, action, url, errMsg); err != nil {
+	if err := f.coordinator.Propose(ctx, action, url); err != nil {
 		return err
 	}
 	if after := f.mship.State(url); after != before {
 		f.logf("fleet: membership: %s %s (%s -> %s, epoch %d)", action, url, before, after, f.mship.Epoch())
 	}
 	return nil
-}
-
-// markLost excludes a worker whose transport failed and whose liveness
-// probe agreed it is gone. Runs on failure paths, so it carries its own
-// deadline; if the coordinator itself is unreachable the exclusion is
-// applied locally — keeping a known-dead worker routable would be worse
-// than briefly diverging from the register.
-func (f *Runner) markLost(mem *member, cause error) {
-	if !f.assignable(mem.url) {
-		return // someone else already excluded it
-	}
-	msg := ""
-	if cause != nil {
-		msg = cause.Error()
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), transitionTimeout)
-	defer cancel()
-	if err := f.transition(ctx, api.RingMarkDead, mem.url, msg); err != nil {
-		f.mship.Transition(api.RingMarkDead, mem.url, msg)
-		f.logf("fleet: coordinator unreachable while reporting %s dead (%v); excluded locally", mem.url, err)
-	}
-	f.logf("fleet: worker %s lost (%v); re-sharding its unfinished jobs", mem.url, cause)
 }
 
 // syncMembership pulls the coordinator's view (when one is configured)
@@ -221,18 +148,15 @@ func (f *Runner) syncMembership(ctx context.Context) {
 // runner added through the shared coordinator.
 func (f *Runner) adoptFromView() {
 	for _, ms := range f.mship.View().Members {
-		if ms.State != api.MemberAlive && ms.State != api.MemberDraining {
+		if !f.mship.Assignable(ms.URL) || f.lookupMember(ms.URL) != nil {
 			continue
 		}
-		if f.lookupMember(ms.URL) != nil {
-			continue
-		}
-		c, err := client.New(ms.URL, f.copts...)
+		m, err := f.newMember(ms.URL)
 		if err != nil {
 			f.logf("fleet: cannot adopt coordinator member %s: %v", ms.URL, err)
 			continue
 		}
-		f.admit(&member{url: ms.URL, c: c, runner: client.NewRunner(c, f.ropts...)})
+		f.admit(m)
 		f.logf("fleet: adopted worker %s from coordinator view (epoch %d)", ms.URL, f.mship.Epoch())
 	}
 }
@@ -244,16 +168,9 @@ func (f *Runner) adoptFromView() {
 func (f *Runner) admit(m *member) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.byURL[m.url] != nil {
-		return
+	if !slices.ContainsFunc(f.pl.members, func(mm *member) bool { return mm.url == m.url }) {
+		f.pl = f.pl.with(m)
 	}
-	members := append(append([]*member(nil), f.pl.members...), m)
-	urls := make([]string, len(members))
-	for i, mm := range members {
-		urls[i] = mm.url
-	}
-	f.pl = placement{members: members, ring: newRing(urls)}
-	f.byURL[m.url] = m
 }
 
 // connectCoordinator binds the runner to a clusterd -coordinator:
@@ -275,7 +192,7 @@ func (f *Runner) connectCoordinator(ctx context.Context, url string) error {
 	for _, m := range f.placementSnapshot().members {
 		switch controlplane.StateIn(view, m.url) {
 		case "":
-			if err := f.coordinator.Propose(ctx, api.RingAdd, m.url, ""); err != nil {
+			if err := f.coordinator.Propose(ctx, api.RingAdd, m.url); err != nil {
 				return fmt.Errorf("fleet: announcing %s to coordinator: %w", m.url, err)
 			}
 		case api.MemberRemoved:
@@ -286,90 +203,9 @@ func (f *Runner) connectCoordinator(ctx context.Context, url string) error {
 	return nil
 }
 
-// startProber runs the liveness loop that turns sticky-dead into a
-// bounded outage: every interval, dead members are health-probed and
-// recovered ones re-admitted. Re-admission restores the worker's
-// virtual ring points exactly as they were — placement with the member
-// filtered out is identical to a ring without its points, so bringing
-// it back restores the exact pre-death placement and the worker's still-
-// warm store picks up right where it left off.
-func (f *Runner) startProber(interval time.Duration) {
-	ctx, cancel := context.WithCancel(context.Background())
-	f.proberStop = cancel
-	f.proberDone = make(chan struct{})
-	p := &controlplane.Prober{
-		Interval: interval,
-		Dead: func() []string {
-			var dead []string
-			for _, ms := range f.mship.View().Members {
-				if ms.State == api.MemberDead {
-					dead = append(dead, ms.URL)
-				}
-			}
-			return dead
-		},
-		Probe: func(ctx context.Context, url string) error {
-			mem := f.lookupMember(url)
-			if mem == nil {
-				return fmt.Errorf("fleet: no connection to %s", url)
-			}
-			pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-			defer cancel()
-			return mem.c.Health(pctx)
-		},
-		Readmit: func(ctx context.Context, url string) {
-			if err := f.transition(ctx, api.RingReadmit, url, ""); err != nil {
-				f.logf("fleet: re-admitting %s: %v", url, err)
-				return
-			}
-			if f.mship.State(url) == api.MemberAlive {
-				f.readmissions.Add(1)
-				f.breakerReset(url)
-				f.logf("fleet: worker %s recovered; re-admitted at epoch %d", url, f.mship.Epoch())
-			}
-		},
-	}
-	go func() {
-		defer close(f.proberDone)
-		p.Run(ctx)
-	}()
-}
-
-// Readmit runs one synchronous probe pass over the dead members —
-// what the background prober does every interval, exposed for callers
-// that know a worker just came back and don't want to wait out the
-// tick.
-func (f *Runner) Readmit(ctx context.Context) {
-	for _, ms := range f.mship.View().Members {
-		if ms.State != api.MemberDead || ctx.Err() != nil {
-			continue
-		}
-		mem := f.lookupMember(ms.URL)
-		if mem == nil || !f.probeAlive(mem) {
-			continue
-		}
-		if err := f.transition(ctx, api.RingReadmit, ms.URL, ""); err != nil {
-			f.logf("fleet: re-admitting %s: %v", ms.URL, err)
-			continue
-		}
-		if f.mship.State(ms.URL) == api.MemberAlive {
-			f.readmissions.Add(1)
-			f.breakerReset(ms.URL)
-			f.logf("fleet: worker %s recovered; re-admitted at epoch %d", ms.URL, f.mship.Epoch())
-		}
-	}
-}
-
-// Close stops the background prober (if WithReadmit started one). The
-// runner remains usable afterwards; it just stops re-admitting dead
-// workers on its own.
-func (f *Runner) Close() {
-	if f.proberStop != nil {
-		f.proberStop()
-		<-f.proberDone
-		f.proberStop = nil
-	}
-}
+// Close releases the runner. Health probes run inline with routing, so
+// there is no background work to stop; the runner stays usable.
+func (f *Runner) Close() {}
 
 // recordedSink marks keys moved only after their upload succeeds, so a
 // failed copy stays eligible for the next migration pass.
@@ -401,25 +237,16 @@ func (f *Runner) Drain(ctx context.Context, url string) error {
 		return fmt.Errorf("fleet: unknown worker %s", url)
 	}
 	f.syncMembership(ctx)
-	if st := f.mship.State(url); st != api.MemberAlive && st != api.MemberDraining {
-		return fmt.Errorf("fleet: cannot drain %s worker %s", st, url)
+	if !f.answering(mem) {
+		return fmt.Errorf("fleet: cannot drain %s worker %s (removed, or its store is unreachable)", f.mship.State(url), url)
 	}
 	pl := f.placementSnapshot()
-	successors := func(i int) bool {
-		return pl.members[i].url != url && f.assignable(pl.members[i].url)
-	}
-	hasSuccessor := false
-	for i := range pl.members {
-		if successors(i) {
-			hasSuccessor = true
-			break
-		}
-	}
-	if !hasSuccessor {
+	isSuccessor := func(m *member) bool { return m != mem && f.answering(m) }
+	if !slices.ContainsFunc(pl.members, isSuccessor) {
 		return errors.New("fleet: no assignable worker to drain to")
 	}
 
-	if err := f.transition(ctx, api.RingDrain, url, ""); err != nil {
+	if err := f.transition(ctx, api.RingDrain, url); err != nil {
 		return err
 	}
 
@@ -437,7 +264,7 @@ func (f *Runner) Drain(ctx context.Context, url string) error {
 			if done {
 				return nil
 			}
-			succ := pl.ring.pick(key, successors)
+			succ := pl.ring.pick(key, func(i int) bool { return isSuccessor(pl.members[i]) })
 			if succ < 0 {
 				return nil
 			}
@@ -458,7 +285,7 @@ func (f *Runner) Drain(ctx context.Context, url string) error {
 	}
 	f.logf("fleet: drained %s: migrated %d blob(s) to ring successors", url, total)
 
-	return f.transition(ctx, api.RingRemove, url, "")
+	return f.transition(ctx, api.RingRemove, url)
 }
 
 // AddWorker scales the fleet up: health-check the newcomer, warm its
@@ -466,22 +293,25 @@ func (f *Runner) Drain(ctx context.Context, url string) error {
 // owners (computed against a candidate ring that already includes it),
 // and only then announce it — so the first batch after the ring grows
 // finds the newcomer's store already holding its range, and nothing is
-// re-simulated. Re-adding a previously removed worker takes the same
-// path.
+// re-simulated. Re-adding a removed worker takes the same path, and so
+// does a member whose circuit is open: once its health check passes,
+// the backfill copies what the survivors computed in its range during
+// the outage, and its circuit closes at once instead of after the
+// cooldown.
 func (f *Runner) AddWorker(ctx context.Context, url string) error {
 	url = strings.TrimRight(url, "/")
 	f.syncMembership(ctx)
-	if st := f.mship.State(url); st == api.MemberAlive || st == api.MemberDraining {
-		return nil // already serving
-	}
-
 	mem := f.lookupMember(url)
+	if mem != nil && f.mship.Assignable(url) {
+		if state, _, _ := mem.h.status(); state == HealthClosed {
+			return nil // already serving
+		}
+	}
 	if mem == nil {
-		c, err := client.New(url, f.copts...)
-		if err != nil {
+		var err error
+		if mem, err = f.newMember(url); err != nil {
 			return err
 		}
-		mem = &member{url: url, c: c, runner: client.NewRunner(c, f.ropts...)}
 	}
 	hctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
@@ -491,34 +321,19 @@ func (f *Runner) AddWorker(ctx context.Context, url string) error {
 
 	// The candidate ring: today's members plus the newcomer. Keys whose
 	// candidate owner is the newcomer are exactly its stolen ranges.
-	pl := f.placementSnapshot()
-	urls := make([]string, 0, len(pl.members)+1)
-	newIdx := -1
-	for i, m := range pl.members {
-		urls = append(urls, m.url)
-		if m.url == url {
-			newIdx = i
-		}
+	cand := f.placementSnapshot()
+	if !slices.Contains(cand.members, mem) {
+		cand = cand.with(mem)
 	}
-	if newIdx < 0 {
-		urls = append(urls, url)
-		newIdx = len(urls) - 1
-	}
-	cand := newRing(urls)
-	candAssignable := func(i int) bool {
-		if i == newIdx {
-			return true
-		}
-		return f.assignable(urls[i])
-	}
+	candAssignable := func(i int) bool { return cand.members[i] == mem || f.answering(cand.members[i]) }
 
 	total := 0
-	for _, src := range pl.members {
-		if src.url == url || !f.assignable(src.url) {
+	for _, src := range cand.members {
+		if src == mem || !f.answering(src) {
 			continue
 		}
 		route := func(key string) controlplane.Sink {
-			if cand.pick(key, candAssignable) == newIdx {
+			if m := cand.ring.pick(key, candAssignable); m >= 0 && cand.members[m] == mem {
 				return mem.c
 			}
 			return nil
@@ -538,5 +353,9 @@ func (f *Runner) AddWorker(ctx context.Context, url string) error {
 	// Announce last: the ring grows only once the newcomer's store holds
 	// its range.
 	f.admit(mem)
-	return f.transition(ctx, api.RingAdd, url, "")
+	if err := f.transition(ctx, api.RingAdd, url); err != nil {
+		return err
+	}
+	f.succeeded(mem)
+	return nil
 }

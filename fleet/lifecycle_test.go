@@ -40,16 +40,19 @@ func memberState(t *testing.T, st fleet.Stats, url string) fleet.MemberStatus {
 	return fleet.MemberStatus{}
 }
 
-// A worker that dies and comes back is re-admitted by the prober, and
-// re-admission restores its exact pre-death placement: re-running the
-// original batch costs zero simulations because every key lands back on
-// the worker whose store already holds it.
+// A worker that dies and comes back is re-admitted by the half-open
+// probe of the first batch after its cooldown, and re-admission restores
+// its exact pre-death placement: re-running the original batch costs
+// zero simulations because every key lands back on the worker whose
+// store already holds it. Health is local, so the membership epoch never
+// moves.
 func TestFleetReadmitRestoresPlacement(t *testing.T) {
 	w1, w2 := startWorker(t), startWorker(t)
 	ctx := context.Background()
 
+	const cooldown = 25 * time.Millisecond
 	f, err := fleet.New([]string{w1.ts.URL, w2.ts.URL}, fastClient(),
-		fleet.WithReadmit(25*time.Millisecond))
+		fleet.WithReadmit(cooldown))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,6 +64,7 @@ func TestFleetReadmitRestoresPlacement(t *testing.T) {
 	if s1 == 0 || s2 == 0 {
 		t.Fatalf("degenerate shard split: %d / %d", s1, s2)
 	}
+	epoch := f.FleetStats().Epoch
 
 	// Worker 2 dies; the batch fails over onto worker 1.
 	w2.dead.Store(true)
@@ -69,38 +73,71 @@ func TestFleetReadmitRestoresPlacement(t *testing.T) {
 		t.Fatalf("fleet reports %d alive after kill, want 1", f.Alive())
 	}
 	st := f.FleetStats()
-	if ms := memberState(t, st, w2.ts.URL); ms.State != "dead" || ms.LastError == "" {
-		t.Errorf("dead worker state = %q lastErr = %q", ms.State, ms.LastError)
+	if ms := memberState(t, st, w2.ts.URL); ms.State != "alive" || ms.Health != fleet.HealthOpen || ms.LastError == "" {
+		t.Errorf("dead worker state = %q health = %q lastErr = %q", ms.State, ms.Health, ms.LastError)
 	}
-	deadEpoch := st.Epoch
 
-	// Worker 2 recovers; the liveness prober re-admits it.
+	// Worker 2 recovers. Once its cooldown is over, the next batch's
+	// half-open probe re-admits it, and placement is exactly what it was
+	// before the death: both stores are warm for their own ranges, so the
+	// re-run simulates nothing.
 	w2.dead.Store(false)
-	deadline := time.After(10 * time.Second)
-	for f.Alive() != 2 {
-		select {
-		case <-deadline:
-			t.Fatal("prober never re-admitted the recovered worker")
-		case <-time.After(10 * time.Millisecond):
-		}
+	time.Sleep(2 * cooldown)
+	pre1, pre2 := w1.eng.Stats().Simulations, w2.eng.Stats().Simulations
+	collect(t, f.Stream(ctx, jobs), len(jobs))
+	if a, b := w1.eng.Stats().Simulations, w2.eng.Stats().Simulations; a != pre1 || b != pre2 {
+		t.Errorf("re-admission broke placement: sims %d/%d -> %d/%d", pre1, pre2, a, b)
+	}
+	if f.Alive() != 2 {
+		t.Fatalf("fleet reports %d alive after recovery, want 2", f.Alive())
 	}
 	st = f.FleetStats()
 	if st.Readmissions != 1 {
 		t.Errorf("readmissions = %d, want 1", st.Readmissions)
 	}
-	if st.Epoch <= deadEpoch {
-		t.Errorf("epoch did not advance on re-admission: %d -> %d", deadEpoch, st.Epoch)
+	if st.Epoch != epoch {
+		t.Errorf("a local health change moved the membership epoch %d -> %d", epoch, st.Epoch)
 	}
-	if ms := memberState(t, st, w2.ts.URL); ms.State != "alive" || ms.LastError != "" {
-		t.Errorf("re-admitted worker state = %q lastErr = %q", ms.State, ms.LastError)
+	if ms := memberState(t, st, w2.ts.URL); ms.Health != fleet.HealthClosed || ms.LastError != "" {
+		t.Errorf("re-admitted worker health = %q lastErr = %q", ms.Health, ms.LastError)
+	}
+}
+
+// A worker the runner routes around after a failure is made routable
+// again by AddWorker once it is healthy, without waiting out the
+// cooldown: the next batch routes to it.
+func TestFleetAddWorkerReadmitsExcluded(t *testing.T) {
+	w1, w2 := startWorker(t), startWorker(t)
+	ctx := context.Background()
+	f, err := fleet.New([]string{w1.ts.URL, w2.ts.URL}, fastClient(), fleet.WithReadmit(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, jobs := suiteJobs(t, 8)
+	w2.dead.Store(true)
+	collect(t, f.Stream(ctx, jobs), len(jobs))
+	if f.Alive() != 1 {
+		t.Fatalf("fleet reports %d alive after kill, want 1", f.Alive())
 	}
 
-	// Placement is exactly what it was before the death: both stores are
-	// warm for their own ranges, so the re-run simulates nothing.
-	pre1, pre2 := w1.eng.Stats().Simulations, w2.eng.Stats().Simulations
-	collect(t, f.Stream(ctx, jobs), len(jobs))
-	if a, b := w1.eng.Stats().Simulations, w2.eng.Stats().Simulations; a != pre1 || b != pre2 {
-		t.Errorf("re-admission broke placement: sims %d/%d -> %d/%d", pre1, pre2, a, b)
+	w2.dead.Store(false)
+	if err := f.AddWorker(ctx, w2.ts.URL); err != nil {
+		t.Fatalf("add worker: %v", err)
+	}
+	if f.Alive() != 2 {
+		t.Fatalf("fleet reports %d alive after AddWorker, want 2", f.Alive())
+	}
+	if ms := memberState(t, f.FleetStats(), w2.ts.URL); ms.Health != fleet.HealthClosed {
+		t.Errorf("re-added worker health = %q, want closed", ms.Health)
+	}
+	before := w2.submits.Load()
+	for idx, jr := range collect(t, f.Stream(ctx, jobs), len(jobs)) {
+		if jr.Result.Err != nil {
+			t.Errorf("job %d failed: %v", idx, jr.Result.Err)
+		}
+	}
+	if w2.submits.Load() == before {
+		t.Error("the batch after AddWorker routed nothing to the re-added worker")
 	}
 }
 

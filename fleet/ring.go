@@ -5,8 +5,9 @@
 // worker, which is what keeps each worker's tiered result store hot
 // across runs and across clients. Adding a worker moves only the keys
 // that fall into the new worker's arcs (~1/N of the space); removing one
-// redistributes only its own keys. Dead workers are skipped by walking
-// the ring clockwise, so a key's failover owner is deterministic too.
+// redistributes only its own keys. Removed workers, and workers whose
+// circuit is open, are skipped by walking the ring clockwise, so a key's
+// failover owner is deterministic too.
 package fleet
 
 import (
@@ -30,11 +31,18 @@ type ring struct {
 	points []ringPoint
 }
 
-// hashKey positions a key (or a virtual node) on the ring.
+// hashKey positions a key (or a virtual node) on the ring: FNV-1a, then
+// a 64-bit finalizer. FNV-1a alone barely moves the high bits for strings
+// that differ only near their end — worker URLs that differ in the port,
+// keys that differ in the setup label — so points and keys bunch up, and
+// a two-worker fleet could be handed a whole small batch on one worker.
 func hashKey(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
-	return h.Sum64()
+	x := h.Sum64()
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // newRing builds the ring for the given member URLs. Points depend only

@@ -54,7 +54,15 @@ const (
 	// server would reject the priority field as bad_request and
 	// silently ignore the deadline header; the bump makes both
 	// mismatches detectable.
-	Version = 5
+	//
+	// v6: the ring register keeps only planned, operator-driven
+	// transitions. POST /v1/ring no longer accepts mark_dead or readmit
+	// (worker health is each fleet runner's local observation), the
+	// transition's error field and the member's last_error are gone, and
+	// no member is ever published as dead. A v5 runner would propose
+	// transitions a v6 coordinator refuses mid-run; the bump makes the
+	// mismatch fail at construction instead.
+	Version = 6
 	// VersionHeader is the HTTP response header carrying Version.
 	VersionHeader = "Clustersim-Api-Version"
 	// TraceHeader optionally carries a caller-chosen trace-ID base on
@@ -280,10 +288,10 @@ type KeysResponse struct {
 // Member states carried by MemberState.State. The assignable states —
 // the ones a ring placement may route new work to — are alive and
 // draining (a draining worker keeps serving its range until its keys
-// have migrated and it is removed).
+// have migrated and it is removed). Whether a worker currently answers
+// is not a membership state: each fleet runner observes that locally.
 const (
 	MemberAlive    = "alive"
-	MemberDead     = "dead"
 	MemberDraining = "draining"
 	MemberRemoved  = "removed"
 )
@@ -297,9 +305,6 @@ type MemberState struct {
 	// Epoch is the membership epoch at which the member last changed
 	// state (admission counts).
 	Epoch int64 `json:"epoch"`
-	// LastError carries the failure that put a member into the dead
-	// state, so operators can see *why* a worker is excluded.
-	LastError string `json:"last_error,omitempty"`
 }
 
 // RingView is the coordinator's entire state: a monotonically increasing
@@ -314,11 +319,9 @@ type RingView struct {
 
 // Ring transition actions carried by RingTransition.Action.
 const (
-	RingAdd      = "add"       // admit a new (or removed) worker as alive
-	RingMarkDead = "mark_dead" // a worker stopped answering mid-protocol
-	RingReadmit  = "readmit"   // a dead worker answered a liveness probe
-	RingDrain    = "drain"     // begin planned removal: alive -> draining
-	RingRemove   = "remove"    // finish a drain (or retire a dead worker)
+	RingAdd    = "add"    // admit a new (or removed) worker as alive
+	RingDrain  = "drain"  // begin planned removal: alive -> draining
+	RingRemove = "remove" // finish a drain: draining -> removed
 )
 
 // RingTransition is the POST /v1/ring body: one membership state change,
@@ -335,8 +338,6 @@ type RingTransition struct {
 	Action string `json:"action"`
 	// URL names the member the transition applies to.
 	URL string `json:"url"`
-	// Error optionally records why (mark_dead carries the probe failure).
-	Error string `json:"error,omitempty"`
 }
 
 // ServingStats counts the request-path work the server shared or avoided:

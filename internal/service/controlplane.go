@@ -137,7 +137,7 @@ func (s *Server) handleRingPost(w http.ResponseWriter, r *http.Request) {
 			"transition based on epoch %d, coordinator is at %d", tr.BaseEpoch, coord.Epoch())
 		return
 	}
-	changed, err := coord.Transition(tr.Action, tr.URL, tr.Error)
+	changed, err := coord.Transition(tr.Action, tr.URL)
 	view := coord.View()
 	s.coordMu.Unlock()
 	if err != nil {

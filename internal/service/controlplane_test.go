@@ -235,7 +235,7 @@ func TestRingRegisterCAS(t *testing.T) {
 	}
 
 	// A stale base epoch is refused with epoch_conflict and changes nothing.
-	resp, _, apiErr := proposeRing(t, ts.URL, api.RingTransition{BaseEpoch: 1, Action: api.RingMarkDead, URL: "http://w1"})
+	resp, _, apiErr := proposeRing(t, ts.URL, api.RingTransition{BaseEpoch: 1, Action: api.RingDrain, URL: "http://w1"})
 	if resp.StatusCode != http.StatusConflict || apiErr.Code != api.CodeEpochConflict {
 		t.Fatalf("stale propose: %d code=%q", resp.StatusCode, apiErr.Code)
 	}
@@ -248,6 +248,19 @@ func TestRingRegisterCAS(t *testing.T) {
 	resp, _, apiErr = proposeRing(t, ts.URL, api.RingTransition{BaseEpoch: 2, Action: api.RingRemove, URL: "http://w1"})
 	if resp.StatusCode != http.StatusBadRequest || apiErr.Code != api.CodeBadRequest {
 		t.Fatalf("remove-alive propose: %d code=%q", resp.StatusCode, apiErr.Code)
+	}
+
+	// Worker health is each runner's own observation: the register
+	// refuses the old failure-driven actions as bad requests.
+	for _, action := range []string{"mark_dead", "readmit"} {
+		resp, _, apiErr = proposeRing(t, ts.URL, api.RingTransition{BaseEpoch: 2, Action: action, URL: "http://w1"})
+		if resp.StatusCode != http.StatusBadRequest || apiErr.Code != api.CodeBadRequest {
+			t.Fatalf("%s propose: %d code=%q, want 400 bad_request", action, resp.StatusCode, apiErr.Code)
+		}
+	}
+	getJSON(t, ts.URL+"/v1/ring", &view)
+	if view.Epoch != 2 {
+		t.Fatalf("refused actions advanced the epoch to %d", view.Epoch)
 	}
 
 	// An idempotent no-op at the right epoch succeeds without advancing.
