@@ -171,27 +171,31 @@ func benchTrace(b *testing.B, name string, uops int) *trace.Trace {
 // each steering policy family, reporting simulated uops per second and
 // allocations per simulated uop (windowed core state and the event wheel
 // keep the steady-state loop allocation-free; what remains is core
-// construction amortized over the trace). CI runs this bench, converts the
-// output to BENCH_6.json via cmd/benchjson, and fails on throughput or
+// construction amortized over the trace). The crafty cases time the busy
+// loop; OP-mcf times a memory-bound simpoint whose cycles are mostly idle,
+// so it guards the idle-cycle fast-forward. CI runs this bench, converts
+// the output to BENCH_6.json via cmd/benchjson, and fails on throughput or
 // allocation regressions against the committed baseline.
 func BenchmarkCoreHotLoop(b *testing.B) {
 	// Each policy runs on a trace annotated by its own compiler pass (a
 	// Static policy over VC annotations would degenerate to one cluster).
-	policies := []struct {
+	cases := []struct {
 		name     string
+		simpoint string
 		annotate func(*prog.Program, partition.Options)
 		make     func() steer.Policy
 	}{
-		{"OP", partition.AnnotateVC, func() steer.Policy { return &steer.OP{} }},
-		{"VC", partition.AnnotateVC, func() steer.Policy { return steer.NewVC(2) }},
-		{"OB", partition.AnnotateOB, func() steer.Policy { return &steer.Static{Label: "OB"} }},
+		{"OP", "crafty", partition.AnnotateVC, func() steer.Policy { return &steer.OP{} }},
+		{"VC", "crafty", partition.AnnotateVC, func() steer.Policy { return steer.NewVC(2) }},
+		{"OB", "crafty", partition.AnnotateOB, func() steer.Policy { return &steer.Static{Label: "OB"} }},
+		{"OP-mcf", "mcf", partition.AnnotateVC, func() steer.Policy { return &steer.OP{} }},
 	}
-	for _, pol := range policies {
-		pol := pol
-		b.Run(pol.name, func(b *testing.B) {
-			sp := workload.ByName("crafty")
+	for _, bc := range cases {
+		bc := bc
+		b.Run(bc.name, func(b *testing.B) {
+			sp := workload.ByName(bc.simpoint)
 			p := sp.Program.Clone()
-			pol.annotate(p, partition.Options{NumVC: 2, NumClusters: 2})
+			bc.annotate(p, partition.Options{NumVC: 2, NumClusters: 2})
 			tr := trace.Expand(p, trace.Options{NumUops: 10_000, Seed: sp.Seed})
 			b.ReportAllocs()
 			var before, after runtime.MemStats
@@ -199,7 +203,7 @@ func BenchmarkCoreHotLoop(b *testing.B) {
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				core, err := pipeline.NewCore(pipeline.DefaultConfig(2), pol.make(), tr)
+				core, err := pipeline.NewCore(pipeline.DefaultConfig(2), bc.make(), tr)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -10,7 +10,7 @@
 //	clusterd -addr :8080 -cachedir /var/cache/clusterd -token s3cret -compress
 //
 //	curl -s localhost:8080/v1/jobs -d '{"simpoint":"gzip-1","setup":{"kind":"VC","num_vc":2,"clusters":2},"opts":{"num_uops":20000}}'
-//	curl -N localhost:8080/v1/jobs/sub-1/stream
+//	curl -N localhost:8080/v1/jobs/<id from submit>/stream
 //	curl -G --data-urlencode "key=<key from submit>" localhost:8080/v1/results
 //	curl -s localhost:8080/v1/trace/<trace id from submit>
 //	curl -s localhost:8080/v1/stats
@@ -101,7 +101,7 @@ func main() {
 		rate      = flag.Float64("rate", 0, "per-tenant admitted jobs per second (0 = unlimited)")
 		burst     = flag.Float64("burst", 0, "per-tenant burst allowance in jobs (0 = max(rate, 1))")
 		quota     = flag.Int("quota", 0, "per-tenant in-flight job quota; larger batches 429 (0 = unlimited)")
-		chaos     = flag.String("chaos", "", "fault-injection schedule for resilience testing, e.g. \"seed=1,latency=5ms,error=0.05\" (/healthz stays exempt)")
+		chaos     = flag.String("chaos", "", "fault-injection schedule for resilience testing, e.g. \"seed=1,latency=5ms,error=0.05\" (/healthz and /metrics stay exempt)")
 	)
 	flag.Parse()
 
@@ -146,12 +146,11 @@ func main() {
 	}
 	var handler http.Handler = svc
 	if *chaos != "" {
-		cfg, err := faultinject.Parse(*chaos)
-		if err != nil {
+		var err error
+		if handler, err = chaosHandler(svc, *chaos); err != nil {
 			log.Error("bad -chaos schedule", "err", err)
 			os.Exit(1)
 		}
-		handler = faultinject.New(cfg).Middleware(svc)
 		log.Warn("fault injection enabled — this daemon will misbehave on purpose", "schedule", *chaos)
 	}
 	if *debugAddr != "" {
@@ -182,4 +181,15 @@ func main() {
 	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Error("shutdown", "err", err)
 	}
+}
+
+// chaosHandler wraps h in the -chaos fault schedule. Liveness probes
+// (/healthz) and scrapes (/metrics) stay exempt: a daemon that misbehaves
+// on purpose must still say whether it is alive and what it has done.
+func chaosHandler(h http.Handler, schedule string) (http.Handler, error) {
+	cfg, err := faultinject.Parse(schedule)
+	if err != nil {
+		return nil, err
+	}
+	return faultinject.New(cfg).Middleware(h, "/metrics"), nil
 }

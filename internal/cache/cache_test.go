@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -214,5 +215,56 @@ func TestHierarchyL2Hit(t *testing.T) {
 	}
 	if got := res2.Ready - far; got != 13 {
 		t.Errorf("L2 hit latency = %d, want 13", got)
+	}
+}
+
+func TestHierarchyNextFill(t *testing.T) {
+	cfg := DefaultHierarchyConfig()
+	cfg.PrefetchDegree = 0
+	h, _ := NewHierarchy(cfg)
+	if got := h.NextFill(0); got != math.MaxInt64 {
+		t.Fatalf("idle hierarchy NextFill = %d, want MaxInt64", got)
+	}
+	a, _ := h.Access(0, 0x10000, false)  // memory miss, fill at 513
+	b, _ := h.Access(10, 0x20000, false) // fill at 523
+	if got := h.NextFill(0); got != a.Ready {
+		t.Errorf("NextFill(0) = %d, want first fill %d", got, a.Ready)
+	}
+	// The first fill is due but nothing has accessed the hierarchy since,
+	// so its MSHR has not expired yet: NextFill must look past it, or a
+	// caller waiting for the next change would never advance.
+	if got := h.NextFill(a.Ready); got != b.Ready {
+		t.Errorf("NextFill at a due-but-unexpired fill = %d, want %d", got, b.Ready)
+	}
+	if got := h.NextFill(b.Ready); got != math.MaxInt64 {
+		t.Errorf("NextFill after every fill = %d, want MaxInt64", got)
+	}
+}
+
+func TestHierarchyNextFillSeesPrefetchesAboveSweepThreshold(t *testing.T) {
+	h, _ := NewHierarchy(DefaultHierarchyConfig())
+	h.mshrs = append(h.mshrs, mshr{lineAddr: 0x1000, ready: 600})
+	h.prefetches[0x2000] = 550
+	for i := 1; i < prefetchSweepAt; i++ {
+		h.prefetches[0x2000+uint64(i)*64] = 900
+	}
+	// At the threshold no access sweeps prefetch records, so their
+	// completion is invisible: only the demand fill counts.
+	if got := h.NextFill(500); got != 600 {
+		t.Errorf("NextFill at the sweep threshold = %d, want the demand fill 600", got)
+	}
+	// One more record and every access sweeps completed prefetches, so the
+	// 550 completion becomes a change an access can see.
+	h.prefetches[0x9000] = 900
+	if got := h.NextFill(500); got != 550 {
+		t.Errorf("NextFill above the sweep threshold = %d, want the prefetch at 550", got)
+	}
+	// Past a due record nobody swept yet, it scans for the next one.
+	h.prefetches[0xa000] = 700
+	if got := h.NextFill(550); got != 600 {
+		t.Errorf("NextFill past a due prefetch = %d, want the demand fill 600", got)
+	}
+	if got := h.NextFill(600); got != 700 {
+		t.Errorf("NextFill past every demand fill = %d, want the prefetch at 700", got)
 	}
 }

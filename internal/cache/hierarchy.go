@@ -1,6 +1,9 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // HierarchyConfig assembles the two-level hierarchy of the paper's Table 2:
 // L1D 32KB/4-way/3-cycle with 2R+1W ports, unified L2 2MB/16-way/13-cycle,
@@ -87,6 +90,10 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 // L1 exposes the first-level cache (for port reservation by the LSQ).
 func (h *Hierarchy) L1() *Cache { return h.l1 }
 
+// prefetchSweepAt is the prefetch-table size above which an access sweeps
+// completed prefetch records.
+const prefetchSweepAt = 64
+
 // expireMSHRs drops completed fills and completed prefetch records (their
 // lines already sit in the caches).
 func (h *Hierarchy) expireMSHRs(cycle int64) {
@@ -97,7 +104,7 @@ func (h *Hierarchy) expireMSHRs(cycle int64) {
 		}
 	}
 	h.mshrs = out
-	if len(h.prefetches) > 64 {
+	if len(h.prefetches) > prefetchSweepAt {
 		for line, ready := range h.prefetches {
 			if ready <= cycle {
 				delete(h.prefetches, line)
@@ -191,6 +198,31 @@ func (h *Hierarchy) prefetchAfter(cycle int64, lineAddr uint64) {
 		h.prefetches[next] = cycle + lat
 		h.Prefetches++
 	}
+}
+
+// NextFill returns the first cycle after `after` at which the passage of
+// time alone changes what an access sees: the next demand fill to
+// complete (its MSHR frees up), and, while the prefetch table is above its
+// sweep threshold, the next prefetch to complete (an access then deletes
+// its record). Fills already due at `after` are ignored: they expire
+// lazily at the next access, whichever cycle that is. It returns
+// math.MaxInt64 when nothing is outstanding. The core uses it to bound how
+// far it may fast-forward a machine that is only retrying accesses.
+func (h *Hierarchy) NextFill(after int64) int64 {
+	next := int64(math.MaxInt64)
+	for _, m := range h.mshrs {
+		if m.ready > after && m.ready < next {
+			next = m.ready
+		}
+	}
+	if len(h.prefetches) > prefetchSweepAt {
+		for _, ready := range h.prefetches {
+			if ready > after && ready < next {
+				next = ready
+			}
+		}
+	}
+	return next
 }
 
 // OutstandingMisses returns the live MSHR count (after expiry at cycle).

@@ -111,6 +111,9 @@ func (q *IQ) Width() int { return q.width }
 // Full reports whether insertion would fail.
 func (q *IQ) Full() bool { return q.n >= q.cap }
 
+// NumReady returns how many queued entries have all operands ready.
+func (q *IQ) NumReady() int { return q.nReady }
+
 // Insert queues the micro-op with the given unready operand tags. Tags
 // already ready must be omitted by the caller; the tag slice is not
 // retained. Returns false when full.

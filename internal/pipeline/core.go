@@ -96,12 +96,14 @@ type plannedCopy struct {
 	reg  uarch.Reg
 }
 
-// eventWheelStats counts event-wheel activity; the bounded-memory
-// regression test reads it, and it is cheap enough to keep always on.
+// eventWheelStats counts event-wheel activity; the bounded-memory and
+// idle-skip tests read it, and it is cheap enough to keep always on.
 type eventWheelStats struct {
 	// scheduled counts all scheduled events; overflowed counts the subset
 	// that landed beyond the wheel horizon (far-future overflow bucket).
 	scheduled, overflowed int64
+	// skipped counts the idle cycles fast-forwarded rather than simulated.
+	skipped int64
 }
 
 // Core is one simulated machine instance. It is single-goroutine; run many
@@ -178,6 +180,20 @@ type Core struct {
 	// copy-latency histogram (nil unless TrackHistograms).
 	copyInserted map[copyKey]int64
 
+	// progress counts every change that can let a later cycle do
+	// something new: commits, completions, address and value arrivals,
+	// successful memory accesses, issues, steering decisions, dispatches
+	// and fetches. A cycle that leaves it (and the hierarchy's prefetch
+	// count) unchanged is idle, and skipIdle may fast-forward past its
+	// repeats. retries counts the load and store-data polls re-armed for
+	// the next cycle.
+	progress, retries uint64
+	// cycleStall is the dispatch stall reason of the current cycle.
+	cycleStall StallReason
+	// steerCx is the policy's Complexity after its last stalled Steer;
+	// steerDelta is what that call added over the stalled call before it.
+	steerCx, steerDelta steer.Complexity
+
 	committed int64
 	m         Metrics
 }
@@ -201,6 +217,11 @@ func nextPow2(n int) int {
 // only so tests can raise it to run an overflow-free control of the same
 // configuration; simulation code treats it as a constant.
 var maxWheelHorizon = 4096
+
+// idleSkip enables fast-forwarding over idle cycles (see skipIdle). It is
+// a variable only so tests can run the cycle-by-cycle reference of the
+// same machine; simulation code treats it as a constant.
+var idleSkip = true
 
 // wheelHorizon sizes the event wheel to cover every latency the machine
 // can schedule in one hop — the memory hierarchy's worst case (L2 miss to
@@ -490,6 +511,10 @@ func (c *Core) Reset(cfg Config, pol steer.Policy, tr *trace.Trace) error {
 	c.planCopies = c.planCopies[:0]
 	c.unready = c.unready[:0]
 	c.copyTags = c.copyTags[:0]
+
+	c.progress, c.retries = 0, 0
+	c.cycleStall = StallNone
+	c.steerCx, c.steerDelta = steer.Complexity{}, steer.Complexity{}
 
 	c.committed = 0
 	// The previous run's detached metrics may still be referenced by

@@ -19,6 +19,13 @@ var ErrCanceled = errors.New("pipeline: run canceled")
 // dispatch, fetch. This ordering gives back-to-back issue of single-cycle
 // dependence chains and a one-cycle dispatch-to-issue gap.
 //
+// A cycle that makes no progress repeats until something external to the
+// stalled loop happens: an event lands, a cache fill completes, the fetch
+// head becomes ready, or a run limit fires. Run fast-forwards over such
+// repeats (skipIdle), charging every per-cycle counter as if each cycle
+// had been simulated, so the results are identical to a cycle-by-cycle
+// run; only the host time spent waiting on simulated DRAM goes away.
+//
 // The returned Metrics is detached from the core: it stays valid (and
 // immutable) after the core is Reset for its next pooled run, so result
 // caches may retain it indefinitely.
@@ -27,6 +34,9 @@ func (c *Core) Run() (*Metrics, error) {
 	lastCommit := int64(0)
 	lastCommitted := int64(0)
 	var warmup *Metrics
+	// steerRepeats reports the previous cycle was idle with a stalled
+	// Steer call, which makes this cycle's stalled call a repeat.
+	steerRepeats := false
 	for c.committed < total {
 		if c.cfg.Cancel != nil && c.cycle&0xfff == 0 {
 			select {
@@ -40,12 +50,13 @@ func (c *Core) Run() (*Metrics, error) {
 			return c.detachMetrics(), fmt.Errorf("pipeline: exceeded %d cycles at %d/%d uops",
 				c.cfg.MaxCycles, c.committed, total)
 		}
+		progress, retries := c.progress+c.mem.Prefetches, c.retries
 		c.commit()
 		c.processEvents()
 		c.issue()
 		c.dispatchStage()
 		c.fetch()
-		c.accountOccupancy()
+		c.accountOccupancy(1)
 
 		if c.committed > lastCommitted {
 			lastCommitted = c.committed
@@ -58,6 +69,14 @@ func (c *Core) Run() (*Metrics, error) {
 			snap := c.captureCounters()
 			warmup = &snap
 		}
+		if c.progress+c.mem.Prefetches == progress {
+			if idleSkip {
+				c.skipIdle(c.retries-retries, steerRepeats, lastCommit)
+			}
+			steerRepeats = c.cycleStall == StallPolicy
+		} else {
+			steerRepeats = false
+		}
 		c.cycle++
 	}
 	final := c.captureCounters()
@@ -68,6 +87,97 @@ func (c *Core) Run() (*Metrics, error) {
 	final.MaxCyclesExceeded = c.m.MaxCyclesExceeded
 	c.m = final
 	return c.detachMetrics(), nil
+}
+
+// skipIdle fast-forwards over the repeats of the idle cycle just
+// simulated. An idle cycle changed nothing but per-cycle counters and the
+// retry polls it re-armed for the next cycle, so every following cycle
+// repeats it exactly until one of these can differ:
+//
+//   - an event other than those retries lands (the next non-empty wheel
+//     slot or overflow cycle);
+//   - a cache fill completes (mem.NextFill: a retried access may now get
+//     an MSHR);
+//   - the fetch head's frontend delay expires;
+//   - MaxCycles, the no-commit detector or the next cancel poll is due.
+//
+// skipIdle jumps to the cycle before the earliest of those, charging the
+// skipped cycles' stall counts, occupancy sums, histograms, event counts
+// and (for a policy stall) steering work exactly as simulating them would
+// have, and moves the retries into the first cycle it will simulate. It
+// declines, leaving the cycle-by-cycle loop in charge, when a ready
+// issue-queue or copy-queue entry or a completed ROB head is waiting (on a
+// divider, a link or a store port — cheap to poll, easy to get wrong), when
+// the next cycle already holds other events, and on the first cycle of a
+// policy stall: only a repeated stalled Steer is guaranteed to change
+// nothing but Complexity (see steer.Policy). The hierarchy's own attempt
+// counters (MSHRFullEvents, per-cache lookup statistics) are not part of
+// Metrics and count only the accesses actually made.
+func (c *Core) skipIdle(retries uint64, steerRepeats bool, lastCommit int64) {
+	if c.cycleStall == StallPolicy && !steerRepeats {
+		return
+	}
+	if c.robLen > 0 && c.robHeadState().completed {
+		return
+	}
+	for _, cl := range c.clusters {
+		if cl.IntQ.NumReady()+cl.FPQ.NumReady()+cl.CopyQ.NumReady() > 0 {
+			return
+		}
+	}
+	t := c.cycle
+	from := (t + 1) & c.wheelMask
+	if uint64(len(c.wheel[from])) != retries {
+		return
+	}
+	// until is the first cycle that must be simulated again.
+	until := min(c.cfg.MaxCycles, lastCommit+500_001, c.mem.NextFill(t))
+	if c.cfg.Cancel != nil {
+		until = min(until, (t|0xfff)+1)
+	}
+	if c.fetchLen > 0 {
+		if ready := c.fetchPipe[c.fetchHead&c.fetchMask].readyAt; ready > t {
+			until = min(until, ready)
+		}
+	}
+	if c.evOverflowLen > 0 {
+		for cyc := range c.evOverflow {
+			until = min(until, cyc)
+		}
+	}
+	for cyc := t + 2; cyc < until && cyc <= t+c.wheelMask; cyc++ {
+		if len(c.wheel[cyc&c.wheelMask]) > 0 {
+			until = cyc
+		}
+	}
+	k := until - t - 1
+	if k <= 0 {
+		return
+	}
+
+	c.countStall(k)
+	if c.fetchStalled {
+		c.m.FetchStallCycles += k
+	}
+	if c.cycleStall == StallPolicy {
+		cx := c.policy.Complexity()
+		cx.Add(c.steerDelta.Times(uint64(k)))
+		c.steerCx = *cx
+	}
+	c.accountOccupancy(uint64(k))
+	c.evStats.scheduled += int64(retries) * k
+	c.evStats.skipped += k
+	// The last skipped cycle would have re-armed the retries, in order,
+	// behind whatever the first simulated cycle already holds.
+	if to := until & c.wheelMask; to != from {
+		if len(c.wheel[to]) == 0 {
+			c.wheel[to], c.wheel[from] = c.wheel[from], c.wheel[to]
+		} else {
+			c.wheel[to] = append(c.wheel[to], c.wheel[from]...)
+			c.wheel[from] = c.wheel[from][:0]
+		}
+	}
+	c.cycle = until - 1
 }
 
 // detachMetrics copies the accumulated metrics off the core's reusable
@@ -188,6 +298,7 @@ func (c *Core) commit() {
 		c.robHead++
 		c.robLen--
 		c.committed++
+		c.progress++
 		budget--
 	}
 }
@@ -226,12 +337,14 @@ func (c *Core) handleEvent(ev event) {
 	case evComplete:
 		c.finish(ev.seq)
 	case evAgen:
+		c.progress++
 		c.agen(ev.seq)
 	case evMemTry:
 		if st := c.uop(ev.seq); st != nil {
 			c.memTry(st)
 		}
 	case evCopyArrive:
+		c.progress++
 		c.valueReadyIn(ev.seq, ev.aux)
 		if c.copyInserted != nil {
 			key := copyKey{ev.seq, ev.aux}
@@ -259,7 +372,13 @@ func (c *Core) storeDataCheck(st *uopState) {
 		c.finish(st.seq)
 		return
 	}
-	c.schedule(c.cycle+1, event{evStoreData, st.seq, 0})
+	c.retry(evStoreData, st.seq)
+}
+
+// retry re-arms a poll of seq for the next cycle.
+func (c *Core) retry(kind eventKind, seq int64) {
+	c.retries++
+	c.schedule(c.cycle+1, event{kind, seq, 0})
 }
 
 // finish completes execution of a micro-op.
@@ -269,6 +388,7 @@ func (c *Core) finish(seq int64) {
 		return
 	}
 	st.completed = true
+	c.progress++
 	if st.u.Static.Dst != uarch.RegNone {
 		v := c.value(seq)
 		v.produced = true
@@ -302,19 +422,21 @@ func (c *Core) memTry(st *uopState) {
 	}
 	switch c.lsq.ProbeLoad(st.seq, st.u.Addr) {
 	case cache.LoadBlocked, cache.LoadWaitData:
-		c.schedule(c.cycle+1, event{evMemTry, st.seq, 0})
+		c.retry(evMemTry, st.seq)
 	case cache.LoadForward:
+		c.progress++
 		c.schedule(c.cycle+1, event{evComplete, st.seq, 0})
 	case cache.LoadAccess:
 		if !c.mem.L1().ReservePort(c.cycle, false) {
-			c.schedule(c.cycle+1, event{evMemTry, st.seq, 0})
+			c.retry(evMemTry, st.seq)
 			return
 		}
 		res, ok := c.mem.Access(c.cycle, st.u.Addr, false)
 		if !ok {
-			c.schedule(c.cycle+1, event{evMemTry, st.seq, 0})
+			c.retry(evMemTry, st.seq)
 			return
 		}
+		c.progress++
 		c.schedule(res.Ready, event{evComplete, st.seq, 0})
 	}
 }
@@ -341,6 +463,7 @@ func (c *Core) issue() {
 				return false
 			}
 			c.schedule(arr, event{evCopyArrive, e.Seq, e.Aux})
+			c.progress++
 			return true
 		})
 	}
@@ -349,6 +472,7 @@ func (c *Core) issue() {
 // startExec schedules the completion of an issued micro-op.
 func (c *Core) startExec(st *uopState, cl *cluster.Cluster) {
 	op := st.u.Static.Opcode
+	c.progress++
 	cl.ReserveDivider(op, c.cycle)
 	switch {
 	case op.IsMem():
@@ -372,6 +496,9 @@ func (c *Core) dispatchStage() {
 			d := c.policy.Steer(steerCtx{c}, slot.u)
 			if d.Stall {
 				reason = StallPolicy
+				cx := *c.policy.Complexity()
+				c.steerDelta = cx.Sub(c.steerCx)
+				c.steerCx = cx
 				break
 			}
 			if d.Cluster < 0 || d.Cluster >= c.cfg.NumClusters {
@@ -380,6 +507,7 @@ func (c *Core) dispatchStage() {
 			}
 			slot.steered = true
 			slot.cluster = d.Cluster
+			c.progress++
 		}
 		if r := c.tryDispatch(slot); r != StallNone {
 			reason = r
@@ -387,12 +515,19 @@ func (c *Core) dispatchStage() {
 		}
 		c.fetchHead++
 		c.fetchLen--
+		c.progress++
 		budget--
 	}
-	if reason != StallNone {
-		c.m.StallCycles[reason]++
-		if reason == StallPolicy || reason == StallIQ {
-			c.m.AllocStallCycles++
+	c.cycleStall = reason
+	c.countStall(1)
+}
+
+// countStall charges n cycles of the current cycle's dispatch stall.
+func (c *Core) countStall(n int64) {
+	if r := c.cycleStall; r != StallNone {
+		c.m.StallCycles[r] += n
+		if r == StallPolicy || r == StallIQ {
+			c.m.AllocStallCycles += n
 		}
 	}
 }
@@ -589,6 +724,7 @@ func (c *Core) fetch() {
 		c.fetchLen++
 		c.nextFetch++
 		c.nextSeq++
+		c.progress++
 		budget--
 		if stop {
 			break
@@ -596,24 +732,25 @@ func (c *Core) fetch() {
 	}
 }
 
-// accountOccupancy integrates issue-queue occupancy for utilization stats.
-func (c *Core) accountOccupancy() {
+// accountOccupancy integrates issue-queue occupancy for utilization stats
+// over n cycles of the current machine state.
+func (c *Core) accountOccupancy(n uint64) {
 	for i, cl := range c.clusters {
 		pc := &c.m.PerCluster[i]
-		pc.OccupancySum += uint64(cl.Occupancy())
-		pc.IntOccSum += uint64(cl.IntQ.Len())
-		pc.FPOccSum += uint64(cl.FPQ.Len())
+		pc.OccupancySum += n * uint64(cl.Occupancy())
+		pc.IntOccSum += n * uint64(cl.IntQ.Len())
+		pc.FPOccSum += n * uint64(cl.FPQ.Len())
 		pc.IntIssued = cl.IntQ.Issued
 		pc.FPIssued = cl.FPQ.Issued
 		pc.CopyIssued = cl.CopyQ.Issued
 		if h := c.m.Histograms; h != nil {
-			h.IntIQ.Observe(int64(cl.IntQ.Len()))
-			h.FPIQ.Observe(int64(cl.FPQ.Len()))
-			h.CopyQ.Observe(int64(cl.CopyQ.Len()))
+			h.IntIQ.ObserveN(int64(cl.IntQ.Len()), n)
+			h.FPIQ.ObserveN(int64(cl.FPQ.Len()), n)
+			h.CopyQ.ObserveN(int64(cl.CopyQ.Len()), n)
 		}
 	}
 	if h := c.m.Histograms; h != nil {
-		h.ROB.Observe(int64(c.robLen))
+		h.ROB.ObserveN(int64(c.robLen), n)
 	}
 }
 

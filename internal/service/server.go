@@ -77,6 +77,11 @@ type Server struct {
 	ttlCh   chan struct{} // wakes the sweeper when the TTL changes
 	nextID  int
 	swept   int64 // completed submissions evicted by the TTL sweep
+	// boot is a random per-process nonce in every submission ID
+	// ("sub-<boot>-<n>"), so a client reconnecting to a restarted daemon
+	// can never attach to a different submission that reuses its old
+	// counter value.
+	boot string
 
 	// Serving-path counters (see api.ServingStats): sseMarshals counts
 	// JSON encodes of job events — exactly one per completed job, however
@@ -147,6 +152,7 @@ func New(ctx context.Context, eng *engine.Engine, st store.Store) *Server {
 		httpHist:        obs.NewVec(nil),
 		log:             slog.New(slog.NewTextHandler(io.Discard, nil)),
 		sseWriteTimeout: defaultSSEWriteTimeout,
+		boot:            obs.NewTraceID(),
 	}
 	// Methods are dispatched inside the handlers (not via "GET /path"
 	// patterns) so that wrong-method requests get the same JSON error
@@ -572,7 +578,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.nextID++
 	sub := &submission{
-		id:      fmt.Sprintf("sub-%d", s.nextID),
+		id:      fmt.Sprintf("sub-%s-%d", s.boot, s.nextID),
 		specs:   specs,
 		keys:    keys,
 		changed: make(chan struct{}),

@@ -677,3 +677,51 @@ func TestSubmitMaxParallelHint(t *testing.T) {
 		t.Errorf("unknown field accepted: %d", resp.StatusCode)
 	}
 }
+
+// TestSubmissionIDsUniqueAcrossRestarts stands two servers in for one
+// daemon before and after a restart: each numbers its submissions from
+// 1, yet their IDs must never collide, and a stream opened on the new
+// process with the old process's ID must answer not_found rather than
+// attach to whatever the new process numbered the same.
+func TestSubmissionIDsUniqueAcrossRestarts(t *testing.T) {
+	before, _, _ := startServer(t)
+	after, _, _ := startServer(t)
+	job := `{"simpoint":"gzip-1","setup":{"kind":"OP","clusters":2},"opts":{"num_uops":500}}`
+	submit := func(ts *httptest.Server) string {
+		t.Helper()
+		resp, raw := postJSON(t, ts.URL+"/v1/jobs", job)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: %d %s", resp.StatusCode, raw)
+		}
+		var sub service.SubmitResponse
+		if err := json.Unmarshal(raw, &sub); err != nil {
+			t.Fatal(err)
+		}
+		return sub.ID
+	}
+	seen := map[string]bool{}
+	var oldIDs []string
+	for i := 0; i < 3; i++ {
+		old, fresh := submit(before), submit(after)
+		for _, id := range []string{old, fresh} {
+			if seen[id] {
+				t.Fatalf("submission ID %q minted twice", id)
+			}
+			seen[id] = true
+		}
+		oldIDs = append(oldIDs, old)
+	}
+	for _, id := range oldIDs {
+		resp, err := http.Get(after.URL + "/v1/jobs/" + id + "/stream")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e api.Error
+		decodeErr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound || decodeErr != nil || e.Code != api.CodeNotFound {
+			t.Errorf("streaming %s on the restarted server: status %d, body %+v (%v), want 404 not_found",
+				id, resp.StatusCode, e, decodeErr)
+		}
+	}
+}

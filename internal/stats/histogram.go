@@ -28,7 +28,14 @@ func NewHistogram(limit int) *Histogram {
 }
 
 // Observe records one sample. Negative samples clamp to bucket 0.
-func (h *Histogram) Observe(v int64) {
+func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN records n samples of the same value, exactly as n calls to
+// Observe would.
+func (h *Histogram) ObserveN(v int64, n uint64) {
+	if n == 0 {
+		return
+	}
 	idx := v
 	if idx < 0 {
 		idx = 0
@@ -36,9 +43,9 @@ func (h *Histogram) Observe(v int64) {
 	if idx >= int64(len(h.buckets)-1) {
 		idx = int64(len(h.buckets) - 1)
 	}
-	h.buckets[idx]++
-	h.count++
-	h.sum += v
+	h.buckets[idx] += n
+	h.count += n
+	h.sum += v * int64(n)
 	if v < h.min {
 		h.min = v
 	}

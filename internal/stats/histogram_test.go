@@ -1,7 +1,10 @@
 package stats
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -112,5 +115,43 @@ func TestHistogramMomentsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestHistogramObserveNMatchesRepeatedObserve pins ObserveN(v, n) to n
+// calls of Observe(v) — buckets, count, sum and extremes — including the
+// clamped ends, n = 0, and a gob round trip of the result.
+func TestHistogramObserveNMatchesRepeatedObserve(t *testing.T) {
+	samples := []struct {
+		v int64
+		n uint64
+	}{{3, 5}, {0, 1}, {-2, 3}, {9, 0}, {12, 7}, {3, 2}, {7, 1000}}
+	bulk, single := NewHistogram(8), NewHistogram(8)
+	for _, s := range samples {
+		bulk.ObserveN(s.v, s.n)
+		for i := uint64(0); i < s.n; i++ {
+			single.Observe(s.v)
+		}
+	}
+	if !reflect.DeepEqual(bulk, single) {
+		t.Fatalf("ObserveN diverged from repeated Observe:\n%+v\n%+v", bulk, single)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(bulk); err != nil {
+		t.Fatal(err)
+	}
+	var back Histogram
+	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&back, single) {
+		t.Errorf("gob round trip of an ObserveN histogram:\n%+v\n%+v", &back, single)
+	}
+
+	// n = 0 on an empty histogram must leave it empty (extremes untouched).
+	empty := NewHistogram(4)
+	empty.ObserveN(2, 0)
+	if !reflect.DeepEqual(empty, NewHistogram(4)) {
+		t.Errorf("ObserveN(v, 0) changed an empty histogram: %+v", empty)
 	}
 }

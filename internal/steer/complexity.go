@@ -34,6 +34,32 @@ func (c *Complexity) Add(other Complexity) {
 	c.Steered += other.Steered
 }
 
+// Sub returns c − other, counter by counter.
+func (c Complexity) Sub(other Complexity) Complexity {
+	return Complexity{
+		DependenceChecks:    c.DependenceChecks - other.DependenceChecks,
+		VoteOps:             c.VoteOps - other.VoteOps,
+		SerializedDecisions: c.SerializedDecisions - other.SerializedDecisions,
+		CounterReads:        c.CounterReads - other.CounterReads,
+		MapReads:            c.MapReads - other.MapReads,
+		MapWrites:           c.MapWrites - other.MapWrites,
+		Steered:             c.Steered - other.Steered,
+	}
+}
+
+// Times returns c with every counter multiplied by k.
+func (c Complexity) Times(k uint64) Complexity {
+	return Complexity{
+		DependenceChecks:    c.DependenceChecks * k,
+		VoteOps:             c.VoteOps * k,
+		SerializedDecisions: c.SerializedDecisions * k,
+		CounterReads:        c.CounterReads * k,
+		MapReads:            c.MapReads * k,
+		MapWrites:           c.MapWrites * k,
+		Steered:             c.Steered * k,
+	}
+}
+
 // PerKuop returns the rate of ops per thousand steered micro-ops.
 func PerKuop(count, steered uint64) float64 {
 	if steered == 0 {

@@ -42,6 +42,15 @@ type Decision struct {
 }
 
 // Policy steers micro-ops to clusters.
+//
+// Contract for stalls: calling Steer again for the same micro-op on an
+// unchanged machine (every Context answer the same) after it returned a
+// stall must stall again and change nothing but Complexity, by the same
+// delta on every such repeat. The first stalled call may update other
+// state (a slice policy rotates, a mapper remaps a leader); repeats may
+// not. The pipeline relies on this to fast-forward a machine whose only
+// activity is a repeated stalled Steer: it charges k idle cycles as k
+// times the delta of one repeat, so Table 1 still counts every attempt.
 type Policy interface {
 	// Name returns the configuration label (paper Table 3).
 	Name() string
