@@ -17,10 +17,9 @@
 // in both runs regresses: uops/s below (1 - maxregress) × baseline,
 // allocs/uop above baseline × (1 + allocsgrow) + 0.05, allocs/op above
 // baseline × (1 + allocsgrow) + 2 for fixed-cost benchmarks (those with
-// no uops/s figure), or unpacks/op above baseline × (1 + allocsgrow) +
-// 0.15. Throughput depends on the machine — refresh the committed
-// baseline (-out) when the CI hardware generation changes; the
-// allocation and decompression gates are hardware-independent.
+// no uops/s figure). Throughput depends on the machine — refresh the
+// committed baseline (-out) when the CI hardware generation changes; the
+// allocation gates are hardware-independent.
 //
 // Serving benchmarks (cmd/loadgen) report req/s and p50-ms / p99-ms
 // percentiles in the same line format and gate symmetrically: req/s below
@@ -48,7 +47,6 @@ type Metrics struct {
 	AllocsPerOp  float64 `json:"allocs_per_op"`
 	UopsPerSec   float64 `json:"uops_per_sec,omitempty"`
 	AllocsPerUop float64 `json:"allocs_per_uop,omitempty"`
-	UnpacksPerOp float64 `json:"unpacks_per_op,omitempty"`
 	ReqPerSec    float64 `json:"req_per_sec,omitempty"`
 	P50Ms        float64 `json:"p50_ms,omitempty"`
 	P99Ms        float64 `json:"p99_ms,omitempty"`
@@ -107,8 +105,6 @@ func parse(r *bufio.Scanner) (map[string]Metrics, error) {
 				met.UopsPerSec = v
 			case "allocs/uop":
 				met.AllocsPerUop = v
-			case "unpacks/op":
-				met.UnpacksPerOp = v
 			case "req/s":
 				met.ReqPerSec = v
 			case "p50-ms":
@@ -169,7 +165,7 @@ func compare(fresh, base map[string]Metrics, maxRegress, allocsGrow float64) []s
 				name, f.AllocsPerUop, b.AllocsPerUop, allocBudget))
 		}
 		if b.UopsPerSec == 0 {
-			// Fixed-cost benchmarks (construction, cache hits) have no
+			// Fixed-cost benchmarks (core construction) have no
 			// per-uop figures; gate their raw allocation count instead. The
 			// +2 absolute slack keeps near-zero baselines (a pooled Reset is
 			// a couple of allocations) from failing on noise.
@@ -198,18 +194,6 @@ func compare(fresh, base map[string]Metrics, maxRegress, allocsGrow float64) []s
 			problems = append(problems, fmt.Sprintf(
 				"%s: p99 latency regressed: %.2f ms vs baseline %.2f (budget %.2f)",
 				name, f.P99Ms, b.P99Ms, b.P99Ms*(1+maxRegress)+1.0))
-		}
-		if b.UnpacksPerOp > 0 {
-			// Decompressions per trace-cache hit. The 0.15 absolute slack
-			// absorbs scheduling jitter in the parallel sharing benchmark
-			// (whose baseline is near zero) without letting a broken
-			// single-flight path — every hit unpacking privately — pass.
-			unpackBudget := b.UnpacksPerOp*(1+allocsGrow) + 0.15
-			if f.UnpacksPerOp > unpackBudget {
-				problems = append(problems, fmt.Sprintf(
-					"%s: decompression sharing regressed: %.4f unpacks/op vs baseline %.4f (budget %.4f)",
-					name, f.UnpacksPerOp, b.UnpacksPerOp, unpackBudget))
-			}
 		}
 	}
 	if matched == 0 {
@@ -304,9 +288,6 @@ func main() {
 				fmt.Printf("%s: %.0f uops/s (baseline %.0f, %+.1f%%), %.3f allocs/uop (baseline %.3f)\n",
 					name, f.UopsPerSec, b.UopsPerSec, 100*(f.UopsPerSec/b.UopsPerSec-1),
 					f.AllocsPerUop, b.AllocsPerUop)
-			case b.UnpacksPerOp > 0:
-				fmt.Printf("%s: %.4f unpacks/op (baseline %.4f), %.1f allocs/op (baseline %.1f)\n",
-					name, f.UnpacksPerOp, b.UnpacksPerOp, f.AllocsPerOp, b.AllocsPerOp)
 			default:
 				fmt.Printf("%s: %.1f allocs/op (baseline %.1f), %.0f ns/op (baseline %.0f)\n",
 					name, f.AllocsPerOp, b.AllocsPerOp, f.NsPerOp, b.NsPerOp)

@@ -103,14 +103,12 @@ func TestCompareGates(t *testing.T) {
 
 const fixedCostSample = `BenchmarkCoreConstruction/Fresh-8  	    1588	  171575 ns/op	 1209562 B/op	      70 allocs/op
 BenchmarkCoreConstruction/Pooled-8 	    8218	   29234 ns/op	     128 B/op	       3 allocs/op
-BenchmarkTraceCacheConcurrentHit/Serial-8   	 264	  928080 ns/op	 1.000 unpacks/op	 325334 B/op	 23286 allocs/op
-BenchmarkTraceCacheConcurrentHit/Parallel-8 	 492242	 482.9 ns/op	 0.0000020 unpacks/op	 136 B/op	 5 allocs/op
 `
 
 func TestCompareGatesFixedCostBenchmarks(t *testing.T) {
 	base := parseSample(t, fixedCostSample)
-	if got := base["TraceCacheConcurrentHit/Serial"].UnpacksPerOp; got != 1.0 {
-		t.Fatalf("unpacks/op not parsed: %v", got)
+	if got := base["CoreConstruction/Pooled"].AllocsPerOp; got != 3 {
+		t.Fatalf("allocs/op not parsed: %v", got)
 	}
 
 	if p := compare(base, base, 0.20, 0.25); len(p) != 0 {
@@ -125,25 +123,6 @@ func TestCompareGatesFixedCostBenchmarks(t *testing.T) {
 	leaky["CoreConstruction/Pooled"] = m
 	if p := compare(leaky, base, 0.20, 0.25); len(p) != 1 || !strings.Contains(p[0], "allocs/op") {
 		t.Errorf("want one allocs/op failure, got %v", p)
-	}
-
-	// Broken single-flight: every parallel hit decompressing privately
-	// pushes unpacks/op to 1, far over the near-zero baseline's budget.
-	unshared := parseSample(t, fixedCostSample)
-	m = unshared["TraceCacheConcurrentHit/Parallel"]
-	m.UnpacksPerOp = 1.0
-	unshared["TraceCacheConcurrentHit/Parallel"] = m
-	if p := compare(unshared, base, 0.20, 0.25); len(p) != 1 || !strings.Contains(p[0], "sharing") {
-		t.Errorf("want one sharing failure, got %v", p)
-	}
-
-	// Jitter around a near-zero baseline stays within the absolute slack.
-	jitter := parseSample(t, fixedCostSample)
-	m = jitter["TraceCacheConcurrentHit/Parallel"]
-	m.UnpacksPerOp = 0.05
-	jitter["TraceCacheConcurrentHit/Parallel"] = m
-	if p := compare(jitter, base, 0.20, 0.25); len(p) != 0 {
-		t.Errorf("jitter within slack flagged: %v", p)
 	}
 }
 

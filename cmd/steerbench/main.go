@@ -23,9 +23,9 @@
 //
 // -cpuprofile and -memprofile write pprof profiles of the whole run
 // (inspect with `go tool pprof`); profiles flush on clean exits only. The
-// "# engine:" footer records cache effectiveness including the compressed
-// trace cache's peak occupancy and compression ratio, so cache-sizing
-// regressions show up in CI report diffs. -trace-out records a span
+// "# engine:" footer records cache effectiveness (simulations, result,
+// store and program cache hits), so dedup regressions show up in CI
+// report diffs. -trace-out records a span
 // timeline of the whole suite — per-stage engine flights for local runs,
 // per-batch submit/stream/fetch flights for remote ones — as Chrome
 // trace-event JSON, loadable in chrome://tracing or Perfetto.

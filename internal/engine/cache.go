@@ -9,25 +9,14 @@ import (
 // flightCache is a content-keyed cache with single-flight semantics: the
 // first caller of a key computes the value while concurrent callers of the
 // same key block until the computation lands, so an artifact is never built
-// twice. Completed entries are bounded by total cost — approximate bytes
-// for traces, the dominant artifact — and evicted least-recently-used;
-// in-flight entries are never evicted. maxCost <= 0 means unbounded; a nil
-// costOf counts every entry as cost 1, making maxCost an entry bound.
+// twice. Completed entries are bounded by count and evicted
+// least-recently-used; in-flight entries are never evicted. maxEntries <= 0
+// means unbounded.
 type flightCache[V any] struct {
-	mu      sync.Mutex
-	entries map[string]*flightEntry[V]
-	order   *list.List // completed keys, most recently used at back
-	maxCost int64
-	costOf  func(V) int64
-	// auxOf, if set, tracks a second gauge alongside cost (e.g. the raw
-	// byte size of entries whose cost is their compressed size). It never
-	// influences eviction.
-	auxOf func(V) int64
-
-	cost          int64
-	costHighWater int64
-	aux           int64
-	auxHighWater  int64
+	mu         sync.Mutex
+	entries    map[string]*flightEntry[V]
+	order      *list.List // completed keys, most recently used at back
+	maxEntries int
 
 	hits, misses atomic.Int64
 }
@@ -35,18 +24,15 @@ type flightCache[V any] struct {
 type flightEntry[V any] struct {
 	done chan struct{}
 	val  V
-	cost int64
-	aux  int64
 	keep bool
 	elem *list.Element
 }
 
-func newFlightCache[V any](maxCost int64, costOf func(V) int64) *flightCache[V] {
+func newFlightCache[V any](maxEntries int) *flightCache[V] {
 	return &flightCache[V]{
-		entries: map[string]*flightEntry[V]{},
-		order:   list.New(),
-		maxCost: maxCost,
-		costOf:  costOf,
+		entries:    map[string]*flightEntry[V]{},
+		order:      list.New(),
+		maxEntries: maxEntries,
 	}
 }
 
@@ -87,32 +73,12 @@ func (c *flightCache[V]) get(abort <-chan struct{}, key string, fn func() (V, bo
 		if !e.keep {
 			delete(c.entries, key)
 		} else {
-			e.cost = 1
-			if c.costOf != nil {
-				e.cost = c.costOf(e.val)
-			}
-			if c.auxOf != nil {
-				e.aux = c.auxOf(e.val)
-			}
 			e.elem = c.order.PushBack(key)
-			c.cost += e.cost
-			if c.cost > c.costHighWater {
-				c.costHighWater = c.cost
-			}
-			c.aux += e.aux
-			if c.aux > c.auxHighWater {
-				c.auxHighWater = c.aux
-			}
-			// Evict oldest completed entries until back under budget; the
-			// entry just published always survives (the cache must remain
-			// useful even for a single artifact larger than the bound).
-			for c.maxCost > 0 && c.cost > c.maxCost && c.order.Front() != e.elem {
-				front := c.order.Front()
-				victim := c.entries[front.Value.(string)]
-				c.order.Remove(front)
-				delete(c.entries, front.Value.(string))
-				c.cost -= victim.cost
-				c.aux -= victim.aux
+			// One publish adds one entry, so evicting the oldest completed
+			// one restores the bound; the entry just published, at the
+			// back, always survives.
+			if c.maxEntries > 0 && c.order.Len() > c.maxEntries {
+				delete(c.entries, c.order.Remove(c.order.Front()).(string))
 			}
 		}
 		c.mu.Unlock()
@@ -129,18 +95,4 @@ func (c *flightCache[V]) touch(key string, e *flightEntry[V]) {
 		c.order.MoveToBack(e.elem)
 	}
 	c.mu.Unlock()
-}
-
-// costStats snapshots the current and high-water cost.
-func (c *flightCache[V]) costStats() (cost, highWater int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cost, c.costHighWater
-}
-
-// auxStats snapshots the current and high-water secondary gauge.
-func (c *flightCache[V]) auxStats() (aux, highWater int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.aux, c.auxHighWater
 }

@@ -1,13 +1,20 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
+
+	"clustersim/internal/partition"
+	"clustersim/internal/pipeline"
+	"clustersim/internal/prog"
+	"clustersim/internal/workload"
 )
 
 // A panicking computation must unblock waiters and leave the key usable.
 func TestFlightPanicDoesNotPoisonKey(t *testing.T) {
-	c := newFlightCache[int](0, nil)
+	c := newFlightCache[int](0)
 	waited := make(chan int, 1)
 	started := make(chan struct{})
 	go func() {
@@ -41,7 +48,7 @@ func TestFlightPanicDoesNotPoisonKey(t *testing.T) {
 // A waiter whose abort channel fires must return promptly, not wait for
 // the in-flight computation.
 func TestFlightAbortWhileWaiting(t *testing.T) {
-	c := newFlightCache[int](0, nil)
+	c := newFlightCache[int](0)
 	release := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
@@ -70,10 +77,9 @@ func TestFlightAbortWhileWaiting(t *testing.T) {
 	close(release)
 }
 
-// LRU eviction drops the oldest completed entries only (nil costOf makes
-// maxCost a plain entry bound).
+// LRU eviction drops the oldest completed entries only.
 func TestFlightLRUEviction(t *testing.T) {
-	c := newFlightCache[int](2, nil)
+	c := newFlightCache[int](2)
 	c.get(nil, "a", func() (int, bool) { return 1, true })
 	c.get(nil, "b", func() (int, bool) { return 2, true })
 	c.get(nil, "a", func() (int, bool) { return -1, true }) // touch a
@@ -86,28 +92,40 @@ func TestFlightLRUEviction(t *testing.T) {
 	}
 }
 
-// Cost-based bounding evicts by accumulated cost, never the entry just
-// published, and tracks the byte high-water mark.
-func TestFlightCostBoundedEviction(t *testing.T) {
-	costs := map[string]int64{"a": 40, "b": 40, "c": 40, "huge": 500}
-	c := newFlightCache[string](100, func(v string) int64 { return costs[v] })
-	c.get(nil, "a", func() (string, bool) { return "a", true })
-	c.get(nil, "b", func() (string, bool) { return "b", true })
-	c.get(nil, "a", func() (string, bool) { return "a", true }) // touch a
-	c.get(nil, "c", func() (string, bool) { return "c", true }) // 120 > 100: evicts b
-	if _, cached, _ := c.get(nil, "b", func() (string, bool) { return "b", true }); cached {
-		t.Error("LRU victim b survived the cost bound")
+// The annotated-program cache is bounded by entry count: every distinct
+// region size a client asks for is a new pass signature, and so a new key,
+// yet the cache never holds more than maxPrograms of them, and a program
+// evicted on the way re-annotates into a byte-identical clone.
+func TestProgramCacheBounded(t *testing.T) {
+	e := New(Options{Parallelism: 1})
+	sp := workload.ByName("crafty")
+	cfg := pipeline.DefaultConfig(2)
+	setup := func(regionMaxOps int) Setup {
+		return Setup{Label: "OB", NumClusters: 2, Pass: &Pass{
+			Kind: "OB", NumTargets: 2, RegionMaxOps: regionMaxOps, Run: partition.AnnotateOB,
+		}}
 	}
-	cost, high := c.costStats()
-	if cost > 100+costs["b"] { // b was just re-added above
-		t.Errorf("cost %d far beyond bound", cost)
+	encode := func(p *prog.Program) []byte {
+		blob, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
 	}
-	if high < 120 {
-		t.Errorf("high water %d, want >= 120", high)
+	first := e.annotated(sp, setup(1), &cfg)
+	want := encode(first)
+	for rg := 2; rg <= maxPrograms+64; rg++ {
+		e.annotated(sp, setup(rg), &cfg)
 	}
-	// An oversized entry still lands (and evicts everything else).
-	c.get(nil, "huge", func() (string, bool) { return "huge", true })
-	if _, cached, _ := c.get(nil, "huge", func() (string, bool) { return "huge", true }); !cached {
-		t.Error("oversized entry not retained")
+	if n := len(e.progs.entries); n > maxPrograms {
+		t.Fatalf("program cache holds %d entries, bound is %d", n, maxPrograms)
+	}
+	misses := e.progs.misses.Load()
+	again := e.annotated(sp, setup(1), &cfg)
+	if e.progs.misses.Load() != misses+1 || again == first {
+		t.Fatal("least recently used program was not evicted")
+	}
+	if !bytes.Equal(encode(again), want) {
+		t.Error("evicted program re-annotated differently")
 	}
 }

@@ -1,17 +1,17 @@
 // Package engine is the shared simulation substrate every run path —
 // sim.RunOne/RunMatrix, the experiment harness and cmd/steerbench — submits
 // jobs to. It owns a cancellable worker pool with progress reporting, and
-// three content-keyed caches for the expensive intermediate artifacts of a
-// run: annotated program clones (keyed by simpoint + compiler-pass
-// signature), expanded dynamic traces (keyed by annotated program + trace
-// length + seed) and whole Results (keyed by simpoint + configuration +
-// run options). One engine shared across experiments therefore simulates
-// each unique (simpoint, setup, options) combination exactly once per
-// process, and re-annotates/re-expands nothing.
+// two content-keyed single-flight caches: annotated program clones (keyed
+// by simpoint + compiler-pass signature, bounded at maxPrograms entries)
+// and whole Results (keyed by simpoint + configuration + run options). One
+// engine shared across experiments therefore simulates each unique
+// (simpoint, setup, options) combination exactly once per process. Dynamic
+// traces are not cached: each run expands its own, because expansion is
+// deterministic and cheaper than restoring any stored form of the trace.
 //
 // All cached artifacts are immutable after publication: compiler passes
 // annotate a private clone before it enters the cache, and the pipeline
-// only reads from programs and traces, so concurrent runs can share them.
+// only reads from programs, so concurrent runs can share them.
 package engine
 
 import (
@@ -156,12 +156,6 @@ type Options struct {
 	// Parallelism bounds concurrently executing simulations; ≤ 0 means
 	// GOMAXPROCS. Cache hits are served without occupying a worker slot.
 	Parallelism int
-	// TraceCacheBytes bounds the expanded-trace cache by payload bytes.
-	// Traces are stored gzip-compressed (they are the largest cached
-	// artifact, and dynamic uop streams compress severalfold), so the
-	// bound governs the compressed footprint — the bytes actually held in
-	// memory. Zero means 256 MiB; negative means unbounded.
-	TraceCacheBytes int64
 	// ResultStore, if set, persists whole results behind the in-memory
 	// result cache: misses consult the store before simulating, and every
 	// newly computed cacheable result is encoded and written through, so
@@ -169,8 +163,8 @@ type Options struct {
 	// skips the work entirely. Blobs are framed by the codec's schema
 	// version; stale or corrupt entries read as misses.
 	ResultStore store.Store
-	// DisableCache turns every cache off (each job re-annotates,
-	// re-expands and re-simulates from scratch), including ResultStore.
+	// DisableCache turns every cache off (each job re-annotates and
+	// re-simulates from scratch), including ResultStore and the core pool.
 	DisableCache bool
 	// Progress, if set, is called after every finished job with the
 	// engine-lifetime completed and submitted job counts and the finished
@@ -194,10 +188,7 @@ type Engine struct {
 	// backlog instead of draining FIFO behind it.
 	sched *scheduler
 
-	progs *flightCache[*prog.Program]
-	// traces holds expanded dynamic traces gzip-compressed (see
-	// tracecache.go); TraceCacheBytes budgets the compressed footprint.
-	traces  *flightCache[packedTrace]
+	progs   *flightCache[*prog.Program]
 	results *flightCache[*Result]
 
 	// fps memoizes program content hashes per *prog.Program (programs are
@@ -216,10 +207,15 @@ type Engine struct {
 	submitted, completed                atomic.Int64
 	storeHits, storeMisses, storeErrors atomic.Int64
 	corePoolHits, corePoolMisses        atomic.Int64
-	traceUnpacks, traceSharedHits       atomic.Int64
-	traceUnpackedLive                   atomic.Int64
 	deadlineShed                        atomic.Int64
 }
+
+// maxPrograms bounds the annotated-program cache. Every distinct pass
+// signature (a client-chosen region size or chain length mints a new one)
+// is a new key, so the cache must evict; a full `steerbench -exp all`
+// annotates 1,160 distinct programs, so regeneration never does. At about
+// 22 KiB per annotated clone the bound caps the cache near 45 MiB.
+const maxPrograms = 2048
 
 // CacheStats is a snapshot of the engine's cache counters.
 type CacheStats struct {
@@ -227,33 +223,23 @@ type CacheStats struct {
 	Simulations int64
 	// ResultHits/ResultMisses count whole-result cache lookups.
 	ResultHits, ResultMisses int64
-	// TraceHits/TraceMisses count expanded-trace cache lookups.
-	TraceHits, TraceMisses int64
+	// Deprecated: always 0; the trace cache was removed. Kept only because perfbench/ reads it.
+	TraceHits int64 `json:"-"`
+	// Deprecated: always 0; the trace cache was removed. Kept only because perfbench/ reads it.
+	TraceMisses int64 `json:"-"`
 	// ProgramHits/ProgramMisses count annotated-program cache lookups.
 	ProgramHits, ProgramMisses int64
 	// StoreHits/StoreMisses count persistent result-store lookups (only
 	// performed on in-memory result-cache misses); StoreErrors counts
 	// blobs that failed to decode or encode.
 	StoreHits, StoreMisses, StoreErrors int64
-	// TraceBytes and TraceBytesHighWater track the expanded-trace cache's
-	// compressed payload occupancy (current and maximum observed) — the
-	// figure TraceCacheBytes bounds.
-	TraceBytes, TraceBytesHighWater int64
-	// TraceRawBytes and TraceRawBytesHighWater track the same entries'
-	// pre-compression size: TraceRawBytes/TraceBytes is the trace cache's
-	// live compression ratio.
-	TraceRawBytes, TraceRawBytesHighWater int64
+	// Deprecated: always 0; the trace cache was removed. Kept only because perfbench/ reads it.
+	TraceBytesHighWater int64 `json:"-"`
 	// CorePoolHits counts simulations served by a pooled, Reset core;
 	// CorePoolMisses counts fresh core constructions on the cached path.
 	CorePoolHits, CorePoolMisses int64
-	// TraceUnpacks counts actual decompressions of cached traces;
-	// TraceSharedHits counts trace-cache hits that instead shared an
-	// already-unpacked trace with a concurrent user.
-	TraceUnpacks, TraceSharedHits int64
-	// TraceUnpackedLive gauges cached traces currently held in unpacked
-	// form by running simulations (each returns to compressed-only when
-	// its last user finishes).
-	TraceUnpackedLive int64
+	// Deprecated: always 0; the trace cache was removed. Kept only because perfbench/ reads it.
+	TraceUnpacks int64 `json:"-"`
 	// InteractiveGrants/BulkGrants count worker-slot acquisitions per
 	// scheduling lane (see Lane); their ratio under sustained contention
 	// approaches the configured lane weights.
@@ -264,34 +250,16 @@ type CacheStats struct {
 	DeadlineShed int64
 }
 
-// TraceCompressionRatio returns raw/compressed for the currently cached
-// traces, or 0 when the cache is empty.
-func (s CacheStats) TraceCompressionRatio() float64 {
-	if s.TraceBytes <= 0 {
-		return 0
-	}
-	return float64(s.TraceRawBytes) / float64(s.TraceBytes)
-}
-
 // New builds an engine.
 func New(opts Options) *Engine {
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if opts.TraceCacheBytes == 0 {
-		opts.TraceCacheBytes = 256 << 20
-	}
-	if opts.TraceCacheBytes < 0 {
-		opts.TraceCacheBytes = 0 // unbounded
-	}
-	traces := newFlightCache[packedTrace](opts.TraceCacheBytes, packedTraceBytes)
-	traces.auxOf = packedTraceRawBytes
 	return &Engine{
 		opts:    opts,
 		sched:   newScheduler(opts.Parallelism),
-		progs:   newFlightCache[*prog.Program](0, nil),
-		traces:  traces,
-		results: newFlightCache[*Result](0, nil),
+		progs:   newFlightCache[*prog.Program](maxPrograms),
+		results: newFlightCache[*Result](0),
 		cores:   make(map[pipeline.Config][]*pipeline.Core),
 	}
 }
@@ -307,29 +275,18 @@ func (e *Engine) Tracer() *obs.Tracer { return e.opts.Tracer }
 
 // Stats snapshots the cache counters.
 func (e *Engine) Stats() CacheStats {
-	traceBytes, traceHigh := e.traces.costStats()
-	traceRaw, traceRawHigh := e.traces.auxStats()
 	s := CacheStats{
-		Simulations:            e.simulations.Load(),
-		ResultHits:             e.results.hits.Load(),
-		ResultMisses:           e.results.misses.Load(),
-		TraceHits:              e.traces.hits.Load(),
-		TraceMisses:            e.traces.misses.Load(),
-		ProgramHits:            e.progs.hits.Load(),
-		ProgramMisses:          e.progs.misses.Load(),
-		StoreHits:              e.storeHits.Load(),
-		StoreMisses:            e.storeMisses.Load(),
-		StoreErrors:            e.storeErrors.Load(),
-		TraceBytes:             traceBytes,
-		TraceBytesHighWater:    traceHigh,
-		TraceRawBytes:          traceRaw,
-		TraceRawBytesHighWater: traceRawHigh,
-		CorePoolHits:           e.corePoolHits.Load(),
-		CorePoolMisses:         e.corePoolMisses.Load(),
-		TraceUnpacks:           e.traceUnpacks.Load(),
-		TraceSharedHits:        e.traceSharedHits.Load(),
-		TraceUnpackedLive:      e.traceUnpackedLive.Load(),
-		DeadlineShed:           e.deadlineShed.Load(),
+		Simulations:    e.simulations.Load(),
+		ResultHits:     e.results.hits.Load(),
+		ResultMisses:   e.results.misses.Load(),
+		ProgramHits:    e.progs.hits.Load(),
+		ProgramMisses:  e.progs.misses.Load(),
+		StoreHits:      e.storeHits.Load(),
+		StoreMisses:    e.storeMisses.Load(),
+		StoreErrors:    e.storeErrors.Load(),
+		CorePoolHits:   e.corePoolHits.Load(),
+		CorePoolMisses: e.corePoolMisses.Load(),
+		DeadlineShed:   e.deadlineShed.Load(),
 	}
 	s.InteractiveGrants, s.BulkGrants = e.sched.laneGrants()
 	return s
@@ -573,8 +530,8 @@ func (e *Engine) run(ctx context.Context, job Job, fl *obs.Flight) *Result {
 	}
 }
 
-// execute performs one full uncached run: annotate (cached), expand
-// (cached), simulate. The lane scheduler bounds concurrent executions
+// execute performs one full uncached run: annotate (cached), expand,
+// simulate. The lane scheduler bounds concurrent executions
 // at Parallelism and grants contended slots weighted-fair; the lane
 // rides in on the context and never reaches a cache key.
 func (e *Engine) execute(ctx context.Context, job Job, fl *obs.Flight) *Result {
@@ -599,12 +556,11 @@ func (e *Engine) execute(ctx context.Context, job Job, fl *obs.Flight) *Result {
 		opt.MachineTweak(&cfg)
 	}
 	t0 = fl.Begin()
-	p, progKey := e.annotated(sp, s, &cfg)
+	p := e.annotated(sp, s, &cfg)
 	fl.Span("annotate", t0)
 	t0 = fl.Begin()
-	tr, releaseTrace := e.expand(p, progKey, sp, opt)
+	tr := trace.Expand(p, trace.Options{NumUops: opt.NumUops, Seed: sp.Seed})
 	fl.Span("expand", t0)
-	defer releaseTrace()
 
 	cfg.Cancel = ctx.Done()
 	pol := s.NewPolicy()
@@ -678,14 +634,13 @@ func (e *Engine) releaseCore(core *pipeline.Core) {
 }
 
 // annotated returns the annotated program clone for the job, cached by
-// (simpoint, pass signature). The returned key is "" when the artifact is
-// uncacheable (opaque Annotate pass).
-func (e *Engine) annotated(sp *workload.Simpoint, s Setup, cfg *pipeline.Config) (*prog.Program, string) {
+// (simpoint, pass signature) unless the pass is opaque (Annotate).
+func (e *Engine) annotated(sp *workload.Simpoint, s Setup, cfg *pipeline.Config) *prog.Program {
 	if s.Annotate != nil {
 		p := sp.Program.Clone()
 		p.ClearAnnotations()
 		s.Annotate(p)
-		return p, ""
+		return p
 	}
 	build := func() (*prog.Program, bool) {
 		p := sp.Program.Clone()
@@ -695,111 +650,14 @@ func (e *Engine) annotated(sp *workload.Simpoint, s Setup, cfg *pipeline.Config)
 		}
 		return p, true
 	}
+	if e.opts.DisableCache {
+		p, _ := build()
+		return p
+	}
 	passKey := "clean"
 	if s.Pass != nil {
 		passKey = s.Pass.key(cfg)
 	}
-	key := e.fingerprint(sp) + "|" + passKey
-	if e.opts.DisableCache {
-		p, _ := build()
-		return p, key
-	}
-	p, _, _ := e.progs.get(nil, key, build)
-	return p, key
-}
-
-// expand returns the dynamic trace for the annotated program, cached by
-// (annotated-program key, NumUops, seed), plus a release func the caller
-// must invoke once done with the trace. Cached traces are stored
-// compressed; hits share one refcounted unpacked form, so N concurrent
-// users of the same trace pay one decompression and hold one *trace.Trace
-// between them, and the release of the last user drops the entry back to
-// compressed-only. A pack or unpack failure degrades to a plain expansion
-// (release is then a no-op).
-func (e *Engine) expand(p *prog.Program, progKey string, sp *workload.Simpoint, opt RunOptions) (*trace.Trace, func()) {
-	topts := trace.Options{NumUops: opt.NumUops, Seed: sp.Seed}
-	if progKey == "" || e.opts.DisableCache {
-		return trace.Expand(p, topts), func() {}
-	}
-	key := fmt.Sprintf("%s|u%d|s%d", progKey, opt.NumUops, sp.Seed)
-	var fresh *trace.Trace
-	pt, _, _ := e.traces.get(nil, key, func() (packedTrace, bool) {
-		fresh = trace.Expand(p, topts)
-		packed, err := packTrace(fresh)
-		if err != nil {
-			return packedTrace{}, false
-		}
-		return packed, true
-	})
-	if pt.shared == nil {
-		// Pack failed (ours or a joined flight's): nothing was cached. Use
-		// the fresh expansion if we made one, else expand privately.
-		if fresh != nil {
-			return fresh, func() {}
-		}
-		return trace.Expand(p, topts), func() {}
-	}
-	if fresh != nil {
-		// Computing caller: seed the shared form with the trace just
-		// expanded so concurrent hits skip even the first decompression.
-		return e.shareTrace(pt.shared, fresh)
-	}
-	tr, release, err := e.acquireUnpacked(pt)
-	if err != nil {
-		// Corrupt entry: expand directly.
-		return trace.Expand(p, topts), func() {}
-	}
-	return tr, release
-}
-
-// acquireUnpacked returns the unpacked form of a cached trace, sharing one
-// decompression across concurrent users: the first user gunzips under the
-// entry's mutex while later users block on it, then take a reference to
-// the same *trace.Trace. The returned release drops the reference.
-func (e *Engine) acquireUnpacked(pt packedTrace) (*trace.Trace, func(), error) {
-	sh := pt.shared
-	sh.mu.Lock()
-	if sh.tr == nil {
-		tr, err := unpackTrace(pt)
-		if err != nil {
-			sh.mu.Unlock()
-			return nil, nil, err
-		}
-		sh.tr = tr
-		e.traceUnpacks.Add(1)
-		e.traceUnpackedLive.Add(1)
-	} else {
-		e.traceSharedHits.Add(1)
-	}
-	sh.refs++
-	tr := sh.tr
-	sh.mu.Unlock()
-	return tr, func() { e.releaseShared(sh) }, nil
-}
-
-// shareTrace seeds a cache entry's shared form with an already-expanded
-// trace (the computing caller's) and takes a reference to it. If a
-// concurrent hit unpacked first, its copy wins and the seed is discarded.
-func (e *Engine) shareTrace(sh *sharedTrace, tr *trace.Trace) (*trace.Trace, func()) {
-	sh.mu.Lock()
-	if sh.tr == nil {
-		sh.tr = tr
-		e.traceUnpackedLive.Add(1)
-	}
-	tr = sh.tr
-	sh.refs++
-	sh.mu.Unlock()
-	return tr, func() { e.releaseShared(sh) }
-}
-
-// releaseShared drops one reference to a shared unpacked trace; the last
-// release frees the unpacked form, returning the entry to compressed-only.
-func (e *Engine) releaseShared(sh *sharedTrace) {
-	sh.mu.Lock()
-	sh.refs--
-	if sh.refs == 0 && sh.tr != nil {
-		sh.tr = nil
-		e.traceUnpackedLive.Add(-1)
-	}
-	sh.mu.Unlock()
+	p, _, _ := e.progs.get(nil, e.fingerprint(sp)+"|"+passKey, build)
+	return p
 }

@@ -60,62 +60,41 @@ func RunMatrixOn(ctx context.Context, r Runner, sps []*workload.Simpoint, setups
 }
 
 // Delta returns the counter changes from base to s — the per-invocation
-// view of a shared runner's lifetime counters. Gauge-like fields
-// (TraceBytes and its high-water mark) keep their current values: they
-// describe occupancy, not activity.
+// view of a shared runner's lifetime counters.
 func (s CacheStats) Delta(base CacheStats) CacheStats {
 	return CacheStats{
-		Simulations:            s.Simulations - base.Simulations,
-		ResultHits:             s.ResultHits - base.ResultHits,
-		ResultMisses:           s.ResultMisses - base.ResultMisses,
-		TraceHits:              s.TraceHits - base.TraceHits,
-		TraceMisses:            s.TraceMisses - base.TraceMisses,
-		ProgramHits:            s.ProgramHits - base.ProgramHits,
-		ProgramMisses:          s.ProgramMisses - base.ProgramMisses,
-		StoreHits:              s.StoreHits - base.StoreHits,
-		StoreMisses:            s.StoreMisses - base.StoreMisses,
-		StoreErrors:            s.StoreErrors - base.StoreErrors,
-		TraceBytes:             s.TraceBytes,
-		TraceBytesHighWater:    s.TraceBytesHighWater,
-		TraceRawBytes:          s.TraceRawBytes,
-		TraceRawBytesHighWater: s.TraceRawBytesHighWater,
-		CorePoolHits:           s.CorePoolHits - base.CorePoolHits,
-		CorePoolMisses:         s.CorePoolMisses - base.CorePoolMisses,
-		TraceUnpacks:           s.TraceUnpacks - base.TraceUnpacks,
-		TraceSharedHits:        s.TraceSharedHits - base.TraceSharedHits,
-		TraceUnpackedLive:      s.TraceUnpackedLive,
-		InteractiveGrants:      s.InteractiveGrants - base.InteractiveGrants,
-		BulkGrants:             s.BulkGrants - base.BulkGrants,
-		DeadlineShed:           s.DeadlineShed - base.DeadlineShed,
+		Simulations:       s.Simulations - base.Simulations,
+		ResultHits:        s.ResultHits - base.ResultHits,
+		ResultMisses:      s.ResultMisses - base.ResultMisses,
+		ProgramHits:       s.ProgramHits - base.ProgramHits,
+		ProgramMisses:     s.ProgramMisses - base.ProgramMisses,
+		StoreHits:         s.StoreHits - base.StoreHits,
+		StoreMisses:       s.StoreMisses - base.StoreMisses,
+		StoreErrors:       s.StoreErrors - base.StoreErrors,
+		CorePoolHits:      s.CorePoolHits - base.CorePoolHits,
+		CorePoolMisses:    s.CorePoolMisses - base.CorePoolMisses,
+		InteractiveGrants: s.InteractiveGrants - base.InteractiveGrants,
+		BulkGrants:        s.BulkGrants - base.BulkGrants,
+		DeadlineShed:      s.DeadlineShed - base.DeadlineShed,
 	}
 }
 
 // Add returns the field-wise sum of two stat snapshots (a hybrid runner
-// aggregating its remote and local halves). High-water marks don't sum
-// meaningfully across runners; the larger one is kept.
+// aggregating its remote and local halves).
 func (s CacheStats) Add(other CacheStats) CacheStats {
 	return CacheStats{
-		Simulations:            s.Simulations + other.Simulations,
-		ResultHits:             s.ResultHits + other.ResultHits,
-		ResultMisses:           s.ResultMisses + other.ResultMisses,
-		TraceHits:              s.TraceHits + other.TraceHits,
-		TraceMisses:            s.TraceMisses + other.TraceMisses,
-		ProgramHits:            s.ProgramHits + other.ProgramHits,
-		ProgramMisses:          s.ProgramMisses + other.ProgramMisses,
-		StoreHits:              s.StoreHits + other.StoreHits,
-		StoreMisses:            s.StoreMisses + other.StoreMisses,
-		StoreErrors:            s.StoreErrors + other.StoreErrors,
-		TraceBytes:             s.TraceBytes + other.TraceBytes,
-		TraceBytesHighWater:    max(s.TraceBytesHighWater, other.TraceBytesHighWater),
-		TraceRawBytes:          s.TraceRawBytes + other.TraceRawBytes,
-		TraceRawBytesHighWater: max(s.TraceRawBytesHighWater, other.TraceRawBytesHighWater),
-		CorePoolHits:           s.CorePoolHits + other.CorePoolHits,
-		CorePoolMisses:         s.CorePoolMisses + other.CorePoolMisses,
-		TraceUnpacks:           s.TraceUnpacks + other.TraceUnpacks,
-		TraceSharedHits:        s.TraceSharedHits + other.TraceSharedHits,
-		TraceUnpackedLive:      s.TraceUnpackedLive + other.TraceUnpackedLive,
-		InteractiveGrants:      s.InteractiveGrants + other.InteractiveGrants,
-		BulkGrants:             s.BulkGrants + other.BulkGrants,
-		DeadlineShed:           s.DeadlineShed + other.DeadlineShed,
+		Simulations:       s.Simulations + other.Simulations,
+		ResultHits:        s.ResultHits + other.ResultHits,
+		ResultMisses:      s.ResultMisses + other.ResultMisses,
+		ProgramHits:       s.ProgramHits + other.ProgramHits,
+		ProgramMisses:     s.ProgramMisses + other.ProgramMisses,
+		StoreHits:         s.StoreHits + other.StoreHits,
+		StoreMisses:       s.StoreMisses + other.StoreMisses,
+		StoreErrors:       s.StoreErrors + other.StoreErrors,
+		CorePoolHits:      s.CorePoolHits + other.CorePoolHits,
+		CorePoolMisses:    s.CorePoolMisses + other.CorePoolMisses,
+		InteractiveGrants: s.InteractiveGrants + other.InteractiveGrants,
+		BulkGrants:        s.BulkGrants + other.BulkGrants,
+		DeadlineShed:      s.DeadlineShed + other.DeadlineShed,
 	}
 }

@@ -91,21 +91,10 @@ func csvName(s string) string {
 // The "store" figure is the persistent result store's share of the
 // whole-result lookups that missed in memory (absent without -cachedir).
 func EngineReport(st engine.CacheStats) string {
-	// The compression ratio is computed from the same high-water figures
-	// it annotates (the current-occupancy ratio reads 0 once the cache
-	// drains or misleads after eviction).
-	ratio := 0.0
-	if st.TraceBytesHighWater > 0 {
-		ratio = float64(st.TraceRawBytesHighWater) / float64(st.TraceBytesHighWater)
-	}
 	s := fmt.Sprintf(
-		"engine: %d simulations, %d result hits, store hits %d/%d, %d/%d trace hits (%.1f MiB gz peak of %.1f MiB raw, %.1fx), %d/%d program hits",
+		"engine: %d simulations, %d result hits, store hits %d/%d, %d/%d program hits",
 		st.Simulations, st.ResultHits,
 		st.StoreHits, st.StoreHits+st.StoreMisses,
-		st.TraceHits, st.TraceHits+st.TraceMisses,
-		float64(st.TraceBytesHighWater)/(1<<20),
-		float64(st.TraceRawBytesHighWater)/(1<<20),
-		ratio,
 		st.ProgramHits, st.ProgramHits+st.ProgramMisses)
 	if st.StoreErrors > 0 {
 		s += fmt.Sprintf(", %d store errors", st.StoreErrors)

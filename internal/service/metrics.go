@@ -90,21 +90,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"clusterd_engine_simulations_total", "Pipeline executions (cache misses all the way down).", "counter", one(eng.Simulations)},
 		{"clusterd_engine_result_hits_total", "Whole-result cache hits.", "counter", one(eng.ResultHits)},
 		{"clusterd_engine_result_misses_total", "Whole-result cache misses.", "counter", one(eng.ResultMisses)},
-		{"clusterd_engine_trace_hits_total", "Expanded-trace cache hits.", "counter", one(eng.TraceHits)},
-		{"clusterd_engine_trace_misses_total", "Expanded-trace cache misses.", "counter", one(eng.TraceMisses)},
 		{"clusterd_engine_program_hits_total", "Annotated-program cache hits.", "counter", one(eng.ProgramHits)},
 		{"clusterd_engine_program_misses_total", "Annotated-program cache misses.", "counter", one(eng.ProgramMisses)},
 		{"clusterd_engine_store_hits_total", "Persistent result-store hits.", "counter", one(eng.StoreHits)},
 		{"clusterd_engine_store_misses_total", "Persistent result-store misses.", "counter", one(eng.StoreMisses)},
 		{"clusterd_engine_store_errors_total", "Undecodable or unencodable result blobs.", "counter", one(eng.StoreErrors)},
-		{"clusterd_engine_trace_cache_bytes", "Compressed expanded-trace cache occupancy.", "gauge", one(eng.TraceBytes)},
-		{"clusterd_engine_trace_cache_bytes_high_water", "Maximum observed trace cache occupancy (compressed).", "gauge", one(eng.TraceBytesHighWater)},
-		{"clusterd_engine_trace_cache_raw_bytes", "Pre-compression size of the cached traces.", "gauge", one(eng.TraceRawBytes)},
 		{"clusterd_engine_core_pool_hits_total", "Simulations served by a pooled core (Reset, no construction).", "counter", one(eng.CorePoolHits)},
 		{"clusterd_engine_core_pool_misses_total", "Simulations that constructed a fresh core.", "counter", one(eng.CorePoolMisses)},
-		{"clusterd_engine_trace_unpacks_total", "Cached-trace decompressions actually performed.", "counter", one(eng.TraceUnpacks)},
-		{"clusterd_engine_trace_shared_hits_total", "Cached-trace hits that shared a live unpacked form instead of decompressing.", "counter", one(eng.TraceSharedHits)},
-		{"clusterd_engine_trace_unpacked_live", "Cached traces currently held in unpacked form by running jobs.", "gauge", one(eng.TraceUnpackedLive)},
 		{"clusterd_submissions_active", "Submissions with jobs still running.", "gauge", one(int64(active))},
 		{"clusterd_submissions_retained", "Completed submissions still queryable.", "gauge", one(int64(retired))},
 		{"clusterd_submissions_swept_total", "Completed submissions evicted by the TTL sweep.", "counter", one(swept)},

@@ -550,9 +550,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"clusterd_submissions_retained 1",
 		"# TYPE clusterd_engine_core_pool_hits_total counter",
 		"clusterd_engine_core_pool_misses_total 1",
-		"# TYPE clusterd_engine_trace_unpacks_total counter",
-		"# TYPE clusterd_engine_trace_shared_hits_total counter",
-		"clusterd_engine_trace_unpacked_live 0",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
