@@ -223,7 +223,7 @@ func NewRemoteRunner(baseURL string, local Runner) (Runner, error) {
 // streams into one exactly-once result stream, and re-shards the jobs of
 // a worker lost mid-stream onto the survivors. A single URL degrades to
 // the plain single-host remote runner. local, when non-nil, handles jobs
-// that cannot travel. For auth, stealing, progress and health-check
+// that cannot travel. For auth, progress, re-admission and health-check
 // options use the clustersim/fleet package directly.
 func NewFleetRunner(urls []string, local Runner) (Runner, error) {
 	if len(urls) == 1 {

@@ -125,7 +125,6 @@ func main() {
 		remote   = flag.String("remote", "", "execute simulations remotely: one clusterd URL, or a comma-separated list to shard across a fleet; jobs that cannot travel run locally")
 		token    = flag.String("token", "", "bearer token for clusterd workers started with -token")
 		compress = flag.Bool("compress", false, "gzip result blobs in the -cachedir store (old uncompressed blobs stay readable)")
-		steal    = flag.Int("steal", 0, "with a multi-worker -remote: let idle workers duplicate up to this many straggler jobs per batch (first result wins)")
 		coordURL = flag.String("coordinator", "", "with a multi-worker -remote: share one membership view with other runners through this clusterd -coordinator URL")
 		readmit  = flag.Duration("readmit", 0, "with a multi-worker -remote: how long a failed worker is routed around before a half-open probe may re-admit it (0 = fleet default, 5s)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (pprof format; profiles are flushed on clean exit)")
@@ -271,9 +270,6 @@ func main() {
 		}
 		if *token != "" {
 			fopts = append(fopts, fleet.WithToken(*token))
-		}
-		if *steal > 0 {
-			fopts = append(fopts, fleet.WithSteal(*steal))
 		}
 		if *progress {
 			fopts = append(fopts, fleet.WithProgress(meter.print))

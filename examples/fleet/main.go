@@ -3,8 +3,8 @@
 // worker — executes it across a whole fleet when handed a fleet runner.
 // Jobs shard by consistent hash of their result content key, so each
 // worker's store stays hot for its key range across runs; a worker
-// killed mid-run is survived by re-sharding its unfinished jobs onto the
-// rest.
+// killed mid-run is survived by re-sharding its unfinished jobs onto
+// their ring successors.
 //
 // With -drain the example then walks a planned scale-down: the last
 // worker's results migrate to its ring successors before it is removed,
@@ -49,10 +49,7 @@ func main() {
 
 	// Health checks run at construction: a dead or unauthorized worker
 	// fails here, naming itself, before any job is submitted.
-	runner, err := fleet.New(urls,
-		fleet.WithLog(log.Printf),
-		fleet.WithSteal(4), // idle workers may duplicate up to 4 stragglers
-	)
+	runner, err := fleet.New(urls, fleet.WithLog(log.Printf))
 	if err != nil {
 		log.Fatalf("fleet unavailable (start workers with: go run ./cmd/clusterd): %v", err)
 	}

@@ -22,15 +22,16 @@
 // Resilience is layered on top of the client's reconnect machinery:
 // every worker is health-checked at construction, and from then on each
 // member carries one circuit (health.go) that this runner keeps to
-// itself. A worker whose transport fails for good mid-stream and whose
-// liveness probe fails too is routed around at once, and its unfinished
-// jobs are re-sharded onto the survivors (each lost job re-runs exactly
-// once — deterministic job failures are never retried); one that still
-// answers but keeps failing is routed around after a few consecutive
-// failures. After the WithReadmit cooldown, a half-open /healthz probe
-// plus one probe shard re-admits it onto its exact old ring points. An
-// optional bounded work-stealing policy lets idle workers duplicate the
-// tail of a straggler's shard, first result wins.
+// itself. A job re-runs in exactly two ways. A worker-loss failure on a
+// member whose circuit stays closed retries on that member, where the
+// job's result will be cached. A worker whose transport fails for good
+// mid-stream and whose liveness probe fails too is routed around at
+// once; its unfinished jobs wait for the round's other shards to finish,
+// then re-shard by the ring onto their ring successors (deterministic
+// job failures are never retried). One that still answers but keeps
+// failing is routed around after a few consecutive failures. After the
+// WithReadmit cooldown, a half-open /healthz probe plus one probe shard
+// re-admits it onto its exact old ring points.
 //
 // Planned membership changes are shared, health is not (see
 // lifecycle.go): Drain migrates a departing worker's key range to its
@@ -79,7 +80,6 @@ type config struct {
 	logf          func(format string, args ...any)
 	token         string
 	maxParallel   int
-	steal         int
 	healthTimeout time.Duration
 	clientOpts    []client.Option
 	runnerOpts    []client.RunnerOption
@@ -106,7 +106,7 @@ func WithProgress(fn func(done, total int, label string)) Option {
 }
 
 // WithLog sets the sink for operational messages — worker loss,
-// re-sharding, work stealing, re-admission, membership transitions. The
+// retries, re-sharding, re-admission, membership transitions. The
 // default discards them.
 func WithLog(fn func(format string, args ...any)) Option {
 	return func(c *config) { c.logf = fn }
@@ -122,15 +122,6 @@ func WithToken(token string) Option {
 // shard submission; each worker clamps it to its own limit.
 func WithBatchParallel(n int) Option {
 	return func(c *config) { c.maxParallel = n }
-}
-
-// WithSteal enables bounded work-stealing of the tail: a worker whose
-// shard has drained may duplicate up to n of the jobs still in flight on
-// other workers (per Stream call), first result wins. Stealing trades
-// duplicate simulation work for tail latency when shards are unevenly
-// expensive; the merged stream stays exactly-once either way.
-func WithSteal(n int) Option {
-	return func(c *config) { c.steal = n }
 }
 
 // WithHealthTimeout bounds the construction-time health check of the
@@ -210,7 +201,6 @@ type Runner struct {
 	fallback engine.Runner
 	progress func(done, total int, label string)
 	logf     func(format string, args ...any)
-	steal    int
 	cooldown time.Duration
 	// maxRetries bounds how often one job may fail with a worker-loss
 	// error before the error is delivered: enough for every member to
@@ -256,7 +246,6 @@ func New(urls []string, opts ...Option) (*Runner, error) {
 		fallback:   cfg.fallback,
 		progress:   cfg.progress,
 		logf:       cfg.logf,
-		steal:      cfg.steal,
 		cooldown:   cfg.cooldown,
 		maxRetries: len(urls) + 2,
 		copts:      cfg.clientOpts,
@@ -433,9 +422,7 @@ func (f *Runner) Stream(ctx context.Context, jobs []engine.Job) <-chan engine.Jo
 		defer close(out)
 		f.syncMembership(ctx)
 
-		// A keyer scoped to this call: engines memoize a fingerprint per
-		// program, and a runner-lifetime memo would keep every program
-		// ever sharded reachable.
+		// keyer only computes result content keys; it runs nothing.
 		keyer := engine.New(engine.Options{Parallelism: 1, DisableCache: true})
 		var tasks []task
 		var localJobs []engine.Job
@@ -502,7 +489,7 @@ func (f *Runner) finish(jr engine.JobResult) engine.JobResult {
 
 // retryable classifies a failed job result: true means the failure looks
 // like worker loss (transport broke and the client's reconnect budget
-// ran out), so the job is safe and worthwhile to re-run on a survivor.
+// ran out), so the job is safe and worthwhile to re-run elsewhere.
 // Failures the server itself reported — protocol refusals (api.Error)
 // and executed-but-failed jobs (client.JobError) — are deterministic and
 // would fail identically anywhere, except not_found: a worker that no
@@ -523,80 +510,20 @@ func retryable(err error) bool {
 	return true
 }
 
-// roundState is the shared bookkeeping of one sharding round: which
-// tasks are still unresolved per member (the steal pool), which were
-// already stolen, how much of the steal budget remains, and the requeue
-// pool — tasks stranded by a lost worker, waiting for any live member
-// to pick them up.
-type roundState struct {
-	mu          sync.Mutex
-	outstanding map[int]map[int]task // member -> task idx -> task
-	stolenFrom  map[int]bool         // task idx -> already duplicated by a thief
-	stealLeft   int
-	requeued    []task // lost workers' unfinished tasks, unowned
-}
-
-// requeue returns a lost worker's task to the pool.
-func (rs *roundState) requeue(t task) {
-	rs.mu.Lock()
-	rs.requeued = append(rs.requeued, t)
-	rs.mu.Unlock()
-}
-
-// takeRequeued hands the caller exclusive ownership of every task
-// currently in the requeue pool.
-func (rs *roundState) takeRequeued() []task {
-	rs.mu.Lock()
-	ts := rs.requeued
-	rs.requeued = nil
-	rs.mu.Unlock()
-	return ts
-}
-
-// resolve removes a task from its owner's outstanding set.
-func (rs *roundState) resolve(m, idx int) {
-	rs.mu.Lock()
-	delete(rs.outstanding[m], idx)
-	rs.mu.Unlock()
-}
-
-// stealFor hands thief tasks still outstanding on other members and not
-// already stolen, up to the entire remaining steal budget — first
-// drained worker takes what it can; the bound is global, not divided
-// per thief.
-func (rs *roundState) stealFor(thief int) []task {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	var got []task
-	for m, ts := range rs.outstanding {
-		if m == thief {
-			continue
-		}
-		for idx, t := range ts {
-			if rs.stealLeft <= 0 {
-				return got
-			}
-			if rs.stolenFrom[idx] {
-				continue
-			}
-			rs.stolenFrom[idx] = true
-			rs.stealLeft--
-			got = append(got, t)
-		}
-	}
-	return got
-}
-
-// runSharded drives the remoteable tasks to completion: shard by ring,
-// stream every shard, deliver each original job index exactly once, and
-// re-shard tasks stranded on lost workers onto the survivors.
-// Termination: every re-queue burns one of its task's bounded retry
-// attempts (tasks that exhaust them deliver their error), so the round
-// loop cannot spin. A round in which no circuit admits work routes
-// nothing and burns nothing: if some member still answers its liveness
-// probe, the round waits out the shortest cooldown and probes again, so
-// a correlated blip is ridden out rather than failing the batch, while
-// a sick fleet still fails its probe shards (burning their retries); if
+// runSharded drives the remoteable tasks to completion in rounds: shard
+// by ring, stream every shard, and deliver each original job index
+// exactly once. A job re-runs in exactly two ways. While its owner's
+// circuit stays closed, a worker-loss failure retries it on that owner
+// (streamTasks); once the circuit opens, it waits for the round's other
+// shards and the next round re-shards it by the ring, which lands it on
+// its ring successor — the worker a later batch will route its key to.
+// Termination: every retry burns one of its task's bounded attempts
+// (tasks that exhaust them deliver their error), so the round loop
+// cannot spin. A round in which no circuit admits work routes nothing
+// and burns nothing: if some member still answers its liveness probe,
+// the round waits out the shortest cooldown and probes again, so a
+// correlated blip is ridden out rather than failing the batch, while a
+// sick fleet still fails its probe shards (burning their retries); if
 // none answers, every pending task fails at once. Each round takes a
 // fresh placement snapshot and asks every circuit afresh, so recovered
 // workers (and workers another runner added through the coordinator)
@@ -604,8 +531,7 @@ func (rs *roundState) stealFor(thief int) []task {
 func (f *Runner) runSharded(ctx context.Context, jobs []engine.Job, tasks []task, out chan<- engine.JobResult) {
 	var mu sync.Mutex
 	delivered := make(map[int]bool, len(tasks))
-	// deliver forwards a result unless the job already produced one (a
-	// stolen duplicate, or a failover racing a slow success) — the
+	// deliver forwards a result unless the job already produced one — the
 	// exactly-once guarantee of the merged stream.
 	deliver := func(jr engine.JobResult) {
 		mu.Lock()
@@ -616,11 +542,6 @@ func (f *Runner) runSharded(ctx context.Context, jobs []engine.Job, tasks []task
 		delivered[jr.Index] = true
 		mu.Unlock()
 		out <- f.finish(jr)
-	}
-	isDelivered := func(idx int) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return delivered[idx]
 	}
 	failAll := func(ts []task, cause error, format string) {
 		for _, t := range ts {
@@ -636,7 +557,6 @@ func (f *Runner) runSharded(ctx context.Context, jobs []engine.Job, tasks []task
 	}
 
 	pending := tasks
-	stealBudget := f.steal // spans rounds: the WithSteal bound is per Stream call
 	for round := 0; len(pending) > 0; round++ {
 		pl := f.placementSnapshot()
 		// This round's routing view. Each circuit is asked once per round,
@@ -677,42 +597,21 @@ func (f *Runner) runSharded(ctx context.Context, jobs []engine.Job, tasks []task
 			f.logf("fleet: retry round %d: re-sharding %d job(s) across %d worker(s)", round, len(pending), len(groups))
 		}
 
-		rs := &roundState{
-			outstanding: make(map[int]map[int]task, len(groups)),
-			stolenFrom:  map[int]bool{},
-			stealLeft:   stealBudget,
-		}
-		for m, ts := range groups {
-			rs.outstanding[m] = make(map[int]task, len(ts))
-			for _, t := range ts {
-				rs.outstanding[m][t.idx] = t
-			}
-		}
-
 		var wg sync.WaitGroup
+		stranded := make([][]task, len(pl.members))
 		for m, ts := range groups {
 			wg.Add(1)
 			go func(m int, ts []task) {
 				defer wg.Done()
-				f.runGroup(ctx, pl, m, ts, jobs, rs, deliver, isDelivered)
+				stranded[m] = f.streamTasks(ctx, pl.members[m], ts, jobs, deliver)
 			}(m, ts)
 		}
 		wg.Wait()
-		stealBudget = rs.stealLeft // whatever this round didn't use carries over
 		for i, m := range pl.members {
 			m.h.unused(grants[i]) // a probe shard canceled before any outcome
 		}
 
-		// Tasks still in the requeue pool had their owner die after every
-		// other member had already drained and exited — the next round
-		// re-shards them. One both requeued and delivered (a thief
-		// finished it first) must not run again.
-		pending = pending[:0]
-		for _, t := range rs.takeRequeued() {
-			if !isDelivered(t.idx) {
-				pending = append(pending, t)
-			}
-		}
+		pending = slices.Concat(stranded...)
 		if len(pending) > 0 {
 			// Between failover rounds, pull the freshest view: a worker
 			// another runner added may take the strays.
@@ -733,92 +632,18 @@ func (f *Runner) retryDelay(pl placement) time.Duration {
 	return max(d, time.Millisecond)
 }
 
-// runGroup streams one member's shard; a task failing with a worker-loss
-// error counts against the member's circuit and returns the task to the
-// round's requeue pool. A member that drains its shard does not idle
-// behind the round barrier: it first adopts requeued tasks from lost
-// workers (so failover overlaps the surviving shards instead of
-// serializing after them), then — if the steal policy is on —
-// duplicates part of the tail still in flight on other members. Stolen
-// attempts never requeue: the owning member remains responsible for
-// each of its tasks, so a failed duplicate is simply dropped.
-func (f *Runner) runGroup(ctx context.Context, pl placement, m int, ts []task, jobs []engine.Job,
-	rs *roundState, deliver func(engine.JobResult), isDelivered func(int) bool) {
-	mem := pl.members[m]
-	if f.streamTasks(ctx, pl, m, ts, jobs, rs, deliver, true) {
-		return // lost mid-shard: its own unfinished tasks are requeued
-	}
-
-	// Adopt work stranded by workers that died while this one ran. The
-	// pool hand-off is exclusive, so adopted tasks run exactly once;
-	// loop, because more strandings can land while an adopted batch runs.
-	for ctx.Err() == nil {
-		adopted := rs.takeRequeued()
-		// A requeued task a thief already finished must not re-run.
-		kept := adopted[:0]
-		for _, t := range adopted {
-			if !isDelivered(t.idx) {
-				kept = append(kept, t)
-			}
-		}
-		if len(kept) == 0 {
-			break
-		}
-		f.logf("fleet: worker %s adopting %d job(s) from lost worker(s)", mem.url, len(kept))
-		if f.streamTasks(ctx, pl, m, kept, jobs, rs, deliver, false) {
-			return // this member died too; its leftovers are back in the pool
-		}
-	}
-
-	if f.steal <= 0 || ctx.Err() != nil || !f.mship.Assignable(mem.url) {
-		return
-	}
-	stolen := rs.stealFor(m)
-	if len(stolen) == 0 {
-		return
-	}
-	f.logf("fleet: worker %s stealing %d straggler job(s)", mem.url, len(stolen))
-	dup := make([]engine.Job, len(stolen))
-	for i, t := range stolen {
-		dup[i] = jobs[t.idx]
-	}
-	probed, alive := false, false
-	for jr := range mem.runner.Stream(ctx, dup) {
-		t := stolen[jr.Index]
-		if err := jr.Result.Err; err != nil && ctx.Err() == nil {
-			// A failed duplicate is always dropped — the owner still
-			// carries the task. Even a "terminal" failure here may be
-			// thief-local state (an evicted blob 404ing the fetch), and
-			// delivering it would preempt the owner's eventual success.
-			if retryable(err) {
-				if !probed {
-					probed, alive = true, probeAlive(mem)
-				}
-				f.failed(mem, err, alive)
-			}
-			continue
-		}
-		f.succeeded(mem)
-		deliver(engine.JobResult{Index: t.idx, Job: jobs[t.idx], Result: jr.Result})
-	}
-}
-
-// streamTasks runs exclusively owned tasks on member m, delivering
-// successes and terminal failures. A worker-loss failure is followed by
-// one liveness probe per batch, which tells the circuit whether the
-// worker is gone (open at once) or merely failing (count toward the
-// trip) — a single dropped connection on a one-shot request (submit,
-// result fetch) must not cost the fleet a healthy worker. While the
-// circuit stays closed, failed tasks retry on the same member, which
-// keeps their keys where their results are cached; once it opens they
-// go back to the round's requeue pool for the survivors. Each task's
-// retries are bounded, so a flapping-but-alive worker cannot loop a job
-// forever. own marks the member's originally sharded tasks, which are
-// tracked in the steal pool and must be resolved out of it. Reports
-// whether the member was found unreachable along the way.
-func (f *Runner) streamTasks(ctx context.Context, pl placement, m int, ts []task, jobs []engine.Job,
-	rs *roundState, deliver func(engine.JobResult), own bool) (lost bool) {
-	mem := pl.members[m]
+// streamTasks runs ts on mem, delivering successes and terminal
+// failures. A worker-loss failure is followed by one liveness probe per
+// batch, which tells the circuit whether the worker is gone (open at
+// once) or merely failing (count toward the trip) — a single dropped
+// connection on a one-shot request (submit, result fetch) must not cost
+// the fleet a healthy worker. While the circuit stays closed, failed
+// tasks retry on the same member, which keeps their keys where their
+// results are cached; once it opens they are returned, stranded, for the
+// next round to re-shard. Each task's retries are bounded, so a
+// flapping-but-alive worker cannot loop a job forever.
+func (f *Runner) streamTasks(ctx context.Context, mem *member, ts []task, jobs []engine.Job,
+	deliver func(engine.JobResult)) (stranded []task) {
 	for len(ts) > 0 {
 		batch := make([]engine.Job, len(ts))
 		for i, t := range ts {
@@ -828,9 +653,6 @@ func (f *Runner) streamTasks(ctx context.Context, pl placement, m int, ts []task
 		probed, alive := false, false // one probe per batch at most
 		for jr := range mem.runner.Stream(ctx, batch) {
 			t := ts[jr.Index]
-			if own {
-				rs.resolve(m, t.idx)
-			}
 			switch err := jr.Result.Err; {
 			case err != nil && ctx.Err() == nil && retryable(err):
 				if !probed {
@@ -855,16 +677,12 @@ func (f *Runner) streamTasks(ctx context.Context, pl placement, m int, ts []task
 			}
 			deliver(engine.JobResult{Index: t.idx, Job: jobs[t.idx], Result: jr.Result})
 		}
-		state, lost, _ := mem.h.status()
-		if state != HealthClosed {
-			for _, t := range again {
-				rs.requeue(t)
-			}
-			return lost
+		if state, _, _ := mem.h.status(); state != HealthClosed {
+			return again
 		}
 		ts = again
 	}
-	return false
+	return nil
 }
 
 // failed feeds a worker-loss failure into mem's circuit and logs what

@@ -399,8 +399,8 @@ func TestFleetCanceledProbeDoesNotWedge(t *testing.T) {
 
 // A runner keeps nothing of the programs it sharded once their stream
 // has drained. The experiment harness regenerates the suite for every
-// experiment, so a runner-lifetime fingerprint memo would keep every
-// program ever sharded reachable.
+// experiment, so a runner-lifetime memo keyed by program would keep
+// every program ever sharded reachable.
 func TestFleetStreamReleasesPrograms(t *testing.T) {
 	w1 := startWorker(t)
 	f, err := fleet.New([]string{w1.ts.URL}, fastClient())
@@ -418,13 +418,7 @@ func TestFleetStreamReleasesPrograms(t *testing.T) {
 		collect(t, f.Stream(context.Background(), jobs), len(jobs))
 		return len(sps)
 	}()
-	// sim.SpecFromJob's identity memo is bounded and drops itself once
-	// full. Feed it fresh programs until it has, so that only the runner
-	// could still hold the sharded ones.
 	for i := 0; i < 100 && freed.Load() < int64(n); i++ {
-		for _, sp := range workload.Suite() {
-			sim.SpecFromJob(engine.Job{Simpoint: sp, Setup: sim.SetupOP(2)})
-		}
 		runtime.GC()
 		time.Sleep(time.Millisecond) // let queued finalizers run
 	}
@@ -565,39 +559,40 @@ func TestFleetConstructionHealthCheck(t *testing.T) {
 	}
 }
 
-// Work stealing: when one worker's event stream straggles, an idle
-// worker duplicates part of its tail; the merged stream still delivers
-// each job exactly once with correct results.
-func TestFleetStealTail(t *testing.T) {
-	w1, w2 := startWorker(t), startWorker(t)
-	w2.streamDelay = 700 * time.Millisecond // worker 2 reports late
-
-	var logMu sync.Mutex
-	var logs []string
-	f, err := fleet.New([]string{w1.ts.URL, w2.ts.URL}, fastClient(),
-		fleet.WithSteal(4),
-		fleet.WithLog(func(format string, args ...any) {
-			logMu.Lock()
-			logs = append(logs, fmt.Sprintf(format, args...))
-			logMu.Unlock()
-		}))
+// A lost worker's jobs re-shard onto their ring successors, not onto
+// whichever survivor drains first: a rerun of the same batch on the same
+// runner (the lost worker's circuit still open) routes every key to the
+// worker that already simulated it, so nothing re-simulates. Both
+// survivors straggle, so the lost worker's jobs are stranded while both
+// shards are still in flight.
+func TestFleetFailoverKeepsRingPlacement(t *testing.T) {
+	ws := []*worker{startWorker(t), startWorker(t), startWorker(t)}
+	ws[0].killOnIndex.Store(1)
+	ws[1].streamDelay = 300 * time.Millisecond
+	ws[2].streamDelay = 300 * time.Millisecond
+	f, err := fleet.New([]string{ws[0].ts.URL, ws[1].ts.URL, ws[2].ts.URL}, fastClient(),
+		fleet.WithReadmit(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sims := func() int64 { return ws[1].eng.Stats().Simulations + ws[2].eng.Stats().Simulations }
 
 	_, _, jobs := suiteJobs(t, 8)
-	got := collect(t, f.Stream(context.Background(), jobs), len(jobs))
-	for idx, jr := range got {
+	for idx, jr := range collect(t, f.Stream(context.Background(), jobs), len(jobs)) {
 		if jr.Result.Err != nil {
-			t.Errorf("job %d failed: %v", idx, jr.Result.Err)
+			t.Fatalf("job %d failed despite failover: %v", idx, jr.Result.Err)
 		}
 	}
-	logMu.Lock()
-	defer logMu.Unlock()
-	if !strings.Contains(strings.Join(logs, "\n"), "stealing") {
-		t.Errorf("straggler tail was never stolen; logs:\n%s", strings.Join(logs, "\n"))
-	}
 	if f.Alive() != 2 {
-		t.Errorf("stealing marked a worker dead: %d alive", f.Alive())
+		t.Fatalf("fleet reports %d workers alive, want 2", f.Alive())
+	}
+	before := sims()
+	for idx, jr := range collect(t, f.Stream(context.Background(), jobs), len(jobs)) {
+		if jr.Result.Err != nil {
+			t.Fatalf("rerun job %d failed: %v", idx, jr.Result.Err)
+		}
+	}
+	if n := sims() - before; n != 0 {
+		t.Errorf("rerun re-simulated %d job(s), want 0: failover placed them off their ring successors", n)
 	}
 }

@@ -270,28 +270,3 @@ func TestRingDrainAndAddMoveOnlyTheirRanges(t *testing.T) {
 		t.Error("newcomer took over no keys")
 	}
 }
-
-// The steal pool hands out at most the configured budget, never
-// duplicates a task, and never steals from the thief itself.
-func TestRoundStateStealBudget(t *testing.T) {
-	rs := &roundState{
-		outstanding: map[int]map[int]task{
-			0: {1: {idx: 1}, 2: {idx: 2}, 3: {idx: 3}},
-			1: {4: {idx: 4}},
-		},
-		stolenFrom: map[int]bool{},
-		stealLeft:  2,
-	}
-	got := rs.stealFor(1)
-	if len(got) != 2 {
-		t.Fatalf("stole %d tasks, want budget of 2", len(got))
-	}
-	for _, tk := range got {
-		if tk.idx == 4 {
-			t.Error("thief stole its own task")
-		}
-	}
-	if more := rs.stealFor(0); len(more) != 0 {
-		t.Errorf("budget exhausted but stealFor handed out %d more", len(more))
-	}
-}

@@ -2,13 +2,16 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
 	"clustersim/internal/partition"
 	"clustersim/internal/pipeline"
 	"clustersim/internal/prog"
+	"clustersim/internal/steer"
 	"clustersim/internal/workload"
 )
 
@@ -127,5 +130,51 @@ func TestProgramCacheBounded(t *testing.T) {
 	}
 	if !bytes.Equal(encode(again), want) {
 		t.Error("evicted program re-annotated differently")
+	}
+}
+
+// The whole-result cache is bounded by entry count: every distinct tweak
+// key a client sends is a new result key, yet the cache never holds more
+// than maxResults of them, and a result evicted on the way re-simulates
+// into byte-identical bytes.
+func TestResultCacheBounded(t *testing.T) {
+	e := New(Options{Parallelism: 2})
+	sp := workload.ByName("gzip-1")
+	job := func(i int) Job {
+		return Job{Simpoint: sp,
+			Setup: Setup{Label: "OP", NumClusters: 2, NewPolicy: func() steer.Policy { return &steer.OP{} }},
+			Opts: RunOptions{NumUops: 200, TweakKey: fmt.Sprintf("noop%d", i),
+				MachineTweak: func(*pipeline.Config) {}}}
+	}
+	encode := func(r *Result) []byte {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		blob, err := EncodeResult(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	ctx := context.Background()
+	want := encode(e.Run(ctx, job(0)))
+	jobs := make([]Job, maxResults+63)
+	for i := range jobs {
+		jobs[i] = job(i + 1)
+	}
+	for jr := range e.Stream(ctx, jobs) {
+		if jr.Result.Err != nil {
+			t.Fatal(jr.Result.Err)
+		}
+	}
+	if n := len(e.results.entries); n > maxResults {
+		t.Fatalf("result cache holds %d entries, bound is %d", n, maxResults)
+	}
+	sims := e.Stats().Simulations
+	if !bytes.Equal(encode(e.Run(ctx, job(0))), want) {
+		t.Error("evicted result re-simulated differently")
+	}
+	if e.Stats().Simulations != sims+1 {
+		t.Error("least recently used result was not evicted")
 	}
 }

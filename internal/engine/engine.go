@@ -3,9 +3,11 @@
 // jobs to. It owns a cancellable worker pool with progress reporting, and
 // two content-keyed single-flight caches: annotated program clones (keyed
 // by simpoint + compiler-pass signature, bounded at maxPrograms entries)
-// and whole Results (keyed by simpoint + configuration + run options). One
-// engine shared across experiments therefore simulates each unique
-// (simpoint, setup, options) combination exactly once per process. Dynamic
+// and whole Results (keyed by simpoint + configuration + run options,
+// bounded at maxResults entries). One engine shared across experiments
+// therefore simulates each unique (simpoint, setup, options) combination
+// once while its result stays among the maxResults most recently used,
+// or in the result store; a full paper regeneration never evicts. Dynamic
 // traces are not cached: each run expands its own, because expansion is
 // deterministic and cheaper than restoring any stored form of the trace.
 //
@@ -191,11 +193,6 @@ type Engine struct {
 	progs   *flightCache[*prog.Program]
 	results *flightCache[*Result]
 
-	// fps memoizes program content hashes per *prog.Program (programs are
-	// immutable once submitted); lifetime is tied to the engine like the
-	// artifact caches.
-	fps sync.Map
-
 	// cores pools idle pipeline cores keyed by their config Shape, bounded
 	// per shape at Parallelism (more can never be in use at once). A sweep
 	// of same-shaped jobs reuses a handful of cores via Reset instead of
@@ -216,6 +213,13 @@ type Engine struct {
 // annotates 1,160 distinct programs, so regeneration never does. At about
 // 22 KiB per annotated clone the bound caps the cache near 45 MiB.
 const maxPrograms = 2048
+
+// maxResults bounds the whole-result cache. The run options (uop count,
+// tweak key) are client-chosen, so every new combination is a new key
+// and the cache must evict; a full `steerbench -exp all` makes 2,920
+// simulations, so regeneration never does. An evicted result is served
+// again from the result store, when one is configured, or re-simulated.
+const maxResults = 8192
 
 // CacheStats is a snapshot of the engine's cache counters.
 type CacheStats struct {
@@ -259,7 +263,7 @@ func New(opts Options) *Engine {
 		opts:    opts,
 		sched:   newScheduler(opts.Parallelism),
 		progs:   newFlightCache[*prog.Program](maxPrograms),
-		results: newFlightCache[*Result](0),
+		results: newFlightCache[*Result](maxResults),
 		cores:   make(map[pipeline.Config][]*pipeline.Core),
 	}
 }
@@ -355,14 +359,9 @@ func (e *Engine) Stream(ctx context.Context, jobs []Job) <-chan JobResult {
 // fingerprint identifies a simpoint's program content across suite
 // reconstructions (workload.Suite synthesizes fresh Program values per
 // call, deterministically, so name + seed + content hash is a stable key
-// that also keeps distinct custom programs from aliasing). The hash is
-// memoized per Program value so resubmissions skip the full-program walk.
+// that also keeps distinct custom programs from aliasing).
 func (e *Engine) fingerprint(sp *workload.Simpoint) string {
-	h, ok := e.fps.Load(sp.Program)
-	if !ok {
-		h, _ = e.fps.LoadOrStore(sp.Program, sp.Program.Fingerprint())
-	}
-	return fmt.Sprintf("%s|s%d|h%016x", sp.Name, sp.Seed, h.(uint64))
+	return fmt.Sprintf("%s|s%d|h%016x", sp.Name, sp.Seed, sp.Program.Fingerprint())
 }
 
 // resultKey returns the whole-result cache key, and whether the job is

@@ -8,14 +8,12 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 
 	"clustersim/internal/engine"
 	"clustersim/internal/sim"
 	"clustersim/internal/stats"
-	"clustersim/internal/store"
 	"clustersim/internal/workload"
 )
 
@@ -32,27 +30,13 @@ type Options struct {
 	Quick bool
 	// Runner is where the experiment's simulations execute: a local
 	// *engine.Engine, a remote client.Runner fanning jobs out to a
-	// clusterd fleet, or any other engine.Runner implementation. Nil
-	// falls back to Engine, and then to a fresh private engine. The
-	// harness itself is execution-agnostic — every run goes through
-	// engine.RunMatrixOn over this runner.
+	// clusterd fleet, or any other engine.Runner implementation. Passing
+	// one engine to several experiments (steerbench -exp all) dedups
+	// identical (simpoint, setup, options) runs across them. Nil means a
+	// fresh private engine per experiment invocation (runs are still
+	// cached within it). The harness itself is execution-agnostic —
+	// every run goes through engine.RunMatrixOn over this runner.
 	Runner engine.Runner
-	// Engine optionally supplies a shared simulation engine. Passing one
-	// engine to several experiments (steerbench -exp all) dedups identical
-	// (simpoint, setup, options) runs across them — each is simulated
-	// exactly once per process. Nil means a fresh private engine per
-	// experiment invocation (runs are still cached within it). Ignored
-	// when Runner is set.
-	Engine *engine.Engine
-	// CacheDir, when non-empty and Engine is nil, backs the private
-	// engine's result cache with a persistent disk store rooted there, so
-	// repeated invocations of the same experiment skip completed
-	// simulations entirely. Ignored when Engine is supplied — configure
-	// the shared engine's ResultStore instead.
-	CacheDir string
-	// CacheMaxBytes bounds the CacheDir store's occupancy (oldest results
-	// collected first); zero means unbounded.
-	CacheMaxBytes int64
 	// Context cancels in-flight experiment runs; nil means Background.
 	Context context.Context
 }
@@ -62,21 +46,7 @@ func (o Options) withDefaults() Options {
 		o.NumUops = 120_000
 	}
 	if o.Runner == nil {
-		if o.Engine == nil {
-			var rs store.Store
-			if o.CacheDir != "" {
-				disk, err := store.OpenDisk(o.CacheDir, o.CacheMaxBytes)
-				if err != nil {
-					// A broken cache dir degrades to an uncached run; the
-					// experiment itself must not fail over it.
-					fmt.Fprintf(os.Stderr, "experiments: result cache disabled: %v\n", err)
-				} else {
-					rs = disk
-				}
-			}
-			o.Engine = engine.New(engine.Options{Parallelism: o.Parallelism, ResultStore: rs})
-		}
-		o.Runner = o.Engine
+		o.Runner = engine.New(engine.Options{Parallelism: o.Parallelism})
 	}
 	if o.Context == nil {
 		o.Context = context.Background()

@@ -24,7 +24,7 @@ func TestExperimentRepeatServedFromDiskStore(t *testing.T) {
 		// A fresh engine per run stands in for a fresh process: nothing
 		// survives in memory, only the disk store.
 		eng := engine.New(engine.Options{ResultStore: disk})
-		r, err := Fig5(Options{NumUops: 6000, Quick: true, Engine: eng})
+		r, err := Fig5(Options{NumUops: 6000, Quick: true, Runner: eng})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,33 +45,5 @@ func TestExperimentRepeatServedFromDiskStore(t *testing.T) {
 	}
 	if st2.Simulations != 0 {
 		t.Errorf("second run still simulated %d jobs", st2.Simulations)
-	}
-}
-
-// The CacheDir option (the -cachedir path: no explicit engine) populates
-// a reusable store and reproduces the identical report.
-func TestOptionsCacheDir(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment repeat; skipped in -short")
-	}
-	dir := t.TempDir()
-	opt := Options{NumUops: 4000, Quick: true, CacheDir: dir}
-	r1, err := Table1(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	disk, err := store.OpenDisk(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := disk.Stats(); st.Entries == 0 {
-		t.Fatalf("CacheDir left the store empty: %+v", st)
-	}
-	r2, err := Table1(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Render() != r2.Render() {
-		t.Error("CacheDir repeat changed the report")
 	}
 }

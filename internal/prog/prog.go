@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"sync/atomic"
 
 	"clustersim/internal/uarch"
 )
@@ -139,14 +140,23 @@ type Program struct {
 	Name string
 	// Blocks holds the basic blocks; Blocks[0] is the entry.
 	Blocks []*Block
+
+	// fp memoizes Fingerprint; 0 means not yet computed.
+	fp atomic.Uint64
 }
 
 // Fingerprint returns a content hash of the program: name, CFG shape and
 // every op's opcode, registers, memory pattern and branch statistics.
 // Compiler annotations are excluded — run paths clear and re-derive them.
 // Programs with equal fingerprints behave identically under expansion and
-// simulation, which is what the engine's caches key on.
+// simulation, which is what the engine's caches key on. The hash is
+// computed once and kept on the program, so resubmissions skip the walk:
+// a program must not change outside its annotations once fingerprinted
+// (Clone it instead; clones start unhashed).
 func (p *Program) Fingerprint() uint64 {
+	if fp := p.fp.Load(); fp != 0 {
+		return fp
+	}
 	h := fnv.New64a()
 	buf := make([]byte, 8)
 	w64 := func(v uint64) {
@@ -173,7 +183,9 @@ func (p *Program) Fingerprint() uint64 {
 			wf(e.Prob)
 		}
 	}
-	return h.Sum64()
+	fp := h.Sum64()
+	p.fp.Store(fp)
+	return fp
 }
 
 // NumStaticOps returns the total static op count.

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"clustersim/internal/engine"
-	"clustersim/internal/prog"
 	"clustersim/internal/workload"
 )
 
@@ -18,8 +17,8 @@ type suiteIdentity struct {
 // simpointIndex memoizes one canonical suite build (name → simpoint):
 // workload.ByName regenerates all ~40 synthetic programs per call, far
 // too heavy for anything that resolves specs per request. Serving stable
-// pointers also keeps the engine's pointer-keyed fingerprint memo hot
-// across submissions instead of missing (and growing) on every batch.
+// programs also lets each one's memoized fingerprint serve every
+// submission instead of rehashing a fresh build per batch.
 // Nothing mutates these simpoints: workload.QuickSuite reweighs its own
 // fresh build, never this one.
 var simpointIndex = sync.OnceValue(func() map[string]*workload.Simpoint {
@@ -36,39 +35,10 @@ var simpointIndex = sync.OnceValue(func() map[string]*workload.Simpoint {
 var suiteIndex = sync.OnceValue(func() map[string]suiteIdentity {
 	idx := map[string]suiteIdentity{}
 	for name, sp := range simpointIndex() {
-		idx[name] = suiteIdentity{seed: sp.Seed, fp: fingerprintOf(sp.Program)}
+		idx[name] = suiteIdentity{seed: sp.Seed, fp: sp.Program.Fingerprint()}
 	}
 	return idx
 })
-
-// fingerprintOf memoizes Program.Fingerprint per program value (programs
-// are immutable once built), so a matrix submitting the same workload
-// under many setups hashes it once, not once per job. The memo is
-// bounded — a caller that resolves fresh program instances per request
-// must not have them pinned for process lifetime — by dropping the whole
-// map when it fills; steady-state workloads re-warm it in one pass.
-func fingerprintOf(p *prog.Program) uint64 {
-	const maxEntries = 512
-	fpMu.Lock()
-	fp, ok := fpMemo[p]
-	fpMu.Unlock()
-	if ok {
-		return fp
-	}
-	fp = p.Fingerprint() // outside the lock: the walk is the expensive part
-	fpMu.Lock()
-	if len(fpMemo) >= maxEntries {
-		fpMemo = make(map[*prog.Program]uint64, maxEntries)
-	}
-	fpMemo[p] = fp
-	fpMu.Unlock()
-	return fp
-}
-
-var (
-	fpMu   sync.Mutex
-	fpMemo = map[*prog.Program]uint64{}
-)
 
 // passEqual compares the cacheable signature of two compiler passes (the
 // same fields engine folds into result keys).
@@ -161,7 +131,7 @@ func SpecFromJob(job engine.Job) (engine.JobSpec, error) {
 	// custom program that happens to share a suite name must be caught
 	// here — by seed and content — or the worker would silently simulate
 	// the wrong program.
-	if suite.seed != job.Simpoint.Seed || suite.fp != fingerprintOf(job.Simpoint.Program) {
+	if suite.seed != job.Simpoint.Seed || suite.fp != job.Simpoint.Program.Fingerprint() {
 		return engine.JobSpec{}, fmt.Errorf("sim: workload %q does not match the suite's definition (custom workloads run locally only)", job.Simpoint.Name)
 	}
 	return engine.JobSpec{

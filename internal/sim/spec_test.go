@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"clustersim/internal/engine"
 	"clustersim/internal/pipeline"
@@ -132,4 +135,26 @@ func differentProgram() *prog.Program {
 	b.Int(uarch.OpAdd, uarch.IntReg(1), uarch.IntReg(0), uarch.IntReg(0))
 	b.Jump(0)
 	return b.MustBuild()
+}
+
+// SpecFromJob keeps nothing of the programs it checks: the experiment
+// harness builds a fresh suite per experiment, and a memo keyed by
+// program would keep each build reachable.
+func TestSpecFromJobReleasesPrograms(t *testing.T) {
+	var freed atomic.Int64
+	n := func() int {
+		sps := workload.QuickSuite()
+		for _, sp := range sps {
+			runtime.SetFinalizer(sp.Program, func(*prog.Program) { freed.Add(1) })
+			SpecFromJob(engine.Job{Simpoint: sp, Setup: SetupOP(2)})
+		}
+		return len(sps)
+	}()
+	for i := 0; i < 50 && freed.Load() < int64(n); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond) // let queued finalizers run
+	}
+	if got := freed.Load(); got != int64(n) {
+		t.Errorf("%d of %d checked programs collectable", got, n)
+	}
 }
