@@ -253,7 +253,10 @@ func RunContext(ctx context.Context, e *Engine, w *Workload, setup Setup, opt Ru
 }
 
 // Workloads returns the full synthetic CPU2000 suite: 26 SPECint and 14
-// SPECfp weighted simulation points.
+// SPECfp weighted simulation points. The suite is generated once per
+// process: every call returns fresh Workload structs, but their Programs
+// are shared and must not be mutated (Clone one to edit it). The same
+// holds for IntWorkloads, FPWorkloads, QuickWorkloads and WorkloadByName.
 func Workloads() []*Workload { return workload.Suite() }
 
 // IntWorkloads returns the SPECint points; FPWorkloads the SPECfp points.

@@ -398,9 +398,11 @@ func TestFleetCanceledProbeDoesNotWedge(t *testing.T) {
 }
 
 // A runner keeps nothing of the programs it sharded once their stream
-// has drained. The experiment harness regenerates the suite for every
-// experiment, so a runner-lifetime memo keyed by program would keep
-// every program ever sharded reachable.
+// has drained. The suite's own programs live for the whole process, but
+// callers may shard programs of their own, so a runner-lifetime memo
+// keyed by program would keep every program ever sharded reachable. The
+// clones share the suite fingerprints (so the jobs still travel) but are
+// fresh pointers only this test holds.
 func TestFleetStreamReleasesPrograms(t *testing.T) {
 	w1 := startWorker(t)
 	f, err := fleet.New([]string{w1.ts.URL}, fastClient())
@@ -412,6 +414,7 @@ func TestFleetStreamReleasesPrograms(t *testing.T) {
 		sps := workload.QuickSuite()
 		jobs := make([]engine.Job, len(sps))
 		for i, sp := range sps {
+			sp.Program = sp.Program.Clone()
 			runtime.SetFinalizer(sp.Program, func(*prog.Program) { freed.Add(1) })
 			jobs[i] = engine.Job{Simpoint: sp, Setup: sim.SetupOP(2), Opts: engine.RunOptions{NumUops: 2000}}
 		}

@@ -244,9 +244,9 @@ func TestHierarchyNextFill(t *testing.T) {
 func TestHierarchyNextFillSeesPrefetchesAboveSweepThreshold(t *testing.T) {
 	h, _ := NewHierarchy(DefaultHierarchyConfig())
 	h.mshrs = append(h.mshrs, mshr{lineAddr: 0x1000, ready: 600})
-	h.prefetches[0x2000] = 550
+	h.addPrefetch(0x2000, 550)
 	for i := 1; i < prefetchSweepAt; i++ {
-		h.prefetches[0x2000+uint64(i)*64] = 900
+		h.addPrefetch(0x2000+uint64(i)*64, 900)
 	}
 	// At the threshold no access sweeps prefetch records, so their
 	// completion is invisible: only the demand fill counts.
@@ -255,12 +255,12 @@ func TestHierarchyNextFillSeesPrefetchesAboveSweepThreshold(t *testing.T) {
 	}
 	// One more record and every access sweeps completed prefetches, so the
 	// 550 completion becomes a change an access can see.
-	h.prefetches[0x9000] = 900
+	h.addPrefetch(0x9000, 900)
 	if got := h.NextFill(500); got != 550 {
 		t.Errorf("NextFill above the sweep threshold = %d, want the prefetch at 550", got)
 	}
 	// Past a due record nobody swept yet, it scans for the next one.
-	h.prefetches[0xa000] = 700
+	h.addPrefetch(0xa000, 700)
 	if got := h.NextFill(550); got != 600 {
 		t.Errorf("NextFill past a due prefetch = %d, want the demand fill 600", got)
 	}

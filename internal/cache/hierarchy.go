@@ -55,21 +55,41 @@ type AccessResult struct {
 // Hierarchy is the shared data-cache hierarchy. It is accessed by all
 // clusters through the unified LSQ, per the paper's design.
 type Hierarchy struct {
-	cfg   HierarchyConfig
-	l1    *Cache
-	l2    *Cache
+	cfg HierarchyConfig
+	l1  *Cache
+	l2  *Cache
+	// mshrs holds the outstanding demand fills ordered by completion
+	// cycle, so expiry drops a prefix and the next fill is the first entry
+	// past the current cycle.
 	mshrs []mshr
-	// prefetches tracks in-flight prefetched lines (separate from demand
-	// MSHRs so prefetching never starves demand misses).
+	// prefetches tracks prefetched lines by completion cycle (separate
+	// from demand MSHRs so prefetching never starves demand misses), and
+	// pfOrder orders the same records by completion cycle for expiry.
+	// pfOrder keeps copies of records since deleted by a demand touch; a
+	// copy whose map entry is gone (or differs) is stale and is dropped
+	// when it surfaces.
 	prefetches map[uint64]int64
+	pfOrder    prefetchHeap
 
 	// Counters.
 	L1Hits, L2Hits, MemAccesses uint64
 	MSHRFullEvents, Prefetches  uint64
 }
 
-// NewHierarchy builds the hierarchy.
+// NewHierarchy builds the hierarchy. Every access must complete in a
+// later cycle than the one that makes it (the core drains each cycle's
+// completions before it issues), so hit latencies must be positive.
 func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
+	switch {
+	case cfg.L1.HitLatency <= 0:
+		return nil, fmt.Errorf("cache: L1.HitLatency %d, want at least 1 cycle", cfg.L1.HitLatency)
+	case cfg.L2.HitLatency <= 0:
+		return nil, fmt.Errorf("cache: L2.HitLatency %d, want at least 1 cycle", cfg.L2.HitLatency)
+	case cfg.MemLatency < 0:
+		return nil, fmt.Errorf("cache: MemLatency %d, want at least 0 cycles", cfg.MemLatency)
+	case cfg.MSHRs < 0:
+		return nil, fmt.Errorf("cache: MSHRs %d, want at least 1 (0 means 16)", cfg.MSHRs)
+	}
 	if cfg.MSHRs == 0 {
 		cfg.MSHRs = 16
 	}
@@ -87,6 +107,84 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	return &Hierarchy{cfg: cfg, l1: l1, l2: l2, prefetches: make(map[uint64]int64)}, nil
 }
 
+// prefetchRec is one prefetch record in completion order.
+type prefetchRec struct {
+	ready int64
+	line  uint64
+}
+
+// prefetchHeap is a binary min-heap of prefetch records by completion
+// cycle (hand-rolled: container/heap boxes every record it moves).
+type prefetchHeap []prefetchRec
+
+func (p *prefetchHeap) push(r prefetchRec) {
+	*p = append(*p, r)
+	q := *p
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if q[parent].ready <= q[i].ready {
+			break
+		}
+		q[parent], q[i] = q[i], q[parent]
+		i = parent
+	}
+}
+
+func (p *prefetchHeap) pop() prefetchRec {
+	q := *p
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	*p = q[:last]
+	p.down(0)
+	return top
+}
+
+// down restores the heap order below i.
+func (p prefetchHeap) down(i int) {
+	for {
+		least := i
+		if l := 2*i + 1; l < len(p) && p[l].ready < p[least].ready {
+			least = l
+		}
+		if r := 2*i + 2; r < len(p) && p[r].ready < p[least].ready {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		p[i], p[least] = p[least], p[i]
+		i = least
+	}
+}
+
+// live reports whether r is still the map's record for its line.
+func (h *Hierarchy) live(r prefetchRec) bool {
+	ready, ok := h.prefetches[r.line]
+	return ok && ready == r.ready
+}
+
+// addPrefetch records a prefetch of line completing at ready. Copies
+// left stale by demand touches are compacted away once they outnumber
+// the live records by a sweep's worth, so the heap stays proportional
+// to the map however rarely a sweep runs.
+func (h *Hierarchy) addPrefetch(line uint64, ready int64) {
+	h.prefetches[line] = ready
+	if len(h.pfOrder) > 2*len(h.prefetches)+prefetchSweepAt {
+		keep := h.pfOrder[:0]
+		for _, r := range h.pfOrder {
+			if h.live(r) {
+				keep = append(keep, r)
+			}
+		}
+		for i := len(keep)/2 - 1; i >= 0; i-- {
+			keep.down(i)
+		}
+		h.pfOrder = keep
+	}
+	h.pfOrder.push(prefetchRec{ready, line})
+}
+
 // L1 exposes the first-level cache (for port reservation by the LSQ).
 func (h *Hierarchy) L1() *Cache { return h.l1 }
 
@@ -94,20 +192,22 @@ func (h *Hierarchy) L1() *Cache { return h.l1 }
 // completed prefetch records.
 const prefetchSweepAt = 64
 
-// expireMSHRs drops completed fills and completed prefetch records (their
-// lines already sit in the caches).
+// expireMSHRs drops completed fills and, while the prefetch table is
+// above its sweep threshold, completed prefetch records (their lines
+// already sit in the caches). Both pop from the front of their
+// completion order; neither walks what is still outstanding.
 func (h *Hierarchy) expireMSHRs(cycle int64) {
-	out := h.mshrs[:0]
-	for _, m := range h.mshrs {
-		if m.ready > cycle {
-			out = append(out, m)
-		}
+	done := 0
+	for done < len(h.mshrs) && h.mshrs[done].ready <= cycle {
+		done++
 	}
-	h.mshrs = out
+	if done > 0 {
+		h.mshrs = append(h.mshrs[:0], h.mshrs[done:]...)
+	}
 	if len(h.prefetches) > prefetchSweepAt {
-		for line, ready := range h.prefetches {
-			if ready <= cycle {
-				delete(h.prefetches, line)
+		for len(h.pfOrder) > 0 && h.pfOrder[0].ready <= cycle {
+			if r := h.pfOrder.pop(); h.live(r) {
+				delete(h.prefetches, r.line)
 			}
 		}
 	}
@@ -149,7 +249,15 @@ func (h *Hierarchy) Access(cycle int64, addr uint64, write bool) (AccessResult, 
 		return AccessResult{}, false
 	}
 	fillReady, level := h.fill(cycle, addr)
-	h.mshrs = append(h.mshrs, mshr{lineAddr: lineAddr, ready: fillReady})
+	// Insert in completion order; fills mostly complete in issue order,
+	// so the walk back from the tail is short.
+	i := len(h.mshrs)
+	h.mshrs = append(h.mshrs, mshr{})
+	for i > 0 && h.mshrs[i-1].ready > fillReady {
+		h.mshrs[i] = h.mshrs[i-1]
+		i--
+	}
+	h.mshrs[i] = mshr{lineAddr: lineAddr, ready: fillReady}
 	h.prefetchAfter(cycle, lineAddr)
 	return AccessResult{Ready: fillReady, Level: level}, true
 }
@@ -195,7 +303,7 @@ func (h *Hierarchy) prefetchAfter(cycle int64, lineAddr uint64) {
 			h.l2.Fill(next)
 		}
 		h.l1.Fill(next)
-		h.prefetches[next] = cycle + lat
+		h.addPrefetch(next, cycle+lat)
 		h.Prefetches++
 	}
 }
@@ -211,24 +319,31 @@ func (h *Hierarchy) prefetchAfter(cycle int64, lineAddr uint64) {
 func (h *Hierarchy) NextFill(after int64) int64 {
 	next := int64(math.MaxInt64)
 	for _, m := range h.mshrs {
-		if m.ready > after && m.ready < next {
+		if m.ready > after {
 			next = m.ready
+			break
 		}
 	}
 	if len(h.prefetches) > prefetchSweepAt {
-		for _, ready := range h.prefetches {
-			if ready > after && ready < next {
-				next = ready
-			}
-		}
+		next = h.nextPrefetch(0, after, next)
 	}
 	return next
 }
 
-// OutstandingMisses returns the live MSHR count (after expiry at cycle).
-func (h *Hierarchy) OutstandingMisses(cycle int64) int {
-	h.expireMSHRs(cycle)
-	return len(h.mshrs)
+// nextPrefetch returns the earliest live record in the pfOrder subtree
+// rooted at i that completes after `after`, or next if none is earlier.
+// A live record past `after` bounds its whole subtree, so the walk visits
+// only the records already due (awaiting the next sweep) or stale, and
+// their children.
+func (h *Hierarchy) nextPrefetch(i int, after, next int64) int64 {
+	if i >= len(h.pfOrder) || h.pfOrder[i].ready >= next {
+		return next
+	}
+	if r := h.pfOrder[i]; r.ready > after && h.live(r) {
+		return r.ready
+	}
+	next = h.nextPrefetch(2*i+1, after, next)
+	return h.nextPrefetch(2*i+2, after, next)
 }
 
 // Reset restores post-construction state (between runs) without
@@ -239,6 +354,7 @@ func (h *Hierarchy) Reset() {
 	h.l2.Reset()
 	h.mshrs = h.mshrs[:0]
 	clear(h.prefetches)
+	h.pfOrder = h.pfOrder[:0]
 	h.L1Hits, h.L2Hits, h.MemAccesses = 0, 0, 0
 	h.MSHRFullEvents, h.Prefetches = 0, 0
 }

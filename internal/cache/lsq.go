@@ -15,12 +15,23 @@ import "fmt"
 type LSQ struct {
 	cap int
 	// buf is a ring holding the live entries in program order (ascending
-	// seq): logical entry i lives at buf[(head+i)&mask]. The ring is sized
-	// once at construction, so allocate/release cycles never allocate.
+	// seq): the entry at absolute position p lives at buf[p&mask], and the
+	// live positions are [head, head+n). The ring is sized once at
+	// construction, so allocate/release cycles never allocate.
 	buf  []lsqEntry
 	mask int
 	head int
 	n    int
+
+	// unknown is a forward-only cursor: every store at a position in
+	// [head, unknown) has a known address, so the oldest store whose
+	// address is still unknown (if any) sits at or after it.
+	unknown int
+	// known counts the live stores with known addresses per hash bucket
+	// of the address. A zero bucket proves no live store has the address;
+	// a non-zero one may be a collision, which only costs a scan.
+	known     []int32
+	knownBits uint
 
 	// ForwardHits counts successful store-to-load forwards.
 	ForwardHits uint64
@@ -39,11 +50,24 @@ func NewLSQ(capacity int) *LSQ {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("cache: LSQ capacity %d", capacity))
 	}
-	size := 1
+	size, bits := 1, uint(0)
 	for size < capacity {
 		size <<= 1
+		bits++
 	}
-	return &LSQ{cap: capacity, buf: make([]lsqEntry, size), mask: size - 1}
+	// Four buckets per slot keeps collisions rare at any store share.
+	bits += 2
+	return &LSQ{
+		cap: capacity, buf: make([]lsqEntry, size), mask: size - 1,
+		known: make([]int32, 1<<bits), knownBits: bits,
+	}
+}
+
+// bucket maps an address to its known-store counter (Fibonacci hashing:
+// the high product bits mix every address bit, so aligned addresses
+// spread evenly).
+func (q *LSQ) bucket(addr uint64) *int32 {
+	return &q.known[(addr*0x9E3779B97F4A7C15)>>(64-q.knownBits)]
 }
 
 // at returns the logical i-th oldest live entry.
@@ -72,8 +96,9 @@ func (q *LSQ) Allocate(seq int64, isStore bool) bool {
 	return true
 }
 
-func (q *LSQ) find(seq int64) *lsqEntry {
-	// Binary search by seq over the logical order.
+// lowerBound returns the logical index of the oldest live entry with a
+// seq at or after the given one (q.n if none).
+func (q *LSQ) lowerBound(seq int64) int {
 	lo, hi := 0, q.n
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -83,8 +108,12 @@ func (q *LSQ) find(seq int64) *lsqEntry {
 			hi = mid
 		}
 	}
-	if lo < q.n && q.at(lo).seq == seq {
-		return q.at(lo)
+	return lo
+}
+
+func (q *LSQ) find(seq int64) *lsqEntry {
+	if i := q.lowerBound(seq); i < q.n && q.at(i).seq == seq {
+		return q.at(i)
 	}
 	return nil
 }
@@ -94,6 +123,12 @@ func (q *LSQ) SetAddress(seq int64, addr uint64) {
 	e := q.find(seq)
 	if e == nil {
 		panic(fmt.Sprintf("cache: SetAddress for unknown LSQ entry %d", seq))
+	}
+	if e.isStore {
+		if e.addrKnown {
+			*q.bucket(e.addr)--
+		}
+		*q.bucket(addr)++
 	}
 	e.addr = addr
 	e.addrKnown = true
@@ -140,32 +175,36 @@ func (s LoadStatus) String() string {
 
 // ProbeLoad evaluates disambiguation for the load with the given seq and
 // address. The youngest older same-address store wins; forwarding counts
-// only when this returns LoadForward.
+// only when this returns LoadForward. The blocked test reads the oldest
+// unknown-address store off the cursor and the no-conflict test reads
+// the address's known-store count, so only a load with a live
+// same-address store (or a bucket collision) scans, and then only
+// backward from itself to the nearest match.
 func (q *LSQ) ProbeLoad(seq int64, addr uint64) LoadStatus {
-	var match *lsqEntry
-	for i := 0; i < q.n; i++ {
-		e := q.at(i)
-		if e.seq >= seq {
+	tail := q.head + q.n
+	for q.unknown < tail {
+		e := &q.buf[q.unknown&q.mask]
+		if e.isStore && !e.addrKnown {
+			if e.seq < seq {
+				return LoadBlocked
+			}
 			break
 		}
-		if !e.isStore {
-			continue
-		}
-		if !e.addrKnown {
-			return LoadBlocked
-		}
-		if e.addr == addr {
-			match = e
-		}
+		q.unknown++
 	}
-	if match == nil {
+	if *q.bucket(addr) == 0 {
 		return LoadAccess
 	}
-	if match.dataReady {
-		q.ForwardHits++
-		return LoadForward
+	for i := q.lowerBound(seq) - 1; i >= 0; i-- {
+		if e := q.at(i); e.isStore && e.addr == addr {
+			if e.dataReady {
+				q.ForwardHits++
+				return LoadForward
+			}
+			return LoadWaitData
+		}
 	}
-	return LoadWaitData
+	return LoadAccess
 }
 
 // Release drops the entry at commit. Entries must be released in program
@@ -174,8 +213,12 @@ func (q *LSQ) Release(seq int64) {
 	if q.n == 0 || q.at(0).seq != seq {
 		panic(fmt.Sprintf("cache: LSQ release out of order: head=%v want %d", q.headSeq(), seq))
 	}
-	q.head = (q.head + 1) & q.mask
+	if e := q.at(0); e.isStore && e.addrKnown {
+		*q.bucket(e.addr)--
+	}
+	q.head++
 	q.n--
+	q.unknown = max(q.unknown, q.head)
 }
 
 func (q *LSQ) headSeq() int64 {
@@ -187,6 +230,7 @@ func (q *LSQ) headSeq() int64 {
 
 // Reset clears all entries (between runs).
 func (q *LSQ) Reset() {
-	q.head, q.n = 0, 0
+	q.head, q.n, q.unknown = 0, 0, 0
+	clear(q.known)
 	q.ForwardHits = 0
 }

@@ -66,8 +66,13 @@ func New(cfg Config) (*Network, error) {
 	if cfg.NumClusters <= 0 {
 		return nil, fmt.Errorf("interconnect: %d clusters", cfg.NumClusters)
 	}
-	if cfg.Latency < 0 || cfg.BandwidthPerLink <= 0 {
-		return nil, fmt.Errorf("interconnect: bad latency/bandwidth %+v", cfg)
+	// A copy must land in a later cycle than the one that sends it: the
+	// core drains each cycle's arrivals before it issues.
+	if cfg.Latency <= 0 {
+		return nil, fmt.Errorf("interconnect: Latency %d, want at least 1 cycle", cfg.Latency)
+	}
+	if cfg.BandwidthPerLink <= 0 {
+		return nil, fmt.Errorf("interconnect: BandwidthPerLink %d, want at least 1", cfg.BandwidthPerLink)
 	}
 	n := cfg.NumClusters
 	return &Network{cfg: cfg, used: make([]int, n*n)}, nil

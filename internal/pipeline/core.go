@@ -53,6 +53,11 @@ type valueState struct {
 	readyMask uint32
 	// allocMask marks clusters where a physical register is held.
 	allocMask uint32
+	// waitMask marks clusters with issue-queue entries waiting on the
+	// value: dispatch sets a bit when it inserts the value's tag unready,
+	// and the wakeup clears it, so a value becoming ready wakes only the
+	// clusters that hold its waiters.
+	waitMask uint32
 	// produced reports execution of the producer has finished.
 	produced bool
 }
@@ -404,6 +409,10 @@ func (c *Core) valueReadyIn(seq int64, ci int) {
 		return
 	}
 	v.readyMask |= bit
+	if v.waitMask&bit == 0 {
+		return
+	}
+	v.waitMask &^= bit
 	cl := c.clusters[ci]
 	cl.IntQ.Wakeup(seq)
 	cl.FPQ.Wakeup(seq)

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -357,4 +358,33 @@ func TestGShareLearnsPeriodicPattern(t *testing.T) {
 	if acc := float64(correct) / float64(total); acc < 0.9 {
 		t.Errorf("gshare accuracy on periodic pattern = %.3f, want > 0.9", acc)
 	}
+}
+
+// A latency that lets an event fall due in the cycle that schedules it
+// would deadlock the core (the cycle's drain has already run), and a
+// negative MSHR count leaves no L1 miss an MSHR. Construction rejects
+// each, naming the field.
+func TestNewCoreRejectsDeadlockingLatencies(t *testing.T) {
+	tr := trace.Expand(chainProgram(), trace.Options{NumUops: 100, Seed: 1})
+	for _, tc := range []struct {
+		field string
+		tweak func(*Config)
+	}{
+		{"interconnect: Latency", func(c *Config) { c.Net.Latency = 0 }},
+		{"L1.HitLatency", func(c *Config) { c.Mem.L1.HitLatency = 0 }},
+		{"L2.HitLatency", func(c *Config) { c.Mem.L2.HitLatency = -1 }},
+		{"MemLatency", func(c *Config) { c.Mem.MemLatency = -1 }},
+		{"MSHRs", func(c *Config) { c.Mem.MSHRs = -1 }},
+	} {
+		cfg := cfgN(2)
+		tc.tweak(&cfg)
+		_, err := NewCore(cfg, &steer.OP{}, tr)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: NewCore error = %v, want one naming the field", tc.field, err)
+		}
+	}
+	// The smallest legal latencies still run to completion.
+	cfg := cfgN(2)
+	cfg.Mem.L1.HitLatency, cfg.Mem.L2.HitLatency, cfg.Mem.MemLatency = 1, 1, 0
+	run(t, cfg, &steer.OP{}, trace.Expand(memProgram(4<<10), trace.Options{NumUops: 2000, Seed: 1}))
 }

@@ -250,10 +250,10 @@ func (c *Core) schedule(cycle int64, ev event) {
 	c.evStats.scheduled++
 	d := cycle - c.cycle
 	if d <= 0 {
-		// An event due the current cycle arrives after this cycle's drain
-		// already ran (only possible with zero-latency configurations); the
-		// old per-cycle map never processed such events either.
-		return
+		// This cycle's drain already ran, so the event would never fire.
+		// Construction rejects every zero latency, so only a bug gets here.
+		panic(fmt.Sprintf("pipeline: event %v for seq %d scheduled at cycle %d, not after the current cycle %d",
+			ev.kind, ev.seq, cycle, c.cycle))
 	}
 	if d > c.wheelMask {
 		if c.evOverflow == nil {
@@ -625,6 +625,7 @@ func (c *Core) tryDispatch(slot *fetchSlot) StallReason {
 		tags := c.copyTags[:0]
 		if !c.valueIsReadyIn(pc.vseq, pc.home) {
 			tags = append(tags, pc.vseq)
+			v.waitMask |= 1 << uint(pc.home)
 		}
 		if !c.clusters[pc.home].CopyQ.Insert(pc.vseq, ci, tags) {
 			panic("pipeline: copy queue insert failed after capacity check")
@@ -653,6 +654,7 @@ func (c *Core) tryDispatch(slot *fetchSlot) StallReason {
 		if c.valueIsReadyIn(vseqs[i], ci) {
 			continue
 		}
+		c.value(vseqs[i]).waitMask |= 1 << uint(ci)
 		dup := false
 		for _, t := range unready {
 			if t == vseqs[i] {

@@ -14,28 +14,12 @@ type suiteIdentity struct {
 	fp   uint64
 }
 
-// simpointIndex memoizes one canonical suite build (name → simpoint):
-// workload.ByName regenerates all ~40 synthetic programs per call, far
-// too heavy for anything that resolves specs per request. Serving stable
-// programs also lets each one's memoized fingerprint serve every
-// submission instead of rehashing a fresh build per batch.
-// Nothing mutates these simpoints: workload.QuickSuite reweighs its own
-// fresh build, never this one.
-var simpointIndex = sync.OnceValue(func() map[string]*workload.Simpoint {
-	idx := map[string]*workload.Simpoint{}
-	for _, sp := range workload.Suite() {
-		idx[sp.Name] = sp
-	}
-	return idx
-})
-
 // suiteIndex memoizes the suite's (name → seed, program fingerprint)
-// map for SpecFromJob's identity checks, derived from the same canonical
-// build simpointIndex holds.
+// map for SpecFromJob's identity checks.
 var suiteIndex = sync.OnceValue(func() map[string]suiteIdentity {
 	idx := map[string]suiteIdentity{}
-	for name, sp := range simpointIndex() {
-		idx[name] = suiteIdentity{seed: sp.Seed, fp: sp.Program.Fingerprint()}
+	for _, sp := range workload.Suite() {
+		idx[sp.Name] = suiteIdentity{seed: sp.Seed, fp: sp.Program.Fingerprint()}
 	}
 	return idx
 })
@@ -146,7 +130,7 @@ func SpecFromJob(job engine.Job) (engine.JobSpec, error) {
 // shipped — they are rebuilt deterministically from the suite tables) and
 // the setup kind is mapped to its constructor.
 func JobFromSpec(spec engine.JobSpec) (engine.Job, error) {
-	sp := simpointIndex()[spec.Simpoint]
+	sp := workload.ByName(spec.Simpoint)
 	if sp == nil {
 		return engine.Job{}, fmt.Errorf("sim: unknown simpoint %q", spec.Simpoint)
 	}

@@ -137,16 +137,21 @@ func differentProgram() *prog.Program {
 	return b.MustBuild()
 }
 
-// SpecFromJob keeps nothing of the programs it checks: the experiment
-// harness builds a fresh suite per experiment, and a memo keyed by
-// program would keep each build reachable.
+// SpecFromJob keeps nothing of the programs it checks: the suite's own
+// programs live for the whole process, but a custom workload's program
+// is the caller's, and a memo keyed by program would keep every one ever
+// checked reachable. Clones share the suite fingerprint (so the identity
+// check passes) but are fresh pointers only this test holds.
 func TestSpecFromJobReleasesPrograms(t *testing.T) {
 	var freed atomic.Int64
 	n := func() int {
 		sps := workload.QuickSuite()
 		for _, sp := range sps {
+			sp.Program = sp.Program.Clone()
 			runtime.SetFinalizer(sp.Program, func(*prog.Program) { freed.Add(1) })
-			SpecFromJob(engine.Job{Simpoint: sp, Setup: SetupOP(2)})
+			if _, err := SpecFromJob(engine.Job{Simpoint: sp, Setup: SetupOP(2)}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return len(sps)
 	}()

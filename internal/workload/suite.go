@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"hash/fnv"
+	"sync"
 
 	"clustersim/internal/prog"
 )
@@ -59,54 +60,80 @@ func buildSimpoints(spec Spec) []*Simpoint {
 	return out
 }
 
-// IntSuite returns the 26 SPECint simulation points of Figure 5(a).
-func IntSuite() []*Simpoint {
+// suite is the one build of every simulation point per process (INT then
+// FP, in table order), with a name index. Generating all 40 programs
+// costs milliseconds and megabytes, and nothing mutates a generated
+// program (the engine annotates clones), so every accessor shares these
+// programs and hands out fresh Simpoint structs over them.
+var suite = sync.OnceValues(func() ([]*Simpoint, map[string]*Simpoint) {
+	var all []*Simpoint
+	for _, spec := range append(specint2000(), specfp2000()...) {
+		all = append(all, buildSimpoints(spec)...)
+	}
+	byName := make(map[string]*Simpoint, len(all))
+	for _, sp := range all {
+		byName[sp.Name] = sp
+	}
+	return all, byName
+})
+
+// members returns fresh copies of the built simpoints keep accepts.
+func members(keep func(*Simpoint) bool) []*Simpoint {
+	all, _ := suite()
 	var out []*Simpoint
-	for _, spec := range specint2000() {
-		out = append(out, buildSimpoints(spec)...)
+	for _, sp := range all {
+		if keep(sp) {
+			cp := *sp
+			out = append(out, &cp)
+		}
 	}
 	return out
+}
+
+// IntSuite returns the 26 SPECint simulation points of Figure 5(a).
+func IntSuite() []*Simpoint {
+	return members(func(sp *Simpoint) bool { return !sp.FP })
 }
 
 // FPSuite returns the 14 SPECfp simulation points of Figure 5(b).
 func FPSuite() []*Simpoint {
-	var out []*Simpoint
-	for _, spec := range specfp2000() {
-		out = append(out, buildSimpoints(spec)...)
-	}
-	return out
+	return members(func(sp *Simpoint) bool { return sp.FP })
 }
 
-// Suite returns the full CPU2000 suite (INT then FP).
+// Suite returns the full CPU2000 suite (INT then FP). Each call returns
+// fresh Simpoint structs, so a caller may reweigh its own; the Programs
+// are shared by every call and must not be mutated (annotate a Clone).
 func Suite() []*Simpoint {
-	return append(IntSuite(), FPSuite()...)
+	return members(func(*Simpoint) bool { return true })
+}
+
+// quickPicks names one representative per distinct behaviour class.
+var quickPicks = map[string]bool{
+	"gzip-1": true, "gcc-1": true, "mcf": true, "crafty": true,
+	"swim": true, "galgel": true, "art-1": true, "ammp": true,
 }
 
 // QuickSuite returns a reduced suite (one representative per distinct
-// behaviour class) for tests, examples and smoke runs.
+// behaviour class) for tests, examples and smoke runs, each weighted 1.
+// Like Suite, it returns fresh structs over shared programs.
 func QuickSuite() []*Simpoint {
-	picks := map[string]bool{
-		"gzip-1": true, "gcc-1": true, "mcf": true, "crafty": true,
-		"swim": true, "galgel": true, "art-1": true, "ammp": true,
-	}
-	var out []*Simpoint
-	for _, sp := range Suite() {
-		if picks[sp.Name] {
-			sp.Weight = 1
-			out = append(out, sp)
-		}
+	out := members(func(sp *Simpoint) bool { return quickPicks[sp.Name] })
+	for _, sp := range out {
+		sp.Weight = 1
 	}
 	return out
 }
 
-// ByName returns the simpoint with the given name, or nil.
+// ByName returns a fresh copy of the simpoint with the given name, or
+// nil. Its Program is shared, as in Suite.
 func ByName(name string) *Simpoint {
-	for _, sp := range Suite() {
-		if sp.Name == name {
-			return sp
-		}
+	_, byName := suite()
+	sp, ok := byName[name]
+	if !ok {
+		return nil
 	}
-	return nil
+	cp := *sp
+	return &cp
 }
 
 // SpecByName returns the benchmark spec with the given name; it panics for

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"clustersim/internal/prog"
@@ -173,6 +174,53 @@ func TestQuickSuite(t *testing.T) {
 	for _, sp := range qs {
 		if sp.Weight != 1 {
 			t.Errorf("%s: quick weight %g, want 1", sp.Name, sp.Weight)
+		}
+	}
+}
+
+// The suite is built once per process: callers on any goroutine share
+// its programs, but every call returns Simpoint structs of its own, so
+// one caller reweighing (as QuickSuite does) never shows in another's.
+func TestSuiteSharedAcrossGoroutines(t *testing.T) {
+	const callers = 9
+	got := make([][]*Simpoint, callers)
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var sps []*Simpoint
+			switch g % 3 {
+			case 0:
+				sps = Suite()
+			case 1:
+				sps = QuickSuite()
+			default:
+				sps = []*Simpoint{ByName("gzip-2"), ByName("swim")}
+			}
+			for _, sp := range sps {
+				sp.Program.Fingerprint()
+				sp.Weight = -1
+			}
+			got[g] = sps
+		}(g)
+	}
+	wg.Wait()
+	programs := map[string]*prog.Program{}
+	for _, sp := range Suite() {
+		if sp.Weight <= 0 {
+			t.Errorf("%s: weight %g leaked from another caller's struct", sp.Name, sp.Weight)
+		}
+		programs[sp.Name] = sp.Program
+	}
+	if w := ByName("gzip-1").Weight; w == 1 {
+		t.Error("QuickSuite's unit weight leaked into ByName's gzip-1")
+	}
+	for g, sps := range got {
+		for _, sp := range sps {
+			if sp.Program != programs[sp.Name] {
+				t.Errorf("caller %d: %s program is not the shared build", g, sp.Name)
+			}
 		}
 	}
 }
