@@ -169,13 +169,16 @@ func benchTrace(b *testing.B, name string, uops int) *trace.Trace {
 // BenchmarkCoreHotLoop is the regression-gated microbenchmark of the
 // pipeline's cycle loop: one full 10k-uop simulation per iteration under
 // each steering policy family, reporting simulated uops per second and
-// allocations per simulated uop (windowed core state and the event wheel
-// keep the steady-state loop allocation-free; what remains is core
-// construction amortized over the trace). The crafty cases time the busy
-// loop; OP-mcf times a memory-bound simpoint whose cycles are mostly idle,
-// so it guards the idle-cycle fast-forward. CI runs this bench, converts
-// the output to BENCH_6.json via cmd/benchjson, and fails on throughput or
-// allocation regressions against the committed baseline.
+// allocations per simulated uop. Each case builds and warms one core and
+// Resets it before every iteration, as the engine's core pool does, so
+// the numbers cover only the pooled steady-state loop (windowed core
+// state, the event wheel and values' waiter lists keep it allocation-free;
+// what remains is the per-run policy and detached metrics).
+// CoreConstruction gates construction separately. The crafty cases time
+// the busy loop; OP-mcf times a memory-bound simpoint whose cycles are
+// mostly idle, so it guards the idle-cycle fast-forward. CI runs this
+// bench, converts the output to BENCH_6.json via cmd/benchjson, and fails
+// on throughput or allocation regressions against the committed baseline.
 func BenchmarkCoreHotLoop(b *testing.B) {
 	// Each policy runs on a trace annotated by its own compiler pass (a
 	// Static policy over VC annotations would degenerate to one cluster).
@@ -197,14 +200,21 @@ func BenchmarkCoreHotLoop(b *testing.B) {
 			p := sp.Program.Clone()
 			bc.annotate(p, partition.Options{NumVC: 2, NumClusters: 2})
 			tr := trace.Expand(p, trace.Options{NumUops: 10_000, Seed: sp.Seed})
+			cfg := pipeline.DefaultConfig(2)
+			core, err := pipeline.NewCore(cfg, bc.make(), tr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := core.Run(); err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				core, err := pipeline.NewCore(pipeline.DefaultConfig(2), bc.make(), tr)
-				if err != nil {
+				if err := core.Reset(cfg, bc.make(), tr); err != nil {
 					b.Fatal(err)
 				}
 				if _, err := core.Run(); err != nil {

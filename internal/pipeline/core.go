@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 
 	"clustersim/internal/cache"
 	"clustersim/internal/cluster"
@@ -37,10 +38,11 @@ type uopState struct {
 	srcValues [2]int64
 }
 
-// valueState tracks one produced register value across clusters. Values
+// valueState tracks one produced register value across clusters, and the
+// issue-queue entries parked on it until it arrives in theirs. Values
 // normally live in a ring window indexed by seq; the rare value that
 // outlives the window (a register not overwritten for a whole window of
-// dispatches) is evicted to an overflow map.
+// dispatches) is evicted to an overflow map, waiters and all.
 type valueState struct {
 	seq  int64
 	reg  uarch.Reg
@@ -53,13 +55,20 @@ type valueState struct {
 	readyMask uint32
 	// allocMask marks clusters where a physical register is held.
 	allocMask uint32
-	// waitMask marks clusters with issue-queue entries waiting on the
-	// value: dispatch sets a bit when it inserts the value's tag unready,
-	// and the wakeup clears it, so a value becoming ready wakes only the
-	// clusters that hold its waiters.
-	waitMask uint32
 	// produced reports execution of the producer has finished.
 	produced bool
+	// waiters are the entries parked on the value in clusters where it is
+	// not readable yet; valueReadyIn wakes and unlinks a cluster's share.
+	// A ring slot keeps its backing array from one value to the next.
+	waiters []waiter
+}
+
+// waiter is an issue-queue entry waiting for a value to arrive in cluster
+// ci: a consumer in its own cluster, or a copy in the value's home.
+type waiter struct {
+	e  *cluster.Entry
+	q  *cluster.IQ
+	ci int
 }
 
 // event is a scheduled micro-architectural occurrence.
@@ -175,11 +184,9 @@ type Core struct {
 	evOverflowLen int
 	evStats       eventWheelStats
 
-	// planCopies, unready and copyTags are dispatch-stage scratch buffers,
-	// reused across cycles so steering/dispatch never allocates.
+	// planCopies is a dispatch-stage scratch buffer, reused across cycles
+	// so steering/dispatch never allocates.
 	planCopies []plannedCopy
-	unready    []int64
-	copyTags   []int64
 
 	// copyInserted records copy-queue insertion cycles for the optional
 	// copy-latency histogram (nil unless TrackHistograms).
@@ -227,6 +234,11 @@ var maxWheelHorizon = 4096
 // a variable only so tests can run the cycle-by-cycle reference of the
 // same machine; simulation code treats it as a constant.
 var idleSkip = true
+
+// checkInvariants makes issue verify the dataflow-readiness rule (see
+// checkIssue). It is a variable only so tests can switch the check on;
+// simulation code treats it as a constant.
+var checkInvariants = false
 
 // wheelHorizon sizes the event wheel to cover every latency the machine
 // can schedule in one hop — the memory hierarchy's worst case (L2 miss to
@@ -293,6 +305,13 @@ func NewCore(cfg Config, pol steer.Policy, tr *trace.Trace) (*Core, error) {
 	for i := range c.wheel {
 		c.wheel[i] = backing[i*slotSeedCap : i*slotSeedCap : (i+1)*slotSeedCap]
 	}
+	// Likewise seed every value slot's waiter list: few values have more
+	// than four entries parked on them at once.
+	const waiterSeedCap = 4
+	waiters := make([]waiter, waiterSeedCap*len(c.values))
+	for i := range c.values {
+		c.values[i].waiters = waiters[i*waiterSeedCap : i*waiterSeedCap : (i+1)*waiterSeedCap]
+	}
 	for i := 0; i < cfg.NumClusters; i++ {
 		c.clusters = append(c.clusters, cluster.New(i, cfg.Cluster))
 	}
@@ -348,7 +367,9 @@ func (c *Core) value(seq int64) *valueState {
 
 // newValue claims the window slot for seq. A slot still occupied by a live
 // out-of-window value (its register was not overwritten for a whole window
-// of dispatches) evicts that value to the overflow map first.
+// of dispatches) evicts that value to the overflow map first; the evicted
+// copy takes its waiters in an array of its own, so the slot's array is
+// free for the new value.
 func (c *Core) newValue(seq int64, reg uarch.Reg, home int) *valueState {
 	v := &c.values[seq&c.valMask]
 	if v.live {
@@ -356,11 +377,13 @@ func (c *Core) newValue(seq int64, reg uarch.Reg, home int) *valueState {
 			c.valOverflow = make(map[int64]*valueState)
 		}
 		old := *v
+		old.waiters = slices.Clone(old.waiters)
 		c.valOverflow[old.seq] = &old
 	}
 	*v = valueState{
 		seq: seq, reg: reg, home: home, live: true,
 		locMask: 1 << uint(home), allocMask: 1 << uint(home),
+		waiters: v.waiters[:0],
 	}
 	return v
 }
@@ -398,7 +421,8 @@ func (s steerCtx) ValueClusters(r uarch.Reg) uint32 {
 
 // --- value helpers ---------------------------------------------------------
 
-// valueReadyIn marks value seq readable in cluster ci and wakes its waiters.
+// valueReadyIn marks value seq readable in cluster ci, and wakes and
+// unlinks the entries parked on it there.
 func (c *Core) valueReadyIn(seq int64, ci int) {
 	v := c.value(seq)
 	if v == nil {
@@ -409,14 +433,15 @@ func (c *Core) valueReadyIn(seq int64, ci int) {
 		return
 	}
 	v.readyMask |= bit
-	if v.waitMask&bit == 0 {
-		return
+	rest := v.waiters[:0]
+	for _, w := range v.waiters {
+		if w.ci == ci {
+			w.q.Wake(w.e)
+		} else {
+			rest = append(rest, w)
+		}
 	}
-	v.waitMask &^= bit
-	cl := c.clusters[ci]
-	cl.IntQ.Wakeup(seq)
-	cl.FPQ.Wakeup(seq)
-	cl.CopyQ.Wakeup(seq)
+	v.waiters = rest
 }
 
 // valueIsReadyIn reports whether the operand value is readable in cluster ci.
@@ -498,7 +523,7 @@ func (c *Core) Reset(cfg Config, pol steer.Policy, tr *trace.Trace) error {
 		c.regVal[r] = initialValue
 	}
 	for i := range c.values {
-		c.values[i] = valueState{}
+		c.values[i] = valueState{waiters: c.values[i].waiters[:0]}
 	}
 	clear(c.valOverflow)
 
@@ -518,8 +543,6 @@ func (c *Core) Reset(cfg Config, pol steer.Policy, tr *trace.Trace) error {
 	c.evStats = eventWheelStats{}
 
 	c.planCopies = c.planCopies[:0]
-	c.unready = c.unready[:0]
-	c.copyTags = c.copyTags[:0]
 
 	c.progress, c.retries = 0, 0
 	c.cycleStall = StallNone

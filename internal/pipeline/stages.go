@@ -452,7 +452,11 @@ func (c *Core) issue() {
 				return cl.DividerFree(st.u.Static.Opcode, c.cycle)
 			})
 			for _, e := range picked {
-				c.startExec(c.uop(e.Seq), cl)
+				st := c.uop(e.Seq)
+				if checkInvariants {
+					c.checkIssue(st)
+				}
+				c.startExec(st, cl)
 			}
 		}
 		// Copies: one per cycle, gated on link bandwidth. The reservation
@@ -462,10 +466,29 @@ func (c *Core) issue() {
 			if !ok {
 				return false
 			}
+			if checkInvariants && !c.valueIsReadyIn(e.Seq, cl.ID) {
+				panic(fmt.Sprintf("pipeline: copy of value %d issued in cluster %d before the value was ready there at cycle %d",
+					e.Seq, cl.ID, c.cycle))
+			}
 			c.schedule(arr, event{evCopyArrive, e.Seq, e.Aux})
 			c.progress++
 			return true
 		})
+	}
+}
+
+// checkIssue enforces the dataflow-readiness rule for an issuing micro-op:
+// every operand it waited on is readable in its cluster. A store's data
+// operand is exempt, since the store-data half completes after issue.
+func (c *Core) checkIssue(st *uopState) {
+	for i, vseq := range st.srcValues {
+		if i == 0 && st.u.Static.Opcode == uarch.OpStore {
+			continue
+		}
+		if !c.valueIsReadyIn(vseq, st.cluster) {
+			panic(fmt.Sprintf("pipeline: seq %d issued in cluster %d before operand value %d arrived there at cycle %d",
+				st.seq, st.cluster, vseq, c.cycle))
+		}
 	}
 }
 
@@ -553,7 +576,6 @@ func (c *Core) tryDispatch(slot *fetchSlot) StallReason {
 	// Plan operand copies: a source value not present (nor en route) in the
 	// target cluster needs an explicit copy micro-op in its home cluster.
 	copies := c.planCopies[:0]
-	unready := c.unready[:0]
 	needRegInt, needRegFP := 0, 0
 	if u.Static.Dst != uarch.RegNone {
 		if u.Static.Dst.IsFP() {
@@ -618,19 +640,23 @@ func (c *Core) tryDispatch(slot *fetchSlot) StallReason {
 		return StallRegs
 	}
 
-	// All resources available: perform the dispatch.
+	// All resources available: perform the dispatch. Each new entry parks
+	// on the values it waits for; their arrival wakes it.
 	seq := slot.seq
 	for _, pc := range copies {
 		v := c.value(pc.vseq)
-		tags := c.copyTags[:0]
-		if !c.valueIsReadyIn(pc.vseq, pc.home) {
-			tags = append(tags, pc.vseq)
-			v.waitMask |= 1 << uint(pc.home)
+		q := c.clusters[pc.home].CopyQ
+		pending := 0
+		if v.readyMask&(1<<uint(pc.home)) == 0 {
+			pending = 1
 		}
-		if !c.clusters[pc.home].CopyQ.Insert(pc.vseq, ci, tags) {
+		e := q.Insert(pc.vseq, ci, pending)
+		if e == nil {
 			panic("pipeline: copy queue insert failed after capacity check")
 		}
-		c.copyTags = tags[:0]
+		if pending > 0 {
+			v.waiters = append(v.waiters, waiter{e, q, pc.home})
+		}
 		v.locMask |= 1 << uint(ci)
 		v.allocMask |= 1 << uint(ci)
 		cl.AllocReg(pc.reg)
@@ -640,38 +666,34 @@ func (c *Core) tryDispatch(slot *fetchSlot) StallReason {
 			c.copyInserted[copyKey{pc.vseq, ci}] = c.cycle
 		}
 	}
+	// The entry waits for each distinct operand value not yet readable in
+	// its cluster. A split store's entry waits only for the address operand
+	// (Src2); the data half completes separately after issue, as real
+	// STA/STD micro-op pairs do.
 	isStore := u.Static.Opcode == uarch.OpStore
-	for i, src := range srcs {
-		if src == uarch.RegNone || vseqs[i] == initialValue {
+	var waits [2]*valueState
+	pending := 0
+	for i, vseq := range vseqs {
+		if vseq == initialValue || (isStore && i == 0) {
 			continue
 		}
-		// Split store: the IQ entry waits only for the address operand
-		// (Src2); the data half completes separately after issue, as real
-		// STA/STD micro-op pairs do.
-		if isStore && i == 0 {
+		v := c.value(vseq)
+		if v == nil || v.readyMask&(1<<uint(ci)) != 0 || (pending > 0 && waits[0] == v) {
 			continue
 		}
-		if c.valueIsReadyIn(vseqs[i], ci) {
-			continue
-		}
-		c.value(vseqs[i]).waitMask |= 1 << uint(ci)
-		dup := false
-		for _, t := range unready {
-			if t == vseqs[i] {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			unready = append(unready, vseqs[i])
-		}
+		waits[pending] = v
+		pending++
 	}
-	c.unready = unready[:0]
-	if !cl.QueueFor(class).Insert(seq, 0, unready) {
+	q := cl.QueueFor(class)
+	e := q.Insert(seq, 0, pending)
+	if e == nil {
 		panic("pipeline: IQ insert failed after capacity check")
 	}
+	for _, v := range waits[:pending] {
+		v.waiters = append(v.waiters, waiter{e, q, ci})
+	}
 	if u.IsMem() {
-		if !c.lsq.Allocate(seq, u.Static.Opcode == uarch.OpStore) {
+		if !c.lsq.Allocate(seq, isStore) {
 			panic("pipeline: LSQ allocate failed after capacity check")
 		}
 	}
