@@ -26,11 +26,10 @@ import (
 // without one they fail with the conversion error. Safe for concurrent
 // use.
 type Runner struct {
-	c           *Client
-	local       engine.Runner
-	progress    func(done, total int, label string)
-	maxParallel int
-	tracer      *obs.Tracer
+	c        *Client
+	local    engine.Runner
+	progress func(done, total int, label string)
+	tracer   *obs.Tracer
 
 	submitted, completed atomic.Int64
 
@@ -66,14 +65,6 @@ func WithFallback(local engine.Runner) RunnerOption {
 // It may be called concurrently.
 func WithProgress(fn func(done, total int, label string)) RunnerOption {
 	return func(r *Runner) { r.progress = fn }
-}
-
-// WithBatchParallel forwards a per-batch parallelism hint with every
-// submission this runner makes: the server caps how many of its workers
-// the batch occupies at once (clamped to the server's own limit). Useful
-// when several runners share one worker and none should monopolize it.
-func WithBatchParallel(n int) RunnerOption {
-	return func(r *Runner) { r.maxParallel = n }
 }
 
 // WithRunnerTracer records one client-side flight per remote batch
@@ -194,13 +185,8 @@ func (r *Runner) streamRemote(ctx context.Context, jobs []engine.Job, specs []en
 	}
 	fl := r.tracer.StartFlight(obs.WithTraceID(ctx, base), fmt.Sprintf("batch[%d]", len(specs)))
 	defer fl.End()
-	var sopts []SubmitOption
-	if r.maxParallel > 0 {
-		sopts = append(sopts, WithMaxParallel(r.maxParallel))
-	}
-	sopts = append(sopts, WithTraceBase(base))
 	t0 := fl.Begin()
-	sub, err := r.c.Submit(ctx, specs, sopts...)
+	sub, err := r.c.Submit(ctx, specs, WithTraceBase(base))
 	fl.Span("submit", t0)
 	if err != nil {
 		fail(err)

@@ -15,11 +15,12 @@
 //
 // With -baseline, the exit status is non-zero when any benchmark present
 // in both runs regresses: uops/s below (1 - maxregress) × baseline,
-// allocs/uop above baseline × (1 + allocsgrow) + 0.05, allocs/op above
-// baseline × (1 + allocsgrow) + 2 for fixed-cost benchmarks (those with
-// no uops/s figure). Throughput depends on the machine — refresh the
-// committed baseline (-out) when the CI hardware generation changes; the
-// allocation gates are hardware-independent.
+// allocs/uop above baseline × (1 + allocsgrow) + 0.05, and for fixed-cost
+// benchmarks (those with no uops/s figure) allocs/op above baseline ×
+// (1 + allocsgrow) + 2 or B/op above baseline × 1.05 + 1 KiB. Throughput
+// depends on the machine — refresh the committed baseline (-out) when the
+// CI hardware generation changes; the allocation gates are
+// hardware-independent.
 //
 // Serving benchmarks (cmd/loadgen) report req/s and p50-ms / p99-ms
 // percentiles in the same line format and gate symmetrically: req/s below
@@ -65,6 +66,11 @@ type Snapshot struct {
 // benchLine matches one result row: name, iteration count, then
 // value/unit pairs.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
+
+// bytesGrow is the tolerated B/op growth of a fixed-cost benchmark. Its
+// allocation sizes are fixed by the machine's shape, so anything past a
+// few percent is a structure that grew.
+const bytesGrow = 0.05
 
 // procsSuffix matches the "-N" GOMAXPROCS decoration go test appends.
 var procsSuffix = regexp.MustCompile(`-\d+$`)
@@ -174,6 +180,13 @@ func compare(fresh, base map[string]Metrics, maxRegress, allocsGrow float64) []s
 				problems = append(problems, fmt.Sprintf(
 					"%s: allocations grew: %.1f allocs/op vs baseline %.1f (budget %.1f)",
 					name, f.AllocsPerOp, b.AllocsPerOp, opBudget))
+			}
+			// Bytes likewise, with 1 KiB of slack for the same reason.
+			bytesBudget := b.BytesPerOp*(1+bytesGrow) + 1024
+			if f.BytesPerOp > bytesBudget {
+				problems = append(problems, fmt.Sprintf(
+					"%s: memory grew: %.0f B/op vs baseline %.0f (budget %.0f)",
+					name, f.BytesPerOp, b.BytesPerOp, bytesBudget))
 			}
 		}
 		if b.ReqPerSec > 0 && f.ReqPerSec < b.ReqPerSec*(1-maxRegress) {
@@ -289,8 +302,8 @@ func main() {
 					name, f.UopsPerSec, b.UopsPerSec, 100*(f.UopsPerSec/b.UopsPerSec-1),
 					f.AllocsPerUop, b.AllocsPerUop)
 			default:
-				fmt.Printf("%s: %.1f allocs/op (baseline %.1f), %.0f ns/op (baseline %.0f)\n",
-					name, f.AllocsPerOp, b.AllocsPerOp, f.NsPerOp, b.NsPerOp)
+				fmt.Printf("%s: %.1f allocs/op (baseline %.1f), %.0f B/op (baseline %.0f), %.0f ns/op (baseline %.0f)\n",
+					name, f.AllocsPerOp, b.AllocsPerOp, f.BytesPerOp, b.BytesPerOp, f.NsPerOp, b.NsPerOp)
 			}
 		}
 		if len(problems) > 0 {

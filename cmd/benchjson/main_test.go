@@ -124,6 +124,16 @@ func TestCompareGatesFixedCostBenchmarks(t *testing.T) {
 	if p := compare(leaky, base, 0.20, 0.25); len(p) != 1 || !strings.Contains(p[0], "allocs/op") {
 		t.Errorf("want one allocs/op failure, got %v", p)
 	}
+
+	// Fresh construction growing 9% in memory with an unchanged allocation
+	// count (a structure that grew) must trip the B/op gate.
+	grown := parseSample(t, fixedCostSample)
+	m = grown["CoreConstruction/Fresh"]
+	m.BytesPerOp *= 1.09
+	grown["CoreConstruction/Fresh"] = m
+	if p := compare(grown, base, 0.20, 0.25); len(p) != 1 || !strings.Contains(p[0], "B/op") {
+		t.Errorf("want one B/op failure, got %v", p)
+	}
 }
 
 const servingSample = `BenchmarkServingWarmFetch-64     	   12000	   82000 ns/op	   12100 req/s	   4.10 p50-ms	  11.30 p99-ms

@@ -79,7 +79,6 @@ type config struct {
 	progress      func(done, total int, label string)
 	logf          func(format string, args ...any)
 	token         string
-	maxParallel   int
 	healthTimeout time.Duration
 	clientOpts    []client.Option
 	runnerOpts    []client.RunnerOption
@@ -116,12 +115,6 @@ func WithLog(fn func(format string, args ...any)) Option {
 // credential clusterd -token requires).
 func WithToken(token string) Option {
 	return func(c *config) { c.token = token }
-}
-
-// WithBatchParallel forwards a per-batch parallelism hint with every
-// shard submission; each worker clamps it to its own limit.
-func WithBatchParallel(n int) Option {
-	return func(c *config) { c.maxParallel = n }
 }
 
 // WithHealthTimeout bounds the construction-time health check of the
@@ -253,9 +246,6 @@ func New(urls []string, opts ...Option) (*Runner, error) {
 	}
 	if cfg.token != "" {
 		f.copts = append(f.copts[:len(f.copts):len(f.copts)], client.WithToken(cfg.token))
-	}
-	if cfg.maxParallel > 0 {
-		f.ropts = append(f.ropts[:len(f.ropts):len(f.ropts)], client.WithBatchParallel(cfg.maxParallel))
 	}
 
 	// Canonicalize before the duplicate check and ring construction:

@@ -46,10 +46,6 @@ type Cluster struct {
 	// InFlight counts dispatched-but-not-committed micro-ops steered here;
 	// this is the occupancy signal the steering counters expose.
 	InFlight int
-
-	// DispatchedUops counts all micro-ops ever steered here (workload
-	// distribution metric).
-	DispatchedUops uint64
 }
 
 // New builds a cluster.
@@ -61,6 +57,7 @@ func New(id int, cfg Config) *Cluster {
 		FPQ:   NewIQ(fmt.Sprintf("c%d.fp", id), cfg.IQFP, cfg.IssueFP),
 		CopyQ: NewIQ(fmt.Sprintf("c%d.copy", id), cfg.IQCopy, cfg.IssueCopy),
 	}
+	c.IntQ.cluster, c.FPQ.cluster, c.CopyQ.cluster = id, id, id
 	c.freeInt, c.freeFP = cfg.IntRegs, cfg.FPRegs
 	return c
 }
@@ -161,5 +158,4 @@ func (c *Cluster) Reset() {
 	c.freeInt, c.freeFP = c.cfg.IntRegs, c.cfg.FPRegs
 	c.intDivFree, c.fpDivFree = 0, 0
 	c.InFlight = 0
-	c.DispatchedUops = 0
 }

@@ -400,3 +400,39 @@ func TestOccupancySumsQueues(t *testing.T) {
 		t.Errorf("Occupancy = %d, want 3", got)
 	}
 }
+
+// TestWaitListWakesOnlyItsCluster parks entries from two clusters' queues
+// on one value's list, and one entry on two values' lists: WakeIn wakes and
+// unlinks exactly the entries whose queue is in the given cluster.
+func TestWaitListWakesOnlyItsCluster(t *testing.T) {
+	c0, c1 := New(0, DefaultConfig()), New(1, DefaultConfig())
+	var v, w WaitList
+	a := c0.IntQ.Insert(1, 0, 2)   // waits on v and w in cluster 0
+	b := c1.IntQ.Insert(2, 0, 1)   // waits on v in cluster 1
+	cp := c0.CopyQ.Insert(0, 1, 1) // a copy waiting on w in its home
+	v.Park(a, 0)
+	w.Park(a, 1)
+	v.Park(b, 0)
+	w.Park(cp, 0)
+	parked := func(l *WaitList) []int64 {
+		var seqs []int64
+		l.Each(func(e *Entry) { seqs = append(seqs, e.Seq) })
+		return seqs
+	}
+
+	v.WakeIn(1)
+	if c1.IntQ.NumReady() != 1 || c0.IntQ.NumReady() != 0 {
+		t.Fatalf("after v reached cluster 1: ready %d in c1, %d in c0; want 1, 0", c1.IntQ.NumReady(), c0.IntQ.NumReady())
+	}
+	if got := parked(&v); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("v still holds %v, want [1]", got)
+	}
+	v.WakeIn(0)
+	if got := parked(&v); len(got) != 0 || c0.IntQ.NumReady() != 0 {
+		t.Fatalf("v holds %v and c0 has %d ready; want empty and 0 (seq 1 still waits on w)", got, c0.IntQ.NumReady())
+	}
+	w.WakeIn(0)
+	if got := parked(&w); len(got) != 0 || c0.IntQ.NumReady() != 1 || c0.CopyQ.NumReady() != 1 {
+		t.Fatalf("w holds %v; ready int %d copy %d; want empty, 1, 1", got, c0.IntQ.NumReady(), c0.CopyQ.NumReady())
+	}
+}

@@ -12,8 +12,10 @@ import "fmt"
 // lists owned by the IQ: the age list (every queued entry, insertion
 // order) and the ready list (the subset whose operands have all arrived,
 // also in insertion order). The queue does not know what an entry waits
-// for: the caller parks the entry on each value it waits on and calls
-// Wake once per arrival.
+// for: the caller parks the entry on the WaitList of each value it waits
+// on, through one of the entry's two wait links, and the value's arrival
+// in the entry's cluster wakes it (WaitList.WakeIn). All wait state thus
+// lives in entries the queue already owns.
 type Entry struct {
 	// Seq is the waiting micro-op's sequence number.
 	Seq int64
@@ -25,9 +27,54 @@ type Entry struct {
 	// (Seq would not do: copy-queue entries are keyed by the copied
 	// value's seq, which does not arrive in insertion order.)
 	age uint64
+	// q is the queue holding the entry; its cluster is where the entry
+	// waits.
+	q *IQ
 
 	ageNext, agePrev     *Entry
 	readyNext, readyPrev *Entry
+	// waits are the entry's nodes in the wait lists of the (at most two)
+	// values it waits on.
+	waits [2]waitLink
+}
+
+// waitLink is an entry's node in one value's wait list.
+type waitLink struct {
+	next *waitLink
+	e    *Entry
+}
+
+// WaitList is a value's list of parked issue-queue entries, threaded
+// through their wait links; the zero value is empty. The list is only a
+// head pointer, so copying it (as an evicted value does) keeps it intact.
+type WaitList struct{ head *waitLink }
+
+// Park links e onto the list through its wait link i (0 or 1); an entry
+// waiting on two values uses one link for each.
+func (l *WaitList) Park(e *Entry, i int) {
+	w := &e.waits[i]
+	w.e, w.next = e, l.head
+	l.head = w
+}
+
+// WakeIn wakes and unlinks exactly the parked entries whose queue is in
+// cluster ci: the value has just become readable there.
+func (l *WaitList) WakeIn(ci int) {
+	for p := &l.head; *p != nil; {
+		if w := *p; w.e.q.cluster == ci {
+			*p = w.next
+			w.e.q.Wake(w.e)
+		} else {
+			p = &w.next
+		}
+	}
+}
+
+// Each calls f on every parked entry, most recently parked first.
+func (l *WaitList) Each(f func(*Entry)) {
+	for w := l.head; w != nil; w = w.next {
+		f(w.e)
+	}
 }
 
 // IQ is an issue queue with capacity, per-cycle issue width and
@@ -42,6 +89,8 @@ type IQ struct {
 	name  string
 	cap   int
 	width int
+	// cluster is the index of the cluster the queue belongs to.
+	cluster int
 
 	// n is the occupancy (age-list length); nReady the ready-list length.
 	n, nReady int
@@ -63,7 +112,8 @@ type IQ struct {
 	Issued uint64
 }
 
-// NewIQ builds an issue queue.
+// NewIQ builds an issue queue (of cluster 0; Cluster.New sets its own
+// queues' cluster).
 func NewIQ(name string, capacity, width int) *IQ {
 	if capacity <= 0 || width <= 0 {
 		panic(fmt.Sprintf("cluster: IQ %q capacity %d width %d", name, capacity, width))
@@ -83,14 +133,11 @@ func NewIQ(name string, capacity, width int) *IQ {
 // Name returns the queue's label.
 func (q *IQ) Name() string { return q.name }
 
-// Len returns current occupancy; Cap the capacity; Width the issue width.
+// Len returns the current occupancy.
 func (q *IQ) Len() int { return q.n }
 
 // Cap returns the capacity.
 func (q *IQ) Cap() int { return q.cap }
-
-// Width returns the per-cycle issue width.
-func (q *IQ) Width() int { return q.width }
 
 // Full reports whether insertion would fail.
 func (q *IQ) Full() bool { return q.n >= q.cap }
@@ -113,7 +160,7 @@ func (q *IQ) Insert(seq int64, aux int, pending int) *Entry {
 	} else {
 		e = &Entry{}
 	}
-	*e = Entry{Seq: seq, Aux: aux, pending: pending, age: q.ageClock}
+	*e = Entry{Seq: seq, Aux: aux, pending: pending, age: q.ageClock, q: q}
 	q.ageClock++
 	// Append to the age tail: a fresh insert is by definition the youngest.
 	e.agePrev = q.ageTail
@@ -203,9 +250,10 @@ func (q *IQ) ageRemove(e *Entry) {
 }
 
 // Wake announces that one of e's pending operands has arrived in this
-// cluster. The last arrival moves e onto the ready list in age order, so
-// the order of wakes never changes the order of selection. Waking an entry
-// with nothing pending is a bookkeeping bug and panics.
+// cluster (WaitList.WakeIn calls it). The last arrival moves e onto the
+// ready list in age order, so the order of wakes never changes the order
+// of selection. Waking an entry with nothing pending is a bookkeeping bug
+// and panics.
 func (q *IQ) Wake(e *Entry) {
 	e.pending--
 	if e.pending < 0 {

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"slices"
 
 	"clustersim/internal/cache"
 	"clustersim/internal/cluster"
@@ -42,7 +41,8 @@ type uopState struct {
 // issue-queue entries parked on it until it arrives in theirs. Values
 // normally live in a ring window indexed by seq; the rare value that
 // outlives the window (a register not overwritten for a whole window of
-// dispatches) is evicted to an overflow map, waiters and all.
+// dispatches) is evicted to an overflow map, waiters and all: the wait
+// list is a head pointer into links the waiting entries hold.
 type valueState struct {
 	seq  int64
 	reg  uarch.Reg
@@ -55,20 +55,10 @@ type valueState struct {
 	readyMask uint32
 	// allocMask marks clusters where a physical register is held.
 	allocMask uint32
-	// produced reports execution of the producer has finished.
-	produced bool
 	// waiters are the entries parked on the value in clusters where it is
-	// not readable yet; valueReadyIn wakes and unlinks a cluster's share.
-	// A ring slot keeps its backing array from one value to the next.
-	waiters []waiter
-}
-
-// waiter is an issue-queue entry waiting for a value to arrive in cluster
-// ci: a consumer in its own cluster, or a copy in the value's home.
-type waiter struct {
-	e  *cluster.Entry
-	q  *cluster.IQ
-	ci int
+	// not readable yet — a consumer in its own cluster, a copy in the
+	// value's home; valueReadyIn wakes and unlinks a cluster's share.
+	waiters cluster.WaitList
 }
 
 // event is a scheduled micro-architectural occurrence.
@@ -305,13 +295,6 @@ func NewCore(cfg Config, pol steer.Policy, tr *trace.Trace) (*Core, error) {
 	for i := range c.wheel {
 		c.wheel[i] = backing[i*slotSeedCap : i*slotSeedCap : (i+1)*slotSeedCap]
 	}
-	// Likewise seed every value slot's waiter list: few values have more
-	// than four entries parked on them at once.
-	const waiterSeedCap = 4
-	waiters := make([]waiter, waiterSeedCap*len(c.values))
-	for i := range c.values {
-		c.values[i].waiters = waiters[i*waiterSeedCap : i*waiterSeedCap : (i+1)*waiterSeedCap]
-	}
 	for i := 0; i < cfg.NumClusters; i++ {
 		c.clusters = append(c.clusters, cluster.New(i, cfg.Cluster))
 	}
@@ -367,9 +350,8 @@ func (c *Core) value(seq int64) *valueState {
 
 // newValue claims the window slot for seq. A slot still occupied by a live
 // out-of-window value (its register was not overwritten for a whole window
-// of dispatches) evicts that value to the overflow map first; the evicted
-// copy takes its waiters in an array of its own, so the slot's array is
-// free for the new value.
+// of dispatches) evicts that value to the overflow map first, its wait
+// list with it.
 func (c *Core) newValue(seq int64, reg uarch.Reg, home int) *valueState {
 	v := &c.values[seq&c.valMask]
 	if v.live {
@@ -377,13 +359,11 @@ func (c *Core) newValue(seq int64, reg uarch.Reg, home int) *valueState {
 			c.valOverflow = make(map[int64]*valueState)
 		}
 		old := *v
-		old.waiters = slices.Clone(old.waiters)
 		c.valOverflow[old.seq] = &old
 	}
 	*v = valueState{
 		seq: seq, reg: reg, home: home, live: true,
 		locMask: 1 << uint(home), allocMask: 1 << uint(home),
-		waiters: v.waiters[:0],
 	}
 	return v
 }
@@ -433,15 +413,7 @@ func (c *Core) valueReadyIn(seq int64, ci int) {
 		return
 	}
 	v.readyMask |= bit
-	rest := v.waiters[:0]
-	for _, w := range v.waiters {
-		if w.ci == ci {
-			w.q.Wake(w.e)
-		} else {
-			rest = append(rest, w)
-		}
-	}
-	v.waiters = rest
+	v.waiters.WakeIn(ci)
 }
 
 // valueIsReadyIn reports whether the operand value is readable in cluster ci.
@@ -476,11 +448,6 @@ func (c *Core) freeValue(seq int64) {
 		delete(c.valOverflow, seq)
 	}
 }
-
-// Metrics returns the accumulated metrics (valid after Run). The returned
-// pointer aliases core-owned state; use the detached copy Run returns when
-// the metrics must outlive a pooled Reset.
-func (c *Core) Metrics() *Metrics { return &c.m }
 
 // Shape returns the structural fingerprint the core was built for.
 func (c *Core) Shape() Config { return c.shape }
@@ -522,9 +489,7 @@ func (c *Core) Reset(cfg Config, pol steer.Policy, tr *trace.Trace) error {
 	for r := range c.regVal {
 		c.regVal[r] = initialValue
 	}
-	for i := range c.values {
-		c.values[i] = valueState{waiters: c.values[i].waiters[:0]}
-	}
+	clear(c.values)
 	clear(c.valOverflow)
 
 	for _, cl := range c.clusters {

@@ -79,6 +79,9 @@ func (c *Core) Run() (*Metrics, error) {
 		}
 		c.cycle++
 	}
+	if checkInvariants {
+		c.checkDrained()
+	}
 	final := c.captureCounters()
 	if warmup != nil {
 		final = subtractCounters(final, *warmup)
@@ -390,8 +393,6 @@ func (c *Core) finish(seq int64) {
 	st.completed = true
 	c.progress++
 	if st.u.Static.Dst != uarch.RegNone {
-		v := c.value(seq)
-		v.produced = true
 		c.valueReadyIn(seq, st.cluster)
 	}
 	if st.mispredicted {
@@ -488,6 +489,67 @@ func (c *Core) checkIssue(st *uopState) {
 		if !c.valueIsReadyIn(vseq, st.cluster) {
 			panic(fmt.Sprintf("pipeline: seq %d issued in cluster %d before operand value %d arrived there at cycle %d",
 				st.seq, st.cluster, vseq, c.cycle))
+		}
+	}
+}
+
+// checkDrained enforces resource conservation after a completed run: every
+// issue queue is empty; the live values are exactly the architectural
+// registers' current values, with no entry still parked on them; and in
+// each cluster the free registers plus those held by live values make up
+// the whole register files.
+func (c *Core) checkDrained() {
+	held := make([][2]int, c.cfg.NumClusters) // per cluster: int, FP
+	live := 0
+	count := func(v *valueState) {
+		if c.regVal[v.reg] != v.seq {
+			panic(fmt.Sprintf("pipeline: value %d of %v outlived the run; the register now holds value %d",
+				v.seq, v.reg, c.regVal[v.reg]))
+		}
+		v.waiters.Each(func(e *cluster.Entry) {
+			panic(fmt.Sprintf("pipeline: seq %d still parked on value %d after the run", e.Seq, v.seq))
+		})
+		bank := 0
+		if v.reg.IsFP() {
+			bank = 1
+		}
+		for ci := range held {
+			if v.allocMask&(1<<uint(ci)) != 0 {
+				held[ci][bank]++
+			}
+		}
+		live++
+	}
+	for i := range c.values {
+		if v := &c.values[i]; v.live {
+			count(v)
+		}
+	}
+	for _, v := range c.valOverflow {
+		count(v)
+	}
+	mapped := 0
+	for _, seq := range c.regVal {
+		if seq != initialValue {
+			mapped++
+		}
+	}
+	if live != mapped {
+		panic(fmt.Sprintf("pipeline: %d live values for %d mapped registers after the run", live, mapped))
+	}
+	for ci, cl := range c.clusters {
+		for _, q := range [3]*cluster.IQ{cl.IntQ, cl.FPQ, cl.CopyQ} {
+			if q.Len() != 0 {
+				panic(fmt.Sprintf("pipeline: IQ %s holds %d entries after the run", q.Name(), q.Len()))
+			}
+		}
+		free := [2]int{cl.FreeRegs(uarch.IntReg(0)), cl.FreeRegs(uarch.FPReg(0))}
+		size := [2]int{c.cfg.Cluster.IntRegs, c.cfg.Cluster.FPRegs}
+		for bank := range size {
+			if free[bank]+held[ci][bank] != size[bank] {
+				panic(fmt.Sprintf("pipeline: cluster %d bank %d: %d free + %d held by live values, want %d registers",
+					ci, bank, free[bank], held[ci][bank], size[bank]))
+			}
 		}
 	}
 }
@@ -645,17 +707,16 @@ func (c *Core) tryDispatch(slot *fetchSlot) StallReason {
 	seq := slot.seq
 	for _, pc := range copies {
 		v := c.value(pc.vseq)
-		q := c.clusters[pc.home].CopyQ
 		pending := 0
 		if v.readyMask&(1<<uint(pc.home)) == 0 {
 			pending = 1
 		}
-		e := q.Insert(pc.vseq, ci, pending)
+		e := c.clusters[pc.home].CopyQ.Insert(pc.vseq, ci, pending)
 		if e == nil {
 			panic("pipeline: copy queue insert failed after capacity check")
 		}
 		if pending > 0 {
-			v.waiters = append(v.waiters, waiter{e, q, pc.home})
+			v.waiters.Park(e, 0)
 		}
 		v.locMask |= 1 << uint(ci)
 		v.allocMask |= 1 << uint(ci)
@@ -684,13 +745,12 @@ func (c *Core) tryDispatch(slot *fetchSlot) StallReason {
 		waits[pending] = v
 		pending++
 	}
-	q := cl.QueueFor(class)
-	e := q.Insert(seq, 0, pending)
+	e := cl.QueueFor(class).Insert(seq, 0, pending)
 	if e == nil {
 		panic("pipeline: IQ insert failed after capacity check")
 	}
-	for _, v := range waits[:pending] {
-		v.waiters = append(v.waiters, waiter{e, q, ci})
+	for i, v := range waits[:pending] {
+		v.waiters.Park(e, i)
 	}
 	if u.IsMem() {
 		if !c.lsq.Allocate(seq, isStore) {
@@ -714,7 +774,6 @@ func (c *Core) tryDispatch(slot *fetchSlot) StallReason {
 	}
 	c.robLen++
 	cl.InFlight++
-	cl.DispatchedUops++
 	c.m.PerCluster[ci].Dispatched++
 	return StallNone
 }
