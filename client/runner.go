@@ -21,7 +21,7 @@ import (
 )
 
 // Runner executes engine jobs on a remote clusterd instance. Jobs with no
-// declarative wire form (custom annotate/policy closures, machine tweaks,
+// declarative wire form (machine tweaks, setups that do not resolve,
 // non-suite workloads) are routed to the optional local fallback runner;
 // without one they fail with the conversion error. Safe for concurrent
 // use.

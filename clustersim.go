@@ -21,9 +21,9 @@
 //
 // Every run path executes on a caching, streaming simulation engine
 // (NewEngine): sharing one engine across runs and experiments memoizes
-// annotated programs, expanded traces and whole results, simulating each
-// unique (workload, configuration, options) combination exactly once per
-// process, with context cancellation and live progress reporting.
+// annotated programs and whole results, simulating each unique
+// (workload, configuration, options) combination exactly once per process,
+// with context cancellation and live progress reporting.
 package clustersim
 
 import (
@@ -36,7 +36,6 @@ import (
 	"clustersim/internal/pipeline"
 	"clustersim/internal/prog"
 	"clustersim/internal/sim"
-	"clustersim/internal/steer"
 	"clustersim/internal/store"
 	"clustersim/internal/trace"
 	"clustersim/internal/workload"
@@ -53,8 +52,9 @@ func DefaultMachine(clusters int) MachineConfig { return pipeline.DefaultConfig(
 // allocation stalls, per-cluster breakdowns, memory and branch statistics).
 type Metrics = pipeline.Metrics
 
-// Setup is one steering configuration: a compiler annotation pass paired
-// with a runtime steering policy.
+// Setup is one steering configuration: a declarative SetupSpec (kind and
+// counts, naming a compiler annotation pass paired with a runtime
+// steering policy) plus its derived label.
 type Setup = sim.Setup
 
 // RunOptions sizes a simulation run.
@@ -118,9 +118,9 @@ func RunMatrix(ws []*Workload, setups []Setup, opt RunOptions, parallelism int) 
 
 // Engine is the shared caching, streaming simulation engine. All run paths
 // (Run, RunMatrix, the experiment harness, cmd/steerbench) execute on an
-// engine; sharing one instance across calls memoizes annotated programs,
-// expanded traces and whole results, so each unique (workload, setup,
-// options) simulation executes exactly once per process.
+// engine; sharing one instance across calls memoizes annotated programs
+// and whole results, so each unique (workload, setup, options) simulation
+// executes exactly once per process.
 type Engine = engine.Engine
 
 // EngineOptions configures a new Engine (parallelism, caching, progress).
@@ -183,13 +183,13 @@ type SetupSpec = engine.SetupSpec
 type OptionsSpec = engine.OptionsSpec
 
 // JobFromSpec resolves a declarative job spec against the synthetic suite
-// and the named setup constructors.
+// and validates its setup spec.
 func JobFromSpec(spec JobSpec) (Job, error) { return sim.JobFromSpec(spec) }
 
 // SpecFromJob converts a runnable Job back to its declarative wire form —
-// the inverse of JobFromSpec. Jobs built around opaque closures or
-// non-suite workloads have no wire form and return an error; such jobs
-// execute locally only.
+// the inverse of JobFromSpec. Jobs with machine-tweak closures, setups
+// that do not resolve, or non-suite workloads have no wire form and
+// return an error; such jobs execute locally only.
 func SpecFromJob(job Job) (JobSpec, error) { return sim.SpecFromJob(job) }
 
 // Runner is the execution seam every consumer submits jobs through: the
@@ -299,7 +299,3 @@ func Table2() string { return experiments.Table2() }
 
 // Table3 renders the evaluated configurations (paper Table 3).
 func Table3() string { return experiments.Table3() }
-
-// Policy is a runtime steering policy; custom policies may be plugged into
-// a Setup.
-type Policy = steer.Policy

@@ -90,7 +90,7 @@ type config struct {
 type Option func(*config)
 
 // WithFallback routes jobs that cannot travel (no declarative spec:
-// custom programs, opaque passes, machine-tweak ablations) to a local
+// custom programs, machine-tweak ablations) to a local
 // runner instead of failing them — the same hybrid split client.Runner
 // offers.
 func WithFallback(local engine.Runner) Option {

@@ -62,7 +62,14 @@ const (
 	// no member is ever published as dead. A v5 runner would propose
 	// transitions a v6 coordinator refuses mid-run; the bump makes the
 	// mismatch fail at construction instead.
-	Version = 6
+	//
+	// v7: every steering scheme is a setup kind. SetupSpec.Kind also
+	// names the policy survey's ADV, LC, SLC and MOD, and a submission
+	// whose setup sets a count out of range, a negative cap, or a field
+	// its kind ignores is refused with bad_request. A v6 server would
+	// answer the new kinds with bad_request mid-run; the bump makes the
+	// mismatch fail at construction instead.
+	Version = 7
 	// VersionHeader is the HTTP response header carrying Version.
 	VersionHeader = "Clustersim-Api-Version"
 	// TraceHeader optionally carries a caller-chosen trace-ID base on

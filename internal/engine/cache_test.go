@@ -8,10 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"clustersim/internal/partition"
 	"clustersim/internal/pipeline"
 	"clustersim/internal/prog"
-	"clustersim/internal/steer"
 	"clustersim/internal/workload"
 )
 
@@ -103,10 +101,12 @@ func TestProgramCacheBounded(t *testing.T) {
 	e := New(Options{Parallelism: 1})
 	sp := workload.ByName("crafty")
 	cfg := pipeline.DefaultConfig(2)
-	setup := func(regionMaxOps int) Setup {
-		return Setup{Label: "OB", NumClusters: 2, Pass: &Pass{
-			Kind: "OB", NumTargets: 2, RegionMaxOps: regionMaxOps, Run: partition.AnnotateOB,
-		}}
+	setup := func(regionMaxOps int) *resolved {
+		rs, err := resolve(SetupSpec{Kind: "OB", NumClusters: 2, RegionMaxOps: regionMaxOps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &rs
 	}
 	encode := func(p *prog.Program) []byte {
 		blob, err := json.Marshal(p)
@@ -142,7 +142,7 @@ func TestResultCacheBounded(t *testing.T) {
 	sp := workload.ByName("gzip-1")
 	job := func(i int) Job {
 		return Job{Simpoint: sp,
-			Setup: Setup{Label: "OP", NumClusters: 2, NewPolicy: func() steer.Policy { return &steer.OP{} }},
+			Setup: Setup{SetupSpec: SetupSpec{Kind: "OP", NumClusters: 2}, Label: "OP"},
 			Opts: RunOptions{NumUops: 200, TweakKey: fmt.Sprintf("noop%d", i),
 				MachineTweak: func(*pipeline.Config) {}}}
 	}

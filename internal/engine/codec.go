@@ -149,10 +149,9 @@ func DecodeResult(blob []byte) (*Result, error) {
 }
 
 // JobSpec is the declarative, serializable form of a Job: the wire format
-// clusterd accepts and the shape a future remote-worker protocol ships.
-// Setup closures (compiler passes, policy constructors) cannot cross a
-// process boundary, so a spec names a suite simpoint and a setup kind;
-// sim.JobFromSpec resolves it back to a runnable Job.
+// clusterd accepts. Programs are not shipped, so a spec names a suite
+// simpoint and a setup spec; sim.JobFromSpec resolves it back to a
+// runnable Job.
 type JobSpec struct {
 	// Simpoint is the suite point name ("gzip-1", "mcf").
 	Simpoint string `json:"simpoint"`
@@ -162,14 +161,18 @@ type JobSpec struct {
 	Opts OptionsSpec `json:"opts,omitempty"`
 }
 
-// SetupSpec names a steering configuration declaratively.
+// SetupSpec names a steering configuration declaratively. NewSetup
+// resolves it and rejects a field its kind ignores when set to anything
+// but its default.
 type SetupSpec struct {
-	// Kind is one of "OP", "OP-nostall", "one-cluster", "OB", "RHOP",
-	// "VC", "VC-comm".
+	// Kind is one of "OP", "OP-nostall", "one-cluster", "ADV", "LC",
+	// "SLC", "MOD" (hardware-only, no further fields), "OB", "RHOP"
+	// (RegionMaxOps), "VC" (NumVC and MaxChainLen, or RegionMaxOps) and
+	// "VC-comm" (NumVC).
 	Kind string `json:"kind"`
-	// NumClusters is the physical cluster count; zero means 2.
+	// NumClusters is the physical cluster count, 1..32; zero means 2.
 	NumClusters int `json:"clusters,omitempty"`
-	// NumVC is the virtual cluster count for VC kinds; zero means
+	// NumVC is the virtual cluster count for VC kinds, 1..32; zero means
 	// NumClusters.
 	NumVC int `json:"num_vc,omitempty"`
 	// RegionMaxOps caps the compiler region size; zero means unlimited.

@@ -25,7 +25,6 @@ import (
 	"sync/atomic"
 
 	"clustersim/internal/obs"
-	"clustersim/internal/partition"
 	"clustersim/internal/pipeline"
 	"clustersim/internal/prog"
 	"clustersim/internal/steer"
@@ -33,74 +32,6 @@ import (
 	"clustersim/internal/trace"
 	"clustersim/internal/workload"
 )
-
-// Pass declares a compiler steering pass so the engine can both execute it
-// and cache its output. Unlike an opaque closure, the declarative form
-// gives the engine a content key, and lets it derive the pass options from
-// the machine configuration actually being run (issue widths, link
-// latency), so 4-cluster and MachineTweak-ed runs see consistent options.
-type Pass struct {
-	// Kind identifies the algorithm in cache keys ("OB", "RHOP", "VC").
-	// Two passes with equal Kind and equal options must produce identical
-	// annotations.
-	Kind string
-	// NumTargets is the cluster count the pass partitions for (virtual
-	// clusters for VC, physical for the software-only schemes).
-	NumTargets int
-	// RegionMaxOps caps compiler region size; zero means the default.
-	RegionMaxOps int
-	// MaxChainLen caps VC chain length; zero means the default.
-	MaxChainLen int
-	// Run executes the pass over the (cloned) program.
-	Run func(*prog.Program, partition.Options)
-}
-
-// options derives the pass options from the machine configuration being
-// run: issue widths and communication cost come from the live config, not
-// from a hardcoded default machine.
-func (ps *Pass) options(cfg *pipeline.Config) partition.Options {
-	return partition.Options{
-		NumVC:        ps.NumTargets,
-		NumClusters:  ps.NumTargets,
-		IssueInt:     cfg.Cluster.IssueInt,
-		IssueFP:      cfg.Cluster.IssueFP,
-		CommLatency:  cfg.Net.Latency + 1, // link latency + copy issue slot
-		MaxChainLen:  ps.MaxChainLen,
-		RegionMaxOps: ps.RegionMaxOps,
-	}
-}
-
-// key is the cache signature of the pass under a machine configuration.
-func (ps *Pass) key(cfg *pipeline.Config) string {
-	o := ps.options(cfg)
-	return fmt.Sprintf("%s|vc%d|ii%d|if%d|cl%d|ch%d|rg%d",
-		ps.Kind, o.NumVC, o.IssueInt, o.IssueFP, o.CommLatency, o.MaxChainLen, o.RegionMaxOps)
-}
-
-// Setup is one steering configuration: how programs are annotated at
-// compile time and which runtime policy steers.
-type Setup struct {
-	// Label is the configuration name used in reports ("OP", "VC(2->4)").
-	// For a given NumClusters the label must uniquely identify the
-	// configuration — it participates in the engine's result-cache key.
-	Label string
-	// NumClusters is the physical cluster count of the machine.
-	NumClusters int
-	// Pass is the compiler pass; nil for hardware-only configurations.
-	Pass *Pass
-	// Spec, when non-nil, is the declarative wire form this setup was (or
-	// could have been) built from. It is what lets a job cross a process
-	// boundary: SpecFromJob requires it, and the sim.Setup* constructors
-	// all populate it. Setups hand-built around custom closures leave it
-	// nil and stay local-only. Spec never participates in cache keys.
-	Spec *SetupSpec
-	// Annotate optionally runs an opaque compiler pass over the (cloned)
-	// program. It exists for custom user passes; because the engine cannot
-	// key its output, setups using it bypass every cache.
-	Annotate func(*prog.Program)
-	// NewPolicy builds a fresh runtime policy instance per run.
-	NewPolicy func() steer.Policy
-}
 
 // RunOptions sizes one simulation.
 type RunOptions struct {
@@ -364,25 +295,18 @@ func (e *Engine) fingerprint(sp *workload.Simpoint) string {
 	return fmt.Sprintf("%s|s%d|h%016x", sp.Name, sp.Seed, sp.Program.Fingerprint())
 }
 
-// resultKey returns the whole-result cache key, and whether the job is
-// cacheable at all: opaque Annotate closures and un-keyed MachineTweaks
-// have no content signature, so such jobs always execute.
-func (e *Engine) resultKey(job Job) (string, bool) {
-	if job.Setup.Annotate != nil {
-		return "", false
-	}
+// resultKey returns the whole-result cache key of a job whose setup
+// resolved to rs, and whether the job is cacheable at all: an un-keyed
+// MachineTweak has no content signature, so such jobs always execute.
+func (e *Engine) resultKey(job Job, rs *resolved) (string, bool) {
 	if job.Opts.MachineTweak != nil && job.Opts.TweakKey == "" {
 		return "", false
 	}
 	// The pass's static signature is folded in so label collisions between
 	// setups with different compiler passes cannot alias; its machine-
 	// derived options are covered by the TweakKey requirement above.
-	pass := ""
-	if ps := job.Setup.Pass; ps != nil {
-		pass = fmt.Sprintf("%s/%d/%d/%d", ps.Kind, ps.NumTargets, ps.RegionMaxOps, ps.MaxChainLen)
-	}
 	return fmt.Sprintf("%s|%s|p%s|c%d|u%d|w%d|t%s",
-		e.fingerprint(job.Simpoint), job.Setup.Label, pass, job.Setup.NumClusters,
+		e.fingerprint(job.Simpoint), rs.label, rs.sig, rs.clusters,
 		job.Opts.NumUops, job.Opts.WarmupUops, job.Opts.TweakKey), true
 }
 
@@ -394,11 +318,16 @@ func storeKey(key string) string {
 }
 
 // ResultKey returns the persistent-store key a job's result is (or would
-// be) stored under, and whether the job is cacheable at all. Services use
-// it to hand clients a fetch address at submission time.
+// be) stored under, and whether the job is cacheable at all (its setup
+// resolves and any MachineTweak is keyed). Services use it to hand
+// clients a fetch address at submission time.
 func (e *Engine) ResultKey(job Job) (string, bool) {
 	job.Opts = job.Opts.withDefaults()
-	key, ok := e.resultKey(job)
+	rs, err := resolve(job.Setup.SetupSpec)
+	if err != nil {
+		return "", false
+	}
+	key, ok := e.resultKey(job, &rs)
 	if !ok {
 		return "", false
 	}
@@ -474,9 +403,16 @@ func (e *Engine) run(ctx context.Context, job Job, fl *obs.Flight) *Result {
 	if err := ctx.Err(); err != nil {
 		return &Result{Simpoint: job.Simpoint, Setup: job.Setup.Label, Err: e.shed(err)}
 	}
-	key, cacheable := e.resultKey(job)
+	rs, err := resolve(job.Setup.SetupSpec)
+	if err != nil {
+		return &Result{Simpoint: job.Simpoint, Setup: job.Setup.Label, Err: err}
+	}
+	// Results carry the label the spec derives, whatever the caller's
+	// Label field says: it is part of the cache key.
+	job.Setup.Label = rs.label
+	key, cacheable := e.resultKey(job, &rs)
 	if !cacheable || e.opts.DisableCache {
-		return e.execute(ctx, job, fl)
+		return e.execute(ctx, job, &rs, fl)
 	}
 	for {
 		// The compute closure runs on exactly one caller's goroutine, so
@@ -488,7 +424,7 @@ func (e *Engine) run(ctx context.Context, job Job, fl *obs.Flight) *Result {
 			if r := e.storedResult(key, job, fl); r != nil {
 				return r, true
 			}
-			r := e.execute(ctx, job, fl)
+			r := e.execute(ctx, job, &rs, fl)
 			if r.Err == nil {
 				e.persistResult(key, r, fl)
 			}
@@ -529,11 +465,12 @@ func (e *Engine) run(ctx context.Context, job Job, fl *obs.Flight) *Result {
 	}
 }
 
-// execute performs one full uncached run: annotate (cached), expand,
-// simulate. The lane scheduler bounds concurrent executions
-// at Parallelism and grants contended slots weighted-fair; the lane
-// rides in on the context and never reaches a cache key.
-func (e *Engine) execute(ctx context.Context, job Job, fl *obs.Flight) *Result {
+// execute performs one full uncached run of a job whose setup resolved
+// to rs: annotate (cached), expand, simulate. The lane scheduler bounds
+// concurrent executions at Parallelism and grants contended slots
+// weighted-fair; the lane rides in on the context and never reaches a
+// cache key.
+func (e *Engine) execute(ctx context.Context, job Job, rs *resolved, fl *obs.Flight) *Result {
 	t0 := fl.Begin()
 	if err := e.sched.Acquire(ctx, LaneFrom(ctx)); err != nil {
 		// Canceled or expired while queued behind busy workers: don't
@@ -547,25 +484,25 @@ func (e *Engine) execute(ctx context.Context, job Job, fl *obs.Flight) *Result {
 		// run: shed before simulating, releasing the slot untouched.
 		return &Result{Simpoint: job.Simpoint, Setup: job.Setup.Label, Err: e.shed(err)}
 	}
-	sp, s, opt := job.Simpoint, job.Setup, job.Opts
+	sp, opt := job.Simpoint, job.Opts
 
-	cfg := pipeline.DefaultConfig(s.NumClusters)
+	cfg := pipeline.DefaultConfig(rs.clusters)
 	cfg.WarmupUops = int64(opt.WarmupUops)
 	if opt.MachineTweak != nil {
 		opt.MachineTweak(&cfg)
 	}
 	t0 = fl.Begin()
-	p := e.annotated(sp, s, &cfg)
+	p := e.annotated(sp, rs, &cfg)
 	fl.Span("annotate", t0)
 	t0 = fl.Begin()
 	tr := trace.Expand(p, trace.Options{NumUops: opt.NumUops, Seed: sp.Seed})
 	fl.Span("expand", t0)
 
 	cfg.Cancel = ctx.Done()
-	pol := s.NewPolicy()
+	pol := rs.policy(*rs)
 	core, err := e.acquireCore(cfg, pol, tr)
 	if err != nil {
-		return &Result{Simpoint: sp, Setup: s.Label, Err: err}
+		return &Result{Simpoint: sp, Setup: rs.label, Err: err}
 	}
 	e.simulations.Add(1)
 	t0 = fl.Begin()
@@ -576,7 +513,7 @@ func (e *Engine) execute(ctx context.Context, job Job, fl *obs.Flight) *Result {
 	}
 	res := &Result{
 		Simpoint:   sp,
-		Setup:      s.Label,
+		Setup:      rs.label,
 		Metrics:    m,
 		Complexity: core.ComplexityOf(),
 		Err:        err,
@@ -632,20 +569,14 @@ func (e *Engine) releaseCore(core *pipeline.Core) {
 	e.coresMu.Unlock()
 }
 
-// annotated returns the annotated program clone for the job, cached by
-// (simpoint, pass signature) unless the pass is opaque (Annotate).
-func (e *Engine) annotated(sp *workload.Simpoint, s Setup, cfg *pipeline.Config) *prog.Program {
-	if s.Annotate != nil {
-		p := sp.Program.Clone()
-		p.ClearAnnotations()
-		s.Annotate(p)
-		return p
-	}
+// annotated returns the annotated program clone for a setup resolved to
+// rs, cached by (simpoint, pass signature).
+func (e *Engine) annotated(sp *workload.Simpoint, rs *resolved, cfg *pipeline.Config) *prog.Program {
 	build := func() (*prog.Program, bool) {
 		p := sp.Program.Clone()
 		p.ClearAnnotations()
-		if s.Pass != nil {
-			s.Pass.Run(p, s.Pass.options(cfg))
+		if rs.pass != nil {
+			rs.pass.run(p, rs.passOptions(cfg))
 		}
 		return p, true
 	}
@@ -653,10 +584,6 @@ func (e *Engine) annotated(sp *workload.Simpoint, s Setup, cfg *pipeline.Config)
 		p, _ := build()
 		return p
 	}
-	passKey := "clean"
-	if s.Pass != nil {
-		passKey = s.Pass.key(cfg)
-	}
-	p, _, _ := e.progs.get(nil, e.fingerprint(sp)+"|"+passKey, build)
+	p, _, _ := e.progs.get(nil, e.fingerprint(sp)+"|"+rs.programKey(cfg), build)
 	return p
 }

@@ -10,7 +10,6 @@ import (
 
 	"clustersim/internal/engine"
 	"clustersim/internal/pipeline"
-	"clustersim/internal/prog"
 	"clustersim/internal/sim"
 	"clustersim/internal/workload"
 )
@@ -161,20 +160,27 @@ func TestMachineTweakCaching(t *testing.T) {
 	}
 }
 
-// Opaque Annotate closures have no content key and must bypass all caches.
-func TestOpaqueAnnotateBypassesCache(t *testing.T) {
-	setup := sim.SetupOP(2)
-	setup.Label = "custom-op"
-	setup.Annotate = func(p *prog.Program) {}
+// A setup whose spec the resolver rejects fails its run with the
+// resolver's error: nothing is annotated or simulated (a negative num_vc
+// would otherwise size the VC pass's tables negative and panic), and the
+// job has no result key.
+func TestInvalidSetupFailsRun(t *testing.T) {
 	eng := engine.New(engine.Options{Parallelism: 1})
-	eng.Run(context.Background(), quickJob("crafty", setup))
-	eng.Run(context.Background(), quickJob("crafty", setup))
-	st := eng.Stats()
-	if st.Simulations != 2 || st.ResultHits != 0 {
-		t.Errorf("opaque pass must bypass the result cache: %+v", st)
+	for _, setup := range []sim.Setup{
+		sim.SetupVC(-1, 2), sim.SetupVCComm(-1, 2), sim.SetupOB(-1),
+		sim.SetupVCChain(2, 2, -3), sim.SetupScoped("RHOP", 2, -1),
+		sim.SetupScoped("OP", 2, 16), sim.SetupKind("WAT", 2),
+	} {
+		job := quickJob("crafty", setup)
+		if res := eng.Run(context.Background(), job); res.Err == nil {
+			t.Errorf("%s: invalid setup ran", setup.Label)
+		}
+		if _, ok := eng.ResultKey(job); ok {
+			t.Errorf("%s: invalid setup has a result key", setup.Label)
+		}
 	}
-	if st.ProgramHits != 0 {
-		t.Errorf("opaque pass must bypass the program cache: %+v", st)
+	if st := eng.Stats(); st.Simulations != 0 || st.ProgramMisses != 0 {
+		t.Errorf("invalid setups reached the pipeline: %+v", st)
 	}
 }
 

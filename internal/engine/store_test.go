@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"clustersim/internal/engine"
-	"clustersim/internal/prog"
+	"clustersim/internal/pipeline"
 	"clustersim/internal/sim"
 	"clustersim/internal/store"
 	"clustersim/internal/workload"
@@ -68,16 +68,16 @@ func TestResultsPersistAcrossEngines(t *testing.T) {
 	}
 }
 
-// Uncacheable jobs (opaque Annotate closures) must never touch the store.
+// Uncacheable jobs (a MachineTweak with no TweakKey) must never touch the
+// store.
 func TestUncacheableJobsBypassStore(t *testing.T) {
 	st, err := store.OpenDisk(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := engine.New(engine.Options{Parallelism: 1, ResultStore: st})
-	setup := sim.SetupOP(2)
-	setup.Annotate = func(p *prog.Program) {}
-	job := engine.Job{Simpoint: workload.ByName("crafty"), Setup: setup, Opts: sim.RunOptions{NumUops: 2000}}
+	job := engine.Job{Simpoint: workload.ByName("crafty"), Setup: sim.SetupOP(2),
+		Opts: sim.RunOptions{NumUops: 2000, MachineTweak: func(*pipeline.Config) {}}}
 	if res := eng.Run(context.Background(), job); res.Err != nil {
 		t.Fatal(res.Err)
 	}

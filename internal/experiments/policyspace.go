@@ -5,7 +5,6 @@ import (
 
 	"clustersim/internal/sim"
 	"clustersim/internal/stats"
-	"clustersim/internal/steer"
 )
 
 // PolicyPoint summarizes one steering policy over the suite.
@@ -36,20 +35,15 @@ func PolicySpace(opt Options) (*PolicySpaceResult, error) {
 	opt = opt.withDefaults()
 	sps := opt.suite()
 	policySetups := []struct {
-		setup    sim.Setup
+		kind     string
 		depLogic bool
 	}{
-		{sim.SetupOP(2), true},
-		{setupPolicy("OP-nostall", func() steer.Policy { return &steer.OP{NoStall: true} }), true},
-		{setupPolicy("ADV", func() steer.Policy { return &steer.DependenceBalanced{} }), true},
-		{setupPolicy("LC", func() steer.Policy { return &steer.LeastLoaded{} }), false},
-		{setupPolicy("SLC", func() steer.Policy { return &steer.Slice{} }), false},
-		{setupPolicy("MOD", func() steer.Policy { return &steer.ModN{} }), false},
-		{sim.SetupVC(2, 2), false},
+		{"OP", true}, {"OP-nostall", true}, {"ADV", true},
+		{"LC", false}, {"SLC", false}, {"MOD", false}, {"VC", false},
 	}
 	setups := make([]sim.Setup, len(policySetups))
 	for i, ps := range policySetups {
-		setups[i] = ps.setup
+		setups[i] = sim.SetupKind(ps.kind, 2)
 	}
 	res, err := opt.matrix(sps, setups, opt.runOpts())
 	if err != nil {
@@ -65,18 +59,13 @@ func PolicySpace(opt Options) (*PolicySpaceResult, error) {
 			uops += res[i][j].Metrics.Uops
 		}
 		out.Points = append(out.Points, PolicyPoint{
-			Label:           ps.setup.Label,
+			Label:           setups[j].Label,
 			SlowdownPct:     BenchAverage(sps, slow, nil),
 			CopiesPerKuop:   float64(copies) * 1000 / float64(uops),
 			DependenceLogic: ps.depLogic,
 		})
 	}
 	return out, nil
-}
-
-// setupPolicy wraps a bare runtime policy (no compiler pass) as a Setup.
-func setupPolicy(label string, newPolicy func() steer.Policy) sim.Setup {
-	return sim.Setup{Label: label, NumClusters: 2, NewPolicy: newPolicy}
 }
 
 // Render produces the survey table.

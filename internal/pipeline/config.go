@@ -97,10 +97,13 @@ func (c Config) Shape() Config {
 	return c
 }
 
+// MaxClusters is the largest supported cluster count.
+const MaxClusters = 32
+
 // Validate checks internal consistency.
 func (c Config) Validate() error {
-	if c.NumClusters <= 0 || c.NumClusters > 32 {
-		return fmt.Errorf("pipeline: %d clusters (1..32 supported)", c.NumClusters)
+	if c.NumClusters <= 0 || c.NumClusters > MaxClusters {
+		return fmt.Errorf("pipeline: %d clusters (1..%d supported)", c.NumClusters, MaxClusters)
 	}
 	if c.FetchWidth <= 0 || c.SteerWidth <= 0 || c.CommitWidth <= 0 {
 		return fmt.Errorf("pipeline: non-positive width in %+v", c)

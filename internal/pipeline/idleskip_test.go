@@ -65,8 +65,9 @@ func runSkip(t *testing.T, skip bool, cfg Config, pol steer.Policy, tr *trace.Tr
 }
 
 // checkSkipEquivalent runs the machine both ways and fails on any
-// difference. It returns the cycles the skipping run fast-forwarded.
-func checkSkipEquivalent(t *testing.T, label string, cfg Config, mk func() steer.Policy, tr *trace.Trace) int64 {
+// difference. It returns the cycles the skipping run fast-forwarded and
+// the run's error text, empty only when both runs completed.
+func checkSkipEquivalent(t *testing.T, label string, cfg Config, mk func() steer.Policy, tr *trace.Trace) (int64, string) {
 	t.Helper()
 	ref, refSkipped := runSkip(t, false, cfg, mk(), tr)
 	got, skipped := runSkip(t, true, cfg, mk(), tr)
@@ -76,7 +77,10 @@ func checkSkipEquivalent(t *testing.T, label string, cfg Config, mk func() steer
 	if !reflect.DeepEqual(got, ref) {
 		t.Errorf("%s: idle skipping changed the outcome\nskip: %s\nref:  %s", label, describeOutcome(got), describeOutcome(ref))
 	}
-	return skipped
+	if ref.Err != "" {
+		return skipped, ref.Err
+	}
+	return skipped, got.Err
 }
 
 func describeOutcome(o skipOutcome) string {
@@ -147,7 +151,8 @@ func TestIdleSkipMatchesCycleByCycle(t *testing.T) {
 				}
 				label := fmt.Sprintf("%s/%s/%s", pol.name, v.name, name)
 				n := v.clusters
-				totalSkipped += checkSkipEquivalent(t, label, cfg, func() steer.Policy { return pol.make(n) }, tr)
+				skipped, _ := checkSkipEquivalent(t, label, cfg, func() steer.Policy { return pol.make(n) }, tr)
+				totalSkipped += skipped
 			}
 		}
 	}
@@ -203,7 +208,7 @@ func TestIdleSkipNoCommitDetector(t *testing.T) {
 	tr := memboundTrace(200)
 	cfg := DefaultConfig(2)
 	cfg.Mem.MemLatency = 600_000
-	skipped := checkSkipEquivalent(t, "no-commit", cfg, func() steer.Policy { return &steer.OP{} }, tr)
+	skipped, _ := checkSkipEquivalent(t, "no-commit", cfg, func() steer.Policy { return &steer.OP{} }, tr)
 	out, _ := runSkip(t, true, cfg, &steer.OP{}, tr)
 	if out.Err == "" || out.Cycle != 500_001 {
 		t.Errorf("detector did not fire at cycle 500001: cycle %d, err %q", out.Cycle, out.Err)
@@ -272,7 +277,7 @@ func TestIdleSkipStoreDataPolls(t *testing.T) {
 	})
 	tr := trace.Expand(b.MustBuild(), trace.Options{NumUops: 3000, Seed: 3})
 	for _, n := range []int{2, 4} {
-		skipped := checkSkipEquivalent(t, fmt.Sprintf("storedata/%dc", n), DefaultConfig(n),
+		skipped, _ := checkSkipEquivalent(t, fmt.Sprintf("storedata/%dc", n), DefaultConfig(n),
 			func() steer.Policy { return &steer.ModN{} }, tr)
 		if skipped == 0 {
 			t.Errorf("%d clusters: nothing fast-forwarded", n)

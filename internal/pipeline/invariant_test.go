@@ -28,7 +28,9 @@ func withInvariants(f func()) {
 // dataflow-readiness check on: no micro-op issues before the operands it
 // waited on are readable in its cluster, and no copy issues before its
 // value is readable in its home cluster. Every run goes both cycle by
-// cycle and with idle skipping, which must agree.
+// cycle and with idle skipping, which must agree, and every run must
+// complete: a deadlock both modes share is still a failure, and only a
+// completed run reaches the end-of-run conservation check.
 func TestDataflowReadinessGoldenSetups(t *testing.T) {
 	uops := 5000 // the golden table's length
 	if testing.Short() {
@@ -62,7 +64,9 @@ func TestDataflowReadinessGoldenSetups(t *testing.T) {
 				}
 				tr := trace.Expand(p, trace.Options{NumUops: uops, Seed: sp.Seed})
 				label := fmt.Sprintf("%s/%s", s.name, sp.Name)
-				checkSkipEquivalent(t, label, cfg, s.make, tr)
+				if _, err := checkSkipEquivalent(t, label, cfg, s.make, tr); err != "" {
+					t.Errorf("%s: run did not complete: %s", label, err)
+				}
 			}
 		}
 	})

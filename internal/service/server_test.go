@@ -244,6 +244,62 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// Every setup field and run option is validated at submission: a spec
+// that would panic a compiler pass (a negative num_vc sizes its tables
+// negative) or that names a field its kind ignores answers 400
+// bad_request, and the server stays up to run the next, good job to
+// completion.
+func TestSubmitRejectsBadSetups(t *testing.T) {
+	ts, _, _ := startServer(t)
+	for _, setup := range []string{
+		`{"kind":"VC","num_vc":-1}`,
+		`{"kind":"VC-comm","num_vc":-1}`,
+		`{"kind":"VC","num_vc":33}`,
+		`{"kind":"OB","clusters":-1}`,
+		`{"kind":"VC","max_chain_len":-3}`,
+		`{"kind":"RHOP","region_max_ops":-1}`,
+		`{"kind":"VC","clusters":4,"num_vc":2,"region_max_ops":16}`,
+		`{"kind":"OP","max_chain_len":8}`,
+		`{"kind":"ADV","region_max_ops":16}`,
+	} {
+		resp, raw := postJSON(t, ts.URL+"/v1/jobs", `{"simpoint":"crafty","setup":`+setup+`}`)
+		var e api.Error
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(raw, &e) != nil || e.Code != api.CodeBadRequest {
+			t.Errorf("%s: status %d, body %s", setup, resp.StatusCode, raw)
+		}
+	}
+	// A negative trace length would size the trace negative the same way.
+	for _, opts := range []string{`{"num_uops":-5}`, `{"warmup_uops":-7}`} {
+		resp, raw := postJSON(t, ts.URL+"/v1/jobs", `{"simpoint":"crafty","setup":{"kind":"OP"},"opts":`+opts+`}`)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, body %s", opts, resp.StatusCode, raw)
+		}
+	}
+
+	resp, raw := postJSON(t, ts.URL+"/v1/jobs",
+		`{"simpoint":"crafty","setup":{"kind":"VC","num_vc":2},"opts":{"num_uops":2000}}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("good spec rejected: %d %s", resp.StatusCode, raw)
+	}
+	var sub service.SubmitResponse
+	if err := json.Unmarshal(raw, &sub); err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, ts.URL, sub.ID)
+	resp2, err := http.Get(ts.URL + "/v1/jobs/" + sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp2.Body.Close()
+	var status service.StatusResponse
+	if err := json.NewDecoder(resp2.Body).Decode(&status); err != nil {
+		t.Fatal(err)
+	}
+	if len(status.Results) != 1 || status.Results[0].Error != "" || status.Results[0].Cycles == 0 {
+		t.Errorf("good job after bad specs: %+v", status.Results)
+	}
+}
+
 // Completed submissions are evicted beyond the retention bound so the
 // daemon's registry doesn't grow with lifetime traffic; results stay
 // fetchable by key.

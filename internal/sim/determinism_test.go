@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"clustersim/internal/engine"
-	"clustersim/internal/steer"
+	"clustersim/internal/pipeline"
 	"clustersim/internal/workload"
 )
 
@@ -15,9 +15,6 @@ import (
 // survey. A new policy should be added here so the byte-identity contract
 // covers it.
 func determinismSetups() []Setup {
-	bare := func(label string, newPolicy func() steer.Policy) Setup {
-		return Setup{Label: label, NumClusters: 2, NewPolicy: newPolicy}
-	}
 	return []Setup{
 		SetupOP(2),
 		SetupOPNoStall(2),
@@ -28,10 +25,10 @@ func determinismSetups() []Setup {
 		SetupVC(2, 4),
 		SetupVCComm(2, 2),
 		SetupVCChain(2, 2, 4),
-		bare("ADV", func() steer.Policy { return &steer.DependenceBalanced{} }),
-		bare("LC", func() steer.Policy { return &steer.LeastLoaded{} }),
-		bare("SLC", func() steer.Policy { return &steer.Slice{} }),
-		bare("MOD", func() steer.Policy { return &steer.ModN{} }),
+		SetupKind("ADV", 2),
+		SetupKind("LC", 2),
+		SetupKind("SLC", 2),
+		SetupKind("MOD", 2),
 	}
 }
 
@@ -122,28 +119,59 @@ func TestPooledCoreByteIdentity(t *testing.T) {
 }
 
 // TestResultKeysStableAcrossRewrite pins the exact result content keys of
-// a representative job set. A key change silently orphans every blob in
-// existing content-addressed stores (all cached results re-simulate), so
-// it must be a deliberate decision, not a side effect.
+// every setup the reports run: the determinism suite's, the scoped and
+// chain forms of the ablations, the 4-cluster machine's, and one tweaked
+// run. A key change silently orphans every blob in existing
+// content-addressed stores (all cached results re-simulate), so it must be
+// a deliberate decision, not a side effect.
 func TestResultKeysStableAcrossRewrite(t *testing.T) {
+	const crafty = "result|v1|crafty|s2698591577689284590|h66f41a72d268c871|"
+	cases := []struct {
+		setup Setup
+		want  string
+	}{
+		{SetupOP(2), crafty + "OP|p|c2|u3000|w0|t"},
+		{SetupOPNoStall(2), crafty + "OP-nostall|p|c2|u3000|w0|t"},
+		{SetupOneCluster(2), crafty + "one-cluster|p|c2|u3000|w0|t"},
+		{SetupOB(2), crafty + "OB|pOB/2/0/0|c2|u3000|w0|t"},
+		{SetupRHOP(2), crafty + "RHOP|pRHOP/2/0/0|c2|u3000|w0|t"},
+		{SetupVC(2, 2), crafty + "VC|pVC/2/0/0|c2|u3000|w0|t"},
+		{SetupVC(2, 4), crafty + "VC(2->4)|pVC/2/0/0|c4|u3000|w0|t"},
+		{SetupVCComm(2, 2), crafty + "VC-comm|pVC/2/0/0|c2|u3000|w0|t"},
+		{SetupVCChain(2, 2, 4), crafty + "VC/chain4|pVC/2/0/4|c2|u3000|w0|t"},
+		{SetupKind("ADV", 2), crafty + "ADV|p|c2|u3000|w0|t"},
+		{SetupKind("LC", 2), crafty + "LC|p|c2|u3000|w0|t"},
+		{SetupKind("SLC", 2), crafty + "SLC|p|c2|u3000|w0|t"},
+		{SetupKind("MOD", 2), crafty + "MOD|p|c2|u3000|w0|t"},
+		{SetupScoped("VC", 2, 16), crafty + "VC/region16|pVC/2/16/0|c2|u3000|w0|t"},
+		{SetupScoped("OB", 2, 48), crafty + "OB/region48|pOB/2/48/0|c2|u3000|w0|t"},
+		{SetupScoped("RHOP", 2, 256), crafty + "RHOP/region256|pRHOP/2/256/0|c2|u3000|w0|t"},
+		{SetupVCChain(2, 2, 64), crafty + "VC/chain64|pVC/2/0/64|c2|u3000|w0|t"},
+		{SetupVC(3, 4), crafty + "VC(3->4)|pVC/3/0/0|c4|u3000|w0|t"},
+		{SetupVC(4, 4), crafty + "VC|pVC/4/0/0|c4|u3000|w0|t"},
+		{SetupVC(8, 4), crafty + "VC(8->4)|pVC/8/0/0|c4|u3000|w0|t"},
+		{SetupOP(4), crafty + "OP|p|c4|u3000|w0|t"},
+		{SetupOB(4), crafty + "OB|pOB/4/0/0|c4|u3000|w0|t"},
+		{SetupRHOP(4), crafty + "RHOP|pRHOP/4/0/0|c4|u3000|w0|t"},
+		{SetupVCComm(2, 4), crafty + "VC-comm(2->4)|pVC/2/0/0|c4|u3000|w0|t"},
+		{SetupOneCluster(4), crafty + "one-cluster|p|c4|u3000|w0|t"},
+	}
 	eng := engine.New(engine.Options{})
-	want := map[string]string{
-		"OP":   "result|v1|crafty|s2698591577689284590|h66f41a72d268c871|OP|p|c2|u3000|w0|t",
-		"VC":   "result|v1|crafty|s2698591577689284590|h66f41a72d268c871|VC|pVC/2/0/0|c2|u3000|w0|t",
-		"OB":   "result|v1|crafty|s2698591577689284590|h66f41a72d268c871|OB|pOB/2/0/0|c2|u3000|w0|t",
-		"RHOP": "result|v1|crafty|s2698591577689284590|h66f41a72d268c871|RHOP|pRHOP/2/0/0|c2|u3000|w0|t",
-	}
-	setups := map[string]Setup{
-		"OP": SetupOP(2), "VC": SetupVC(2, 2), "OB": SetupOB(2), "RHOP": SetupRHOP(2),
-	}
-	for label, setup := range setups {
-		job := engine.Job{Simpoint: workload.ByName("crafty"), Setup: setup, Opts: RunOptions{NumUops: 3000}}
+	for _, tc := range cases {
+		job := engine.Job{Simpoint: workload.ByName("crafty"), Setup: tc.setup, Opts: RunOptions{NumUops: 3000}}
 		key, ok := eng.ResultKey(job)
 		if !ok {
-			t.Fatalf("%s: job unexpectedly uncacheable", label)
+			t.Fatalf("%s: job unexpectedly uncacheable", tc.setup.Label)
 		}
-		if key != want[label] {
-			t.Errorf("%s: result key drifted:\n got %q\nwant %q", label, key, want[label])
+		if key != tc.want {
+			t.Errorf("%s: result key drifted:\n got %q\nwant %q", tc.setup.Label, key, tc.want)
 		}
+	}
+	tweaked := engine.Job{Simpoint: workload.ByName("swim"), Setup: SetupVC(2, 2), Opts: RunOptions{
+		NumUops: 3000, WarmupUops: 500, MachineTweak: func(*pipeline.Config) {},
+		TweakKey: "link latency 4 cycles (2 clusters)"}}
+	want := "result|v1|swim|s8753259172190019931|hd7dc3eeb24659f8e|VC|pVC/2/0/0|c2|u3000|w500|tlink latency 4 cycles (2 clusters)"
+	if key, ok := eng.ResultKey(tweaked); !ok || key != want {
+		t.Errorf("tweaked VC: result key drifted:\n got %q (%v)\nwant %q", key, ok, want)
 	}
 }

@@ -1,5 +1,6 @@
-// Package sim binds steering configurations (compiler pass + runtime
-// policy, paper Table 3) to machine configs (paper Table 2) and runs them.
+// Package sim names steering configurations (compiler pass + runtime
+// policy, paper Table 3) as declarative setups and runs them on machine
+// configs (paper Table 2); the engine resolves each setup's spec.
 // The heavy lifting — worker pooling, cancellation and artifact caching —
 // lives in internal/engine; RunOne and RunMatrix are thin, API-compatible
 // wrappers over it, kept for callers that need one-shot blocking runs
@@ -8,21 +9,13 @@ package sim
 
 import (
 	"context"
-	"fmt"
 
 	"clustersim/internal/engine"
-	"clustersim/internal/partition"
-	"clustersim/internal/steer"
 	"clustersim/internal/workload"
 )
 
-// Setup is one steering configuration: how programs are annotated at
-// compile time and which runtime policy steers.
+// Setup is one steering configuration: a declarative spec and its label.
 type Setup = engine.Setup
-
-// Pass declares a compiler pass for a Setup; the engine derives its
-// options from the machine configuration actually being run.
-type Pass = engine.Pass
 
 // RunOptions sizes one simulation.
 type RunOptions = engine.RunOptions
@@ -30,134 +23,60 @@ type RunOptions = engine.RunOptions
 // Result is the outcome of one (simpoint, setup) run.
 type Result = engine.Result
 
-// SetupOP returns the hardware-only occupancy-aware baseline.
-func SetupOP(clusters int) Setup {
-	return Setup{
-		Label:       "OP",
-		NumClusters: clusters,
-		Spec:        &engine.SetupSpec{Kind: "OP", NumClusters: clusters},
-		NewPolicy:   func() steer.Policy { return &steer.OP{} },
-	}
+// setup builds the Setup a spec literal describes. The resolver's error
+// is dropped on purpose: a rejected spec (a negative count, say) still
+// yields a Setup, and running it reports that error as the Result's Err.
+func setup(spec engine.SetupSpec) Setup {
+	s, _ := engine.NewSetup(spec)
+	return s
 }
+
+// SetupKind returns the configuration of a kind that takes no field but
+// the cluster count: "OP", "OP-nostall", "one-cluster", the policy
+// survey's "ADV", "LC", "SLC" and "MOD", or the defaults of the rest.
+func SetupKind(kind string, clusters int) Setup {
+	return setup(engine.SetupSpec{Kind: kind, NumClusters: clusters})
+}
+
+// SetupOP returns the hardware-only occupancy-aware baseline.
+func SetupOP(clusters int) Setup { return SetupKind("OP", clusters) }
 
 // SetupOPNoStall returns the OP variant without stall-over-steer: a full
 // preferred cluster always diverts. The ablation harness uses it to
 // quantify the stalling heuristic of [15]/[24].
-func SetupOPNoStall(clusters int) Setup {
-	return Setup{
-		Label:       "OP-nostall",
-		NumClusters: clusters,
-		Spec:        &engine.SetupSpec{Kind: "OP-nostall", NumClusters: clusters},
-		NewPolicy:   func() steer.Policy { return &steer.OP{NoStall: true} },
-	}
-}
+func SetupOPNoStall(clusters int) Setup { return SetupKind("OP-nostall", clusters) }
 
 // SetupOneCluster returns the naive everything-to-cluster-0 configuration.
-func SetupOneCluster(clusters int) Setup {
-	return Setup{
-		Label:       "one-cluster",
-		NumClusters: clusters,
-		Spec:        &engine.SetupSpec{Kind: "one-cluster", NumClusters: clusters},
-		NewPolicy:   func() steer.Policy { return &steer.OneCluster{} },
-	}
-}
+func SetupOneCluster(clusters int) Setup { return SetupKind("one-cluster", clusters) }
 
 // SetupOB returns the SPDI operation-based software-only configuration.
-func SetupOB(clusters int) Setup {
-	return Setup{
-		Label:       "OB",
-		NumClusters: clusters,
-		Pass:        &Pass{Kind: "OB", NumTargets: clusters, Run: partition.AnnotateOB},
-		Spec:        &engine.SetupSpec{Kind: "OB", NumClusters: clusters},
-		NewPolicy:   func() steer.Policy { return &steer.Static{Label: "OB"} },
-	}
-}
+func SetupOB(clusters int) Setup { return SetupKind("OB", clusters) }
 
 // SetupRHOP returns the RHOP software-only configuration.
-func SetupRHOP(clusters int) Setup {
-	return Setup{
-		Label:       "RHOP",
-		NumClusters: clusters,
-		Pass:        &Pass{Kind: "RHOP", NumTargets: clusters, Run: partition.AnnotateRHOP},
-		Spec:        &engine.SetupSpec{Kind: "RHOP", NumClusters: clusters},
-		NewPolicy:   func() steer.Policy { return &steer.Static{Label: "RHOP"} },
-	}
-}
+func SetupRHOP(clusters int) Setup { return SetupKind("RHOP", clusters) }
 
 // SetupVC returns the paper's hybrid configuration with numVC virtual
 // clusters on a machine with the given physical cluster count. The paper's
 // VC(2→4) is SetupVC(2, 4).
-func SetupVC(numVC, clusters int) Setup {
-	return SetupVCChain(numVC, clusters, 0)
-}
+func SetupVC(numVC, clusters int) Setup { return SetupVCChain(numVC, clusters, 0) }
 
 // SetupVCComm returns the communication-aware extension of the hybrid
 // mapper (the co-design direction of the paper's conclusion): leaders map
 // by load plus an estimated copy penalty for the leader's operands.
 func SetupVCComm(numVC, clusters int) Setup {
-	label := "VC-comm"
-	if numVC != clusters {
-		label = fmt.Sprintf("VC-comm(%d->%d)", numVC, clusters)
-	}
-	return Setup{
-		Label:       label,
-		NumClusters: clusters,
-		Pass:        &Pass{Kind: "VC", NumTargets: numVC, Run: partition.AnnotateVC},
-		Spec:        &engine.SetupSpec{Kind: "VC-comm", NumClusters: clusters, NumVC: numVC},
-		NewPolicy:   func() steer.Policy { return steer.NewVCComm(numVC) },
-	}
+	return setup(engine.SetupSpec{Kind: "VC-comm", NumClusters: clusters, NumVC: numVC})
 }
 
 // SetupScoped returns OB/RHOP/VC variants with a capped compiler region
 // size, for the compile-window ablation. kind is "OB", "RHOP" or "VC".
 func SetupScoped(kind string, clusters, regionMaxOps int) Setup {
-	label := fmt.Sprintf("%s/region%d", kind, regionMaxOps)
-	switch kind {
-	case "OB":
-		return Setup{
-			Label:       label,
-			NumClusters: clusters,
-			Pass:        &Pass{Kind: "OB", NumTargets: clusters, RegionMaxOps: regionMaxOps, Run: partition.AnnotateOB},
-			Spec:        &engine.SetupSpec{Kind: "OB", NumClusters: clusters, RegionMaxOps: regionMaxOps},
-			NewPolicy:   func() steer.Policy { return &steer.Static{Label: label} },
-		}
-	case "RHOP":
-		return Setup{
-			Label:       label,
-			NumClusters: clusters,
-			Pass:        &Pass{Kind: "RHOP", NumTargets: clusters, RegionMaxOps: regionMaxOps, Run: partition.AnnotateRHOP},
-			Spec:        &engine.SetupSpec{Kind: "RHOP", NumClusters: clusters, RegionMaxOps: regionMaxOps},
-			NewPolicy:   func() steer.Policy { return &steer.Static{Label: label} },
-		}
-	case "VC":
-		return Setup{
-			Label:       label,
-			NumClusters: clusters,
-			Pass:        &Pass{Kind: "VC", NumTargets: clusters, RegionMaxOps: regionMaxOps, Run: partition.AnnotateVC},
-			Spec:        &engine.SetupSpec{Kind: "VC", NumClusters: clusters, RegionMaxOps: regionMaxOps},
-			NewPolicy:   func() steer.Policy { return steer.NewVC(clusters) },
-		}
-	}
-	panic(fmt.Sprintf("sim: unknown scoped setup kind %q", kind))
+	return setup(engine.SetupSpec{Kind: kind, NumClusters: clusters, RegionMaxOps: regionMaxOps})
 }
 
 // SetupVCChain is SetupVC with an explicit chain-length cap (zero means the
 // partitioner default); the chain-length ablation sweeps it.
 func SetupVCChain(numVC, clusters, maxChainLen int) Setup {
-	label := "VC"
-	if numVC != clusters {
-		label = fmt.Sprintf("VC(%d->%d)", numVC, clusters)
-	}
-	if maxChainLen != 0 {
-		label = fmt.Sprintf("%s/chain%d", label, maxChainLen)
-	}
-	return Setup{
-		Label:       label,
-		NumClusters: clusters,
-		Pass:        &Pass{Kind: "VC", NumTargets: numVC, MaxChainLen: maxChainLen, Run: partition.AnnotateVC},
-		Spec:        &engine.SetupSpec{Kind: "VC", NumClusters: clusters, NumVC: numVC, MaxChainLen: maxChainLen},
-		NewPolicy:   func() steer.Policy { return steer.NewVC(numVC) },
-	}
+	return setup(engine.SetupSpec{Kind: "VC", NumClusters: clusters, NumVC: numVC, MaxChainLen: maxChainLen})
 }
 
 // RunOne executes one simulation from scratch: clone, annotate, expand,

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"clustersim/internal/engine"
 	"clustersim/internal/pipeline"
 	"clustersim/internal/workload"
 )
@@ -156,19 +157,21 @@ func TestWarmupPlumbing(t *testing.T) {
 func TestSetupScopedLabels(t *testing.T) {
 	for _, kind := range []string{"OB", "RHOP", "VC"} {
 		s := SetupScoped(kind, 2, 64)
-		if s.NumClusters != 2 || s.Pass == nil || s.NewPolicy == nil {
+		if s.NumClusters != 2 || s.RegionMaxOps != 64 || s.Label != kind+"/region64" {
 			t.Errorf("%s: malformed scoped setup %+v", kind, s)
 		}
-		if s.Pass.RegionMaxOps != 64 {
-			t.Errorf("%s: region cap not plumbed: %+v", kind, s.Pass)
+		if _, err := engine.NewSetup(s.SetupSpec); err != nil {
+			t.Errorf("%s: %v", kind, err)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown kind should panic")
-		}
-	}()
-	SetupScoped("nope", 2, 64)
+	// The constructors do not panic: an unknown kind fails to resolve,
+	// and a run of it fails with that error.
+	if _, err := engine.NewSetup(SetupScoped("nope", 2, 64).SetupSpec); err == nil {
+		t.Error("unknown kind resolved")
+	}
+	if res := RunOne(workload.ByName("crafty"), SetupScoped("nope", 2, 64), quickOpts()); res.Err == nil {
+		t.Error("unknown kind ran")
+	}
 }
 
 func TestSetupVCChainLabel(t *testing.T) {

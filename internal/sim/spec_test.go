@@ -28,6 +28,7 @@ func TestSpecJobRoundTrip(t *testing.T) {
 		SetupVC(2, 2), SetupVC(2, 4), SetupVCChain(2, 2, 3),
 		SetupVCComm(2, 2), SetupVCComm(2, 4),
 		SetupScoped("OB", 2, 64), SetupScoped("RHOP", 2, 128), SetupScoped("VC", 2, 64),
+		SetupKind("ADV", 2), SetupKind("LC", 2), SetupKind("SLC", 4), SetupKind("MOD", 2),
 	}
 	eng := engine.New(engine.Options{})
 	for _, setup := range setups {
@@ -69,29 +70,9 @@ func TestSpecFromJobRejections(t *testing.T) {
 		want string
 	}{
 		{
-			name: "custom annotate closure",
-			job: engine.Job{Simpoint: sp, Setup: Setup{
-				Label: "custom", NumClusters: 2,
-				Annotate:  func(*prog.Program) {},
-				NewPolicy: SetupOP(2).NewPolicy,
-			}},
-			want: "no declarative spec",
-		},
-		{
-			name: "hand-built setup without spec",
-			job: engine.Job{Simpoint: sp, Setup: Setup{
-				Label: "bare", NumClusters: 2, NewPolicy: SetupOP(2).NewPolicy,
-			}},
-			want: "no declarative spec",
-		},
-		{
-			name: "setup mutated after construction",
-			job: engine.Job{Simpoint: sp, Setup: func() Setup {
-				s := SetupOP(2)
-				s.NumClusters = 4 // stale Spec still says 2
-				return s
-			}()},
-			want: "modified after construction",
+			name: "spec that does not resolve",
+			job:  engine.Job{Simpoint: sp, Setup: SetupVC(-1, 2)},
+			want: "num_vc -1 outside 1..32",
 		},
 		{
 			name: "machine tweak closure",
@@ -135,6 +116,43 @@ func differentProgram() *prog.Program {
 	b.Int(uarch.OpAdd, uarch.IntReg(1), uarch.IntReg(0), uarch.IntReg(0))
 	b.Jump(0)
 	return b.MustBuild()
+}
+
+// JobFromSpec validates every setup field before a job exists: a count
+// out of range, a negative cap, or a field the kind ignores is refused
+// here, so no job can reach a pass or policy that would panic on it.
+func TestJobFromSpecRejectsBadSetups(t *testing.T) {
+	for _, s := range []engine.SetupSpec{
+		{Kind: "WAT"},
+		{Kind: "VC", NumVC: -1},
+		{Kind: "VC", NumVC: 33},
+		{Kind: "VC-comm", NumVC: -1},
+		{Kind: "OB", NumClusters: -1},
+		{Kind: "OP", NumClusters: 33},
+		{Kind: "VC", MaxChainLen: -3},
+		{Kind: "RHOP", RegionMaxOps: -1},
+		{Kind: "VC", NumClusters: 4, NumVC: 2, RegionMaxOps: 16},
+		{Kind: "VC", RegionMaxOps: 16, MaxChainLen: 8},
+		{Kind: "OP", NumVC: 4},
+		{Kind: "ADV", RegionMaxOps: 16},
+		{Kind: "OB", MaxChainLen: 8},
+		{Kind: "VC-comm", RegionMaxOps: 16},
+	} {
+		if job, err := JobFromSpec(engine.JobSpec{Simpoint: "crafty", Setup: s}); err == nil {
+			t.Errorf("%+v accepted as %q", s, job.Setup.Label)
+		}
+	}
+	// A field set to its default is not "set": OP on two clusters may
+	// name num_vc 2, and region-scoped VC may name num_vc = clusters.
+	for _, s := range []engine.SetupSpec{
+		{Kind: "OP", NumClusters: 2, NumVC: 2},
+		{Kind: "VC", NumClusters: 4, NumVC: 4, RegionMaxOps: 16},
+		{Kind: "VC", NumClusters: 4, NumVC: 8},
+	} {
+		if _, err := JobFromSpec(engine.JobSpec{Simpoint: "crafty", Setup: s}); err != nil {
+			t.Errorf("%+v: %v", s, err)
+		}
+	}
 }
 
 // SpecFromJob keeps nothing of the programs it checks: the suite's own
