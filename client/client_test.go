@@ -16,7 +16,6 @@ import (
 	"clustersim/client"
 	"clustersim/internal/api"
 	"clustersim/internal/engine"
-	"clustersim/internal/pipeline"
 	"clustersim/internal/service"
 	"clustersim/internal/sim"
 	"clustersim/internal/store"
@@ -163,29 +162,29 @@ func TestRunnerFallback(t *testing.T) {
 	_, c, serverEng := startServer(t)
 	ctx := context.Background()
 	sp := workload.ByName("gzip-1")
-	tweaked := engine.Job{
-		Simpoint: sp,
-		Setup:    sim.SetupOP(2),
-		Opts: engine.RunOptions{NumUops: 2000, TweakKey: "lat9",
-			MachineTweak: func(cfg *pipeline.Config) { cfg.Net.Latency = 9 }},
+	custom := engine.Job{
+		Simpoint: &workload.Simpoint{Name: "homegrown", Bench: "homegrown", Weight: 1,
+			Seed: sp.Seed, Program: sp.Program},
+		Setup: sim.SetupOP(2),
+		Opts:  engine.RunOptions{NumUops: 2000},
 	}
 
 	bare := client.NewRunner(c)
-	if res := bare.Run(ctx, tweaked); res.Err == nil {
+	if res := bare.Run(ctx, custom); res.Err == nil {
 		t.Fatal("non-remoteable job succeeded without a fallback")
 	}
 
 	local := engine.New(engine.Options{Parallelism: 1})
 	hybrid := client.NewRunner(c, client.WithFallback(local))
-	res := hybrid.Run(ctx, tweaked)
+	res := hybrid.Run(ctx, custom)
 	if res.Err != nil {
 		t.Fatalf("fallback run: %v", res.Err)
 	}
 	if serverEng.Stats().Simulations != 0 {
-		t.Errorf("tweaked job leaked to the server")
+		t.Errorf("custom-program job leaked to the server")
 	}
 	if local.Stats().Simulations != 1 {
-		t.Errorf("tweaked job did not run on the fallback engine")
+		t.Errorf("custom-program job did not run on the fallback engine")
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 )
 
 // Runner executes engine jobs on a remote clusterd instance. Jobs with no
-// declarative wire form (machine tweaks, setups that do not resolve,
-// non-suite workloads) are routed to the optional local fallback runner;
+// declarative wire form (non-suite workloads, histogram runs, setups or
+// machine overrides that do not resolve) are routed to the optional local fallback runner;
 // without one they fail with the conversion error. Safe for concurrent
 // use.
 type Runner struct {
@@ -55,7 +55,7 @@ type RunnerOption func(*Runner)
 
 // WithFallback routes jobs that cannot travel (no declarative spec) to a
 // local runner instead of failing them. steerbench uses a private local
-// engine here so ablations with machine-tweak closures still run.
+// engine here; every paper job travels, so it runs none of them.
 func WithFallback(local engine.Runner) RunnerOption {
 	return func(r *Runner) { r.local = local }
 }

@@ -182,13 +182,20 @@ type SetupSpec = engine.SetupSpec
 // OptionsSpec is the serializable subset of RunOptions.
 type OptionsSpec = engine.OptionsSpec
 
+// MachineSpec overrides the Table 2 machine knob by knob (RunOptions.Machine,
+// OptionsSpec.Machine); the zero value is the Table 2 machine.
+type MachineSpec = engine.MachineSpec
+
+// PrefetchOff is the MachineSpec.PrefetchDegree that turns prefetching off.
+const PrefetchOff = engine.PrefetchOff
+
 // JobFromSpec resolves a declarative job spec against the synthetic suite
 // and validates its setup spec.
 func JobFromSpec(spec JobSpec) (Job, error) { return sim.JobFromSpec(spec) }
 
 // SpecFromJob converts a runnable Job back to its declarative wire form —
-// the inverse of JobFromSpec. Jobs with machine-tweak closures, setups
-// that do not resolve, or non-suite workloads have no wire form and
+// the inverse of JobFromSpec. Non-suite workloads, histogram runs, and
+// setups or machine overrides that do not resolve have no wire form and
 // return an error; such jobs execute locally only.
 func SpecFromJob(job Job) (JobSpec, error) { return sim.SpecFromJob(job) }
 
@@ -202,9 +209,9 @@ type Runner = engine.Runner
 // ("http://host:8080") and returns a Runner executing jobs there,
 // deduplicated against everything the daemon's content-addressed store
 // has ever computed. local, when non-nil, handles jobs that cannot travel
-// (custom closures, machine tweaks, non-suite workloads); with a nil
-// local such jobs fail. For streaming, backoff and progress options use
-// the clustersim/client package directly.
+// (non-suite workloads, histogram runs); with a nil local such jobs fail.
+// For streaming, backoff and progress options use the clustersim/client
+// package directly.
 func NewRemoteRunner(baseURL string, local Runner) (Runner, error) {
 	c, err := client.New(baseURL)
 	if err != nil {

@@ -70,10 +70,7 @@ func main() {
 	fmt.Printf("workload %s, %d clusters, %d micro-ops\n\n", w.Name, *clusters, *uops)
 	var baseCycles int64
 	for i, setup := range setups {
-		opt := clustersim.RunOptions{NumUops: *uops, WarmupUops: *warmup}
-		if *profile {
-			opt.MachineTweak = func(cfg *clustersim.MachineConfig) { cfg.TrackHistograms = true }
-		}
+		opt := clustersim.RunOptions{NumUops: *uops, WarmupUops: *warmup, TrackHistograms: *profile}
 		res := clustersim.Run(w, setup, opt)
 		if res.Err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", setup.Label, res.Err)

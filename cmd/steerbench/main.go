@@ -221,8 +221,8 @@ func main() {
 	// The runner is the execution seam: the local engine by default, a
 	// clusterd client when -remote is one URL, a sharded fleet runner when
 	// it is a comma-separated list (with the local engine as the fallback
-	// for jobs that have no declarative wire form, e.g. the machine-tweak
-	// ablations). Everything downstream is runner-agnostic.
+	// for jobs that have no declarative wire form; every paper job has
+	// one, ablations included). Everything downstream is runner-agnostic.
 	var runner clustersim.Runner = eng
 	var fl *fleet.Runner // non-nil when sharding, for the fleet footer
 	urls := splitURLs(*remote)

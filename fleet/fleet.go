@@ -90,9 +90,8 @@ type config struct {
 type Option func(*config)
 
 // WithFallback routes jobs that cannot travel (no declarative spec:
-// custom programs, machine-tweak ablations) to a local
-// runner instead of failing them — the same hybrid split client.Runner
-// offers.
+// custom programs, histogram runs) to a local runner instead of failing
+// them — the same hybrid split client.Runner offers.
 func WithFallback(local engine.Runner) Option {
 	return func(c *config) { c.fallback = local }
 }

@@ -16,7 +16,6 @@ import (
 	"clustersim/client"
 	"clustersim/fleet"
 	"clustersim/internal/engine"
-	"clustersim/internal/pipeline"
 	"clustersim/internal/prog"
 	"clustersim/internal/service"
 	"clustersim/internal/sim"
@@ -483,18 +482,18 @@ func TestFleetFallback(t *testing.T) {
 	w1, w2 := startWorker(t), startWorker(t)
 	ctx := context.Background()
 	sp := workload.ByName("gzip-1")
-	tweaked := engine.Job{
-		Simpoint: sp,
-		Setup:    sim.SetupOP(2),
-		Opts: engine.RunOptions{NumUops: 2000, TweakKey: "lat9",
-			MachineTweak: func(cfg *pipeline.Config) { cfg.Net.Latency = 9 }},
+	custom := engine.Job{
+		Simpoint: &workload.Simpoint{Name: "homegrown", Bench: "homegrown", Weight: 1,
+			Seed: sp.Seed, Program: sp.Program},
+		Setup: sim.SetupOP(2),
+		Opts:  engine.RunOptions{NumUops: 2000},
 	}
 
 	bare, err := fleet.New([]string{w1.ts.URL, w2.ts.URL}, fastClient())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := bare.Run(ctx, tweaked); res.Err == nil {
+	if res := bare.Run(ctx, custom); res.Err == nil {
 		t.Fatal("non-remoteable job succeeded without a fallback")
 	}
 
@@ -503,14 +502,14 @@ func TestFleetFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := hybrid.Run(ctx, tweaked); res.Err != nil {
+	if res := hybrid.Run(ctx, custom); res.Err != nil {
 		t.Fatalf("fallback run: %v", res.Err)
 	}
 	if local.Stats().Simulations != 1 {
-		t.Error("tweaked job did not run on the fallback engine")
+		t.Error("custom-program job did not run on the fallback engine")
 	}
 	if w1.eng.Stats().Simulations+w2.eng.Stats().Simulations != 0 {
-		t.Error("tweaked job leaked to the fleet")
+		t.Error("custom-program job leaked to the fleet")
 	}
 	// Both workers stay alive: a job-level refusal is not worker loss.
 	if hybrid.Alive() != 2 {

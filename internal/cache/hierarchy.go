@@ -15,7 +15,8 @@ type HierarchyConfig struct {
 	MSHRs int
 	// PrefetchDegree is the number of sequential next lines fetched on a
 	// demand miss (a simple stream prefetcher, standard on the paper's era
-	// of hardware). Zero disables prefetching; negative means default (2).
+	// of hardware); Table 2 uses 4 (DefaultHierarchyConfig). Zero
+	// disables prefetching; a negative degree is an error.
 	PrefetchDegree int
 }
 
@@ -89,6 +90,8 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 		return nil, fmt.Errorf("cache: MemLatency %d, want at least 0 cycles", cfg.MemLatency)
 	case cfg.MSHRs < 0:
 		return nil, fmt.Errorf("cache: MSHRs %d, want at least 1 (0 means 16)", cfg.MSHRs)
+	case cfg.PrefetchDegree < 0:
+		return nil, fmt.Errorf("cache: PrefetchDegree %d, want at least 0 (0 disables prefetching)", cfg.PrefetchDegree)
 	}
 	if cfg.MSHRs == 0 {
 		cfg.MSHRs = 16
@@ -100,9 +103,6 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	l2, err := New(cfg.L2)
 	if err != nil {
 		return nil, fmt.Errorf("L2: %w", err)
-	}
-	if cfg.PrefetchDegree < 0 {
-		cfg.PrefetchDegree = 2
 	}
 	return &Hierarchy{cfg: cfg, l1: l1, l2: l2, prefetches: make(map[uint64]int64)}, nil
 }

@@ -1,6 +1,9 @@
 package cache
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestTaggedPrefetchHidesStream verifies the tagged stream prefetcher: a
 // sequential sweep should, after startup, be served at L1-hit or merged
@@ -54,6 +57,19 @@ func TestPrefetchDisabled(t *testing.T) {
 	}
 	if h.MemAccesses != 16 {
 		t.Errorf("every line of a cold sweep should miss to memory: %d/16", h.MemAccesses)
+	}
+}
+
+// A negative prefetch degree is an error, not a silent default: the
+// hierarchy refuses it, naming the field.
+func TestPrefetchNegativeDegreeRejected(t *testing.T) {
+	cfg := DefaultHierarchyConfig()
+	cfg.PrefetchDegree = -1
+	if h, err := NewHierarchy(cfg); err == nil || !strings.Contains(err.Error(), "PrefetchDegree") {
+		t.Errorf("degree -1: hierarchy %v, error %v; want an error naming PrefetchDegree", h != nil, err)
+	}
+	if DefaultHierarchyConfig().PrefetchDegree != 4 {
+		t.Error("Table 2 prefetch degree is 4")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"testing"
 	"time"
 
@@ -133,18 +132,17 @@ func TestProgramCacheBounded(t *testing.T) {
 	}
 }
 
-// The whole-result cache is bounded by entry count: every distinct tweak
-// key a client sends is a new result key, yet the cache never holds more
-// than maxResults of them, and a result evicted on the way re-simulates
-// into byte-identical bytes.
+// The whole-result cache is bounded by entry count: every distinct run
+// option a client sends is a new result key, yet the cache never holds
+// more than maxResults of them, and a result evicted on the way
+// re-simulates into byte-identical bytes.
 func TestResultCacheBounded(t *testing.T) {
 	e := New(Options{Parallelism: 2})
 	sp := workload.ByName("gzip-1")
 	job := func(i int) Job {
 		return Job{Simpoint: sp,
 			Setup: Setup{SetupSpec: SetupSpec{Kind: "OP", NumClusters: 2}, Label: "OP"},
-			Opts: RunOptions{NumUops: 200, TweakKey: fmt.Sprintf("noop%d", i),
-				MachineTweak: func(*pipeline.Config) {}}}
+			Opts:  RunOptions{NumUops: 200 + i/100, WarmupUops: i % 100}}
 	}
 	encode := func(r *Result) []byte {
 		if r.Err != nil {
@@ -176,5 +174,69 @@ func TestResultCacheBounded(t *testing.T) {
 	}
 	if e.Stats().Simulations != sims+1 {
 		t.Error("least recently used result was not evicted")
+	}
+}
+
+// Idle pooled cores are bounded by Parallelism in total, however many
+// machine shapes the jobs cycle through, and the pool keeps the shapes
+// released most recently.
+func TestCorePoolBoundedAcrossShapes(t *testing.T) {
+	const par = 2
+	e := New(Options{Parallelism: par})
+	sp := workload.ByName("gzip-1")
+	job := func(iq int) Job {
+		return Job{Simpoint: sp,
+			Setup: Setup{SetupSpec: SetupSpec{Kind: "OP", NumClusters: 2}, Label: "OP"},
+			Opts:  RunOptions{NumUops: 300, Machine: MachineSpec{IQInt: iq}}}
+	}
+	idle := func() int {
+		e.coresMu.Lock()
+		defer e.coresMu.Unlock()
+		n := 0
+		for _, p := range e.cores {
+			n += len(p.idle)
+		}
+		if n != e.idleCores {
+			t.Fatalf("pool holds %d cores, counts %d", n, e.idleCores)
+		}
+		return n
+	}
+	ctx := context.Background()
+	const shapes = 3 * par
+	for iq := 10; iq < 10+shapes; iq++ {
+		if res := e.Run(ctx, job(iq)); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		if n := idle(); n > par {
+			t.Fatalf("after shape iq_int=%d the pool holds %d idle cores, bound %d", iq, n, par)
+		}
+	}
+	jobs := make([]Job, 0, 4*shapes)
+	for i := 0; i < 4*shapes; i++ {
+		jobs = append(jobs, job(100+i%shapes))
+	}
+	for jr := range e.Stream(ctx, jobs) {
+		if jr.Result.Err != nil {
+			t.Fatal(jr.Result.Err)
+		}
+		if n := idle(); n > par {
+			t.Fatalf("concurrent run: the pool holds %d idle cores, bound %d", n, par)
+		}
+	}
+	// Sequentially through three fresh shapes A, B, C: releasing C drops
+	// A, the least recently released, so B is still pooled and A is not.
+	for _, iq := range []int{200, 201, 202} {
+		e.Run(ctx, job(iq))
+	}
+	st := e.Stats()
+	for _, iq := range []int{201, 200} {
+		j := job(iq)
+		j.Opts.WarmupUops = 1 // a new result key on the same shape
+		e.Run(ctx, j)
+	}
+	got := e.Stats()
+	if got.CorePoolHits != st.CorePoolHits+1 || got.CorePoolMisses != st.CorePoolMisses+1 {
+		t.Errorf("pool hits %d -> %d, misses %d -> %d: want B pooled and A evicted",
+			st.CorePoolHits, got.CorePoolHits, st.CorePoolMisses, got.CorePoolMisses)
 	}
 }

@@ -181,16 +181,22 @@ type SetupSpec struct {
 	MaxChainLen int `json:"max_chain_len,omitempty"`
 }
 
-// OptionsSpec is the serializable subset of RunOptions (machine-tweak
-// closures cannot travel).
+// OptionsSpec is the serializable subset of RunOptions: everything but
+// histogram tracking, whose histograms the result codec does not carry.
 type OptionsSpec struct {
 	NumUops    int `json:"num_uops,omitempty"`
 	WarmupUops int `json:"warmup_uops,omitempty"`
+	// Machine overrides the Table 2 machine; absent means Table 2.
+	Machine *MachineSpec `json:"machine,omitempty"`
 }
 
 // RunOptions converts the spec into engine options.
 func (o OptionsSpec) RunOptions() RunOptions {
-	return RunOptions{NumUops: o.NumUops, WarmupUops: o.WarmupUops}
+	ro := RunOptions{NumUops: o.NumUops, WarmupUops: o.WarmupUops}
+	if o.Machine != nil {
+		ro.Machine = *o.Machine
+	}
+	return ro
 }
 
 // EncodeJobSpec serializes a job spec with the codec header.

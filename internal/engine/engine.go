@@ -40,11 +40,15 @@ type RunOptions struct {
 	// WarmupUops excludes the first N committed micro-ops from the
 	// metrics (cache/predictor warmup).
 	WarmupUops int
-	// MachineTweak optionally mutates the machine config (ablations).
-	MachineTweak func(*pipeline.Config)
-	// TweakKey uniquely identifies MachineTweak's effect for caching.
-	// Runs with a MachineTweak but no TweakKey are never result-cached.
-	TweakKey string
+	// Machine overrides the Table 2 machine (ablations); the zero value
+	// runs the Table 2 machine. A result is keyed by the override's
+	// canonical form, so an override that resolves to the Table 2 machine
+	// shares its results.
+	Machine MachineSpec
+	// TrackHistograms collects per-cycle occupancy histograms
+	// (Metrics.Histograms). It is part of the result key, and such runs
+	// are never persisted: the result codec does not carry histograms.
+	TrackHistograms bool
 }
 
 func (o RunOptions) withDefaults() RunOptions {
@@ -124,12 +128,16 @@ type Engine struct {
 	progs   *flightCache[*prog.Program]
 	results *flightCache[*Result]
 
-	// cores pools idle pipeline cores keyed by their config Shape, bounded
-	// per shape at Parallelism (more can never be in use at once). A sweep
-	// of same-shaped jobs reuses a handful of cores via Reset instead of
-	// constructing one per job. Disabled together with the caches.
-	coresMu sync.Mutex
-	cores   map[pipeline.Config][]*pipeline.Core
+	// cores pools idle pipeline cores keyed by their config Shape. At
+	// most Parallelism cores idle in total (more can never be in use at
+	// once), whatever the number of shapes: a release past the bound drops
+	// a core of the least recently released shape. A sweep of same-shaped
+	// jobs reuses a handful of cores via Reset instead of constructing one
+	// per job. Disabled together with the caches.
+	coresMu   sync.Mutex
+	cores     map[pipeline.Config]*corePool
+	idleCores int
+	releases  uint64
 
 	simulations                         atomic.Int64
 	submitted, completed                atomic.Int64
@@ -146,8 +154,8 @@ type Engine struct {
 const maxPrograms = 2048
 
 // maxResults bounds the whole-result cache. The run options (uop count,
-// tweak key) are client-chosen, so every new combination is a new key
-// and the cache must evict; a full `steerbench -exp all` makes 2,920
+// machine override) are client-chosen, so every new combination is a new
+// key and the cache must evict; a full `steerbench -exp all` makes 2,400
 // simulations, so regeneration never does. An evicted result is served
 // again from the result store, when one is configured, or re-simulated.
 const maxResults = 8192
@@ -195,7 +203,7 @@ func New(opts Options) *Engine {
 		sched:   newScheduler(opts.Parallelism),
 		progs:   newFlightCache[*prog.Program](maxPrograms),
 		results: newFlightCache[*Result](maxResults),
-		cores:   make(map[pipeline.Config][]*pipeline.Core),
+		cores:   make(map[pipeline.Config]*corePool),
 	}
 }
 
@@ -295,19 +303,41 @@ func (e *Engine) fingerprint(sp *workload.Simpoint) string {
 	return fmt.Sprintf("%s|s%d|h%016x", sp.Name, sp.Seed, sp.Program.Fingerprint())
 }
 
+// machine resolves the machine a job runs on: the Table 2 machine of the
+// setup's cluster count with the run options and the machine override
+// applied. It returns the key suffix naming that machine, "" for the
+// Table 2 machine without histograms, or the override's validation error.
+func machine(clusters int, opt *RunOptions) (pipeline.Config, string, error) {
+	cfg := pipeline.DefaultConfig(clusters)
+	cfg.WarmupUops = int64(opt.WarmupUops)
+	cfg.TrackHistograms = opt.TrackHistograms
+	key, err := applyMachine(&cfg, &opt.Machine)
+	if opt.TrackHistograms {
+		key += "|h"
+	}
+	return cfg, key, err
+}
+
 // resultKey returns the whole-result cache key of a job whose setup
-// resolved to rs, and whether the job is cacheable at all: an un-keyed
-// MachineTweak has no content signature, so such jobs always execute.
-func (e *Engine) resultKey(job Job, rs *resolved) (string, bool) {
-	if job.Opts.MachineTweak != nil && job.Opts.TweakKey == "" {
-		return "", false
+// resolved to rs, or the machine override's validation error.
+func (e *Engine) resultKey(job Job, rs *resolved) (string, error) {
+	// A job on the Table 2 machine pays only this comparison; any other
+	// machine appends the canonical override's suffix, so its machine-
+	// derived pass options are keyed too.
+	var m string
+	if job.Opts.Machine != (MachineSpec{}) || job.Opts.TrackHistograms {
+		var err error
+		if _, m, err = machine(rs.clusters, &job.Opts); err != nil {
+			return "", err
+		}
 	}
 	// The pass's static signature is folded in so label collisions between
-	// setups with different compiler passes cannot alias; its machine-
-	// derived options are covered by the TweakKey requirement above.
+	// setups with different compiler passes cannot alias. The "t" field
+	// once carried a hand-written tweak name; it stays so Table 2 keys
+	// keep their bytes and existing stores stay warm.
 	return fmt.Sprintf("%s|%s|p%s|c%d|u%d|w%d|t%s",
 		e.fingerprint(job.Simpoint), rs.label, rs.sig, rs.clusters,
-		job.Opts.NumUops, job.Opts.WarmupUops, job.Opts.TweakKey), true
+		job.Opts.NumUops, job.Opts.WarmupUops, m), nil
 }
 
 // storeKey namespaces a result-cache key for a persistent store: the
@@ -318,17 +348,18 @@ func storeKey(key string) string {
 }
 
 // ResultKey returns the persistent-store key a job's result is (or would
-// be) stored under, and whether the job is cacheable at all (its setup
-// resolves and any MachineTweak is keyed). Services use it to hand
-// clients a fetch address at submission time.
+// be) stored under, and whether it has one: its setup and machine
+// override resolve, and it does not track histograms (such runs are
+// never persisted). Services use it to hand clients a fetch address at
+// submission time.
 func (e *Engine) ResultKey(job Job) (string, bool) {
 	job.Opts = job.Opts.withDefaults()
 	rs, err := resolve(job.Setup.SetupSpec)
-	if err != nil {
+	if err != nil || job.Opts.TrackHistograms {
 		return "", false
 	}
-	key, ok := e.resultKey(job, &rs)
-	if !ok {
+	key, err := e.resultKey(job, &rs)
+	if err != nil {
 		return "", false
 	}
 	return storeKey(key), true
@@ -410,10 +441,15 @@ func (e *Engine) run(ctx context.Context, job Job, fl *obs.Flight) *Result {
 	// Results carry the label the spec derives, whatever the caller's
 	// Label field says: it is part of the cache key.
 	job.Setup.Label = rs.label
-	key, cacheable := e.resultKey(job, &rs)
-	if !cacheable || e.opts.DisableCache {
+	key, err := e.resultKey(job, &rs)
+	if err != nil {
+		return &Result{Simpoint: job.Simpoint, Setup: job.Setup.Label, Err: err}
+	}
+	if e.opts.DisableCache {
 		return e.execute(ctx, job, &rs, fl)
 	}
+	// Histogram runs stay in memory: the store's codec would drop them.
+	persist := !job.Opts.TrackHistograms
 	for {
 		// The compute closure runs on exactly one caller's goroutine, so
 		// the spans it records (store_get / execute / encode / store_put)
@@ -421,11 +457,13 @@ func (e *Engine) run(ctx context.Context, job Job, fl *obs.Flight) *Result {
 		// wait below.
 		waitStart := fl.Begin()
 		res, hit, aborted := e.results.get(ctx.Done(), key, func() (*Result, bool) {
-			if r := e.storedResult(key, job, fl); r != nil {
-				return r, true
+			if persist {
+				if r := e.storedResult(key, job, fl); r != nil {
+					return r, true
+				}
 			}
 			r := e.execute(ctx, job, &rs, fl)
-			if r.Err == nil {
+			if r.Err == nil && persist {
 				e.persistResult(key, r, fl)
 			}
 			return r, r.Err == nil
@@ -486,10 +524,9 @@ func (e *Engine) execute(ctx context.Context, job Job, rs *resolved, fl *obs.Fli
 	}
 	sp, opt := job.Simpoint, job.Opts
 
-	cfg := pipeline.DefaultConfig(rs.clusters)
-	cfg.WarmupUops = int64(opt.WarmupUops)
-	if opt.MachineTweak != nil {
-		opt.MachineTweak(&cfg)
+	cfg, _, err := machine(rs.clusters, &opt)
+	if err != nil {
+		return &Result{Simpoint: sp, Setup: rs.label, Err: err}
 	}
 	t0 = fl.Begin()
 	p := e.annotated(sp, rs, &cfg)
@@ -534,10 +571,12 @@ func (e *Engine) acquireCore(cfg pipeline.Config, pol steer.Policy, tr *trace.Tr
 	shape := cfg.Shape()
 	var core *pipeline.Core
 	e.coresMu.Lock()
-	if pool := e.cores[shape]; len(pool) > 0 {
-		core = pool[len(pool)-1]
-		pool[len(pool)-1] = nil
-		e.cores[shape] = pool[:len(pool)-1]
+	if pool := e.cores[shape]; pool != nil {
+		core = pool.pop()
+		e.idleCores--
+		if len(pool.idle) == 0 {
+			delete(e.cores, shape)
+		}
 	}
 	e.coresMu.Unlock()
 	if core != nil {
@@ -552,10 +591,25 @@ func (e *Engine) acquireCore(cfg pipeline.Config, pol steer.Policy, tr *trace.Tr
 	return pipeline.NewCore(cfg, pol, tr)
 }
 
+// corePool is the idle cores of one shape and the tick of its latest
+// release.
+type corePool struct {
+	idle     []*pipeline.Core
+	released uint64
+}
+
+func (p *corePool) pop() *pipeline.Core {
+	core := p.idle[len(p.idle)-1]
+	p.idle[len(p.idle)-1] = nil
+	p.idle = p.idle[:len(p.idle)-1]
+	return core
+}
+
 // releaseCore parks an idle core for reuse, dropping its trace/policy
-// references first. Pool occupancy per shape is bounded by Parallelism —
-// more cores can never be running at once, so anything beyond that is
-// garbage from a shape the workload moved away from.
+// references first. Idle cores are bounded by Parallelism in total —
+// more can never be running at once — so past the bound a core of the
+// least recently released shape, one the workload moved away from, is
+// dropped.
 func (e *Engine) releaseCore(core *pipeline.Core) {
 	if e.opts.DisableCache {
 		return
@@ -563,10 +617,30 @@ func (e *Engine) releaseCore(core *pipeline.Core) {
 	shape := core.Shape()
 	core.Release()
 	e.coresMu.Lock()
-	if len(e.cores[shape]) < e.opts.Parallelism {
-		e.cores[shape] = append(e.cores[shape], core)
+	defer e.coresMu.Unlock()
+	pool := e.cores[shape]
+	if pool == nil {
+		pool = &corePool{}
+		e.cores[shape] = pool
 	}
-	e.coresMu.Unlock()
+	e.releases++
+	pool.released = e.releases
+	pool.idle = append(pool.idle, core)
+	if e.idleCores++; e.idleCores <= e.opts.Parallelism {
+		return
+	}
+	var lruShape pipeline.Config
+	var lru *corePool
+	for s, p := range e.cores {
+		if lru == nil || p.released < lru.released {
+			lruShape, lru = s, p
+		}
+	}
+	lru.pop()
+	e.idleCores--
+	if len(lru.idle) == 0 {
+		delete(e.cores, lruShape)
+	}
 }
 
 // annotated returns the annotated program clone for a setup resolved to

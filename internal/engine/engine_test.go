@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"clustersim/internal/engine"
-	"clustersim/internal/pipeline"
 	"clustersim/internal/sim"
 	"clustersim/internal/workload"
 )
@@ -127,36 +126,165 @@ func TestUniquePairSimulatedOnce(t *testing.T) {
 	}
 }
 
-// A tweaked machine is only cacheable under an explicit TweakKey, and
-// distinct keys never collide.
-func TestMachineTweakCaching(t *testing.T) {
-	tweak := func(cfg *pipeline.Config) { cfg.Cluster.IssueInt = 1 }
-	job := quickJob("gzip-1", sim.SetupOP(2))
-	job.Opts.MachineTweak = tweak
-
+// An override knob set to its Table 2 value keys exactly like no
+// override, alone or together with the others, so such a job shares the
+// Table 2 machine's results.
+func TestMachineOverrideTable2KeysAsNone(t *testing.T) {
 	eng := engine.New(engine.Options{Parallelism: 1})
-	eng.Run(context.Background(), job)
-	eng.Run(context.Background(), job)
-	if st := eng.Stats(); st.Simulations != 2 || st.ResultHits != 0 {
-		t.Errorf("un-keyed tweak must bypass the result cache: %+v", st)
+	for _, setup := range []sim.Setup{sim.SetupVC(2, 2), sim.SetupOB(4)} {
+		base := quickJob("gzip-1", setup)
+		want, ok := eng.ResultKey(base)
+		if !ok {
+			t.Fatalf("%s: no result key", setup.Label)
+		}
+		for _, m := range []engine.MachineSpec{
+			{LinkLatency: 1}, {Topology: "p2p"}, {LinkBandwidth: 1}, {CopyIssue: 1},
+			{IQInt: 48}, {IQFP: 48}, {PrefetchDegree: 4},
+			{LinkLatency: 1, Topology: "p2p", LinkBandwidth: 1, CopyIssue: 1,
+				IQInt: 48, IQFP: 48, PrefetchDegree: 4},
+		} {
+			job := base
+			job.Opts.Machine = m
+			if got, ok := eng.ResultKey(job); !ok || got != want {
+				t.Errorf("%s %+v: key %q (%v), want the Table 2 key %q", setup.Label, m, got, ok, want)
+			}
+		}
 	}
+}
 
-	job.Opts.TweakKey = "narrow-int"
-	eng2 := engine.New(engine.Options{Parallelism: 1})
-	keyed := eng2.Run(context.Background(), job)
-	cached := eng2.Run(context.Background(), job)
-	if st := eng2.Stats(); st.Simulations != 1 || st.ResultHits != 1 {
-		t.Errorf("keyed tweak must cache: %+v", st)
+// Distinct resolved machines never share a key, and every spelling of
+// one machine shares one.
+func TestMachineOverrideKeysDistinct(t *testing.T) {
+	machines := [][]engine.MachineSpec{
+		{{LinkLatency: 2}, {LinkLatency: 2, IQInt: 48}},
+		{{LinkLatency: 8}},
+		{{Topology: "ring"}, {Topology: "ring", PrefetchDegree: 4}},
+		{{LinkBandwidth: 2}},
+		{{LinkBandwidth: 4}},
+		{{CopyIssue: 2}},
+		{{CopyIssue: 4}},
+		{{IQInt: 24}},
+		{{IQInt: 96}},
+		{{IQFP: 24}},
+		{{IQFP: 96}},
+		{{PrefetchDegree: engine.PrefetchOff}},
+		{{PrefetchDegree: 8}},
+		{{IQInt: 24, IQFP: 24}, {IQFP: 24, IQInt: 24, CopyIssue: 1}},
+		{{IQInt: 96, IQFP: 96}},
+		{{CopyIssue: 2, LinkBandwidth: 2}},
+		{{CopyIssue: 4, LinkBandwidth: 4}},
+		{{LinkLatency: 2, Topology: "ring"}},
+		{{LinkLatency: 8, Topology: "ring", PrefetchDegree: engine.PrefetchOff}},
+		{{LinkLatency: 2, LinkBandwidth: 2, CopyIssue: 2, IQInt: 24, IQFP: 96,
+			Topology: "ring", PrefetchDegree: 8}},
 	}
-	if !bytes.Equal(encode(t, keyed.Metrics), encode(t, cached.Metrics)) {
-		t.Error("keyed tweak: cached metrics differ")
+	eng := engine.New(engine.Options{Parallelism: 1})
+	base := quickJob("gzip-1", sim.SetupVC(2, 4))
+	table2, _ := eng.ResultKey(base)
+	seen := map[string]int{table2: -1}
+	for i, spellings := range machines {
+		var first string
+		for j, m := range spellings {
+			job := base
+			job.Opts.Machine = m
+			key, ok := eng.ResultKey(job)
+			if !ok {
+				t.Fatalf("%+v: no result key", m)
+			}
+			if j == 0 {
+				first = key
+				if prev, dup := seen[key]; dup {
+					t.Errorf("machine %d %+v shares key %q with machine %d", i, m, key, prev)
+				}
+				seen[key] = i
+			} else if key != first {
+				t.Errorf("%+v keys %q, another spelling of it keys %q", m, key, first)
+			}
+		}
 	}
+}
 
-	// Same label, different tweak key: must re-simulate.
-	job.Opts.TweakKey = "other"
-	eng2.Run(context.Background(), job)
-	if st := eng2.Stats(); st.Simulations != 2 {
-		t.Errorf("distinct tweak keys must not collide: %+v", st)
+// A Table 2 override is served the Table 2 result; any other machine
+// simulates once and is then cached under its own key.
+func TestMachineOverrideCaching(t *testing.T) {
+	eng := engine.New(engine.Options{Parallelism: 1})
+	ctx := context.Background()
+	base := quickJob("gzip-1", sim.SetupVC(2, 2))
+	ref := eng.Run(ctx, base)
+	same := base
+	same.Opts.Machine = engine.MachineSpec{LinkLatency: 1, IQInt: 48}
+	if got := eng.Run(ctx, same); got.Err != nil || !bytes.Equal(encode(t, got.Metrics), encode(t, ref.Metrics)) {
+		t.Errorf("Table 2 override: %v, or metrics differ from the Table 2 run", got.Err)
+	}
+	if st := eng.Stats(); st.Simulations != 1 || st.ResultHits != 1 {
+		t.Errorf("Table 2 override must hit the Table 2 result: %+v", st)
+	}
+	slow := base
+	slow.Opts.Machine = engine.MachineSpec{LinkLatency: 4}
+	a, b := eng.Run(ctx, slow), eng.Run(ctx, slow)
+	if st := eng.Stats(); st.Simulations != 2 || st.ResultHits != 2 {
+		t.Errorf("latency-4 machine must simulate once, then hit: %+v", st)
+	}
+	if a.Err != nil || b.Err != nil || a.Metrics.Cycles <= ref.Metrics.Cycles {
+		t.Errorf("latency-4 machine: %v %v, %d cycles vs Table 2's %d",
+			a.Err, b.Err, a.Metrics.Cycles, ref.Metrics.Cycles)
+	}
+}
+
+// An out-of-bound knob fails the run before anything is simulated, and
+// the job has no result key.
+func TestInvalidMachineFailsRun(t *testing.T) {
+	eng := engine.New(engine.Options{Parallelism: 1})
+	for _, m := range badMachines {
+		job := quickJob("crafty", sim.SetupOP(2))
+		job.Opts.Machine = m
+		if res := eng.Run(context.Background(), job); res.Err == nil {
+			t.Errorf("%+v: run succeeded", m)
+		}
+		if _, ok := eng.ResultKey(job); ok {
+			t.Errorf("%+v: has a result key", m)
+		}
+		if err := m.Validate(); err == nil {
+			t.Errorf("%+v: Validate accepted it", m)
+		}
+	}
+	if st := eng.Stats(); st.Simulations != 0 {
+		t.Errorf("invalid machines simulated: %+v", st)
+	}
+}
+
+// badMachines has every knob just past each of its bounds.
+var badMachines = []engine.MachineSpec{
+	{LinkLatency: -1}, {LinkLatency: 65},
+	{Topology: "mesh"}, {Topology: "RING"},
+	{LinkBandwidth: -1}, {LinkBandwidth: 17},
+	{CopyIssue: -1}, {CopyIssue: 17},
+	{IQInt: -1}, {IQInt: 513},
+	{IQFP: -1}, {IQFP: 513},
+	{PrefetchDegree: -2}, {PrefetchDegree: 17},
+}
+
+// Histogram tracking is part of the result key: a caching engine never
+// serves a histogram-less result to a histogram run, nor the reverse.
+func TestHistogramRunsKeyedApart(t *testing.T) {
+	ctx := context.Background()
+	plain := quickJob("gzip-1", sim.SetupOP(2))
+	hist := plain
+	hist.Opts.TrackHistograms = true
+	for _, order := range [][]engine.Job{{plain, hist, plain, hist}, {hist, plain, hist, plain}} {
+		eng := engine.New(engine.Options{Parallelism: 1})
+		for _, job := range order {
+			res := eng.Run(ctx, job)
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			if got := res.Metrics.Histograms != nil; got != job.Opts.TrackHistograms {
+				t.Errorf("histograms present = %v, want %v", got, job.Opts.TrackHistograms)
+			}
+		}
+		if st := eng.Stats(); st.Simulations != 2 || st.ResultHits != 2 {
+			t.Errorf("want one simulation per variant, then hits: %+v", st)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"clustersim/internal/interconnect"
 	"clustersim/internal/partition"
 	"clustersim/internal/pipeline"
 	"clustersim/internal/prog"
@@ -154,9 +155,106 @@ func resolve(s SetupSpec) (resolved, error) {
 	return r, nil
 }
 
+// MachineSpec overrides the paper's Table 2 machine knob by knob: exactly
+// the parameters the sensitivity sweeps vary. A zero knob means its
+// Table 2 value; the zero MachineSpec is the Table 2 machine.
+type MachineSpec struct {
+	// LinkLatency is the per-hop inter-cluster link latency in cycles,
+	// 1..64 (Table 2: 1).
+	LinkLatency int `json:"link_latency,omitempty"`
+	// Topology is "p2p", the paper's point-to-point mesh (Table 2), or
+	// "ring", a bidirectional ring.
+	Topology string `json:"topology,omitempty"`
+	// LinkBandwidth is copies per cycle per link direction, 1..16
+	// (Table 2: 1).
+	LinkBandwidth int `json:"link_bandwidth,omitempty"`
+	// CopyIssue is the copy micro-ops each cluster issues per cycle,
+	// 1..16 (Table 2: 1).
+	CopyIssue int `json:"copy_issue,omitempty"`
+	// IQInt and IQFP are the per-cluster INT and FP issue-queue entries,
+	// 1..512, the ROB size (Table 2: 48 each).
+	IQInt int `json:"iq_int,omitempty"`
+	IQFP  int `json:"iq_fp,omitempty"`
+	// PrefetchDegree is the stream prefetcher's next-line count, 1..16
+	// (Table 2: 4), or PrefetchOff (-1). Zero already means "Table 2",
+	// so "no prefetching" has its own value.
+	PrefetchDegree int `json:"prefetch_degree,omitempty"`
+}
+
+// PrefetchOff is the MachineSpec.PrefetchDegree that turns stream
+// prefetching off (a machine prefetch degree of 0).
+const PrefetchOff = -1
+
+// topologies maps MachineSpec.Topology names to interconnect topologies.
+var topologies = map[string]interconnect.Topology{
+	"p2p":  interconnect.TopologyPointToPoint,
+	"ring": interconnect.TopologyRing,
+}
+
+// applyMachine is the one place that validates a machine override and
+// resolves it onto cfg, the Table 2 machine. It returns the canonical
+// override's key: every knob whose resolved value differs from cfg's, in
+// a fixed order, as "name=value"; a knob set to its Table 2 value is
+// dropped, so an override that resolves to the Table 2 machine keys as "".
+func applyMachine(cfg *pipeline.Config, m *MachineSpec) (string, error) {
+	var key []byte
+	var err error
+	set := func(name string, v, lo, hi int, dst *int) {
+		switch {
+		case v == 0 || err != nil:
+			return
+		case v < lo || v > hi:
+			err = fmt.Errorf("engine: machine %s %d outside %d..%d", name, v, lo, hi)
+			return
+		case v == PrefetchOff: // only prefetch_degree's bound admits it
+			v = 0
+		}
+		if *dst != v {
+			*dst = v
+			key = strconv.AppendInt(append(key, ","+name+"="...), int64(v), 10)
+		}
+	}
+	set("link_latency", m.LinkLatency, 1, 64, &cfg.Net.Latency)
+	set("link_bandwidth", m.LinkBandwidth, 1, 16, &cfg.Net.BandwidthPerLink)
+	set("copy_issue", m.CopyIssue, 1, 16, &cfg.Cluster.IssueCopy)
+	set("iq_int", m.IQInt, 1, 512, &cfg.Cluster.IQInt)
+	set("iq_fp", m.IQFP, 1, 512, &cfg.Cluster.IQFP)
+	set("prefetch_degree", m.PrefetchDegree, PrefetchOff, 16, &cfg.Mem.PrefetchDegree)
+	if err != nil {
+		return "", err
+	}
+	if m.Topology != "" {
+		t, ok := topologies[m.Topology]
+		if !ok {
+			return "", fmt.Errorf("engine: machine topology %q (want p2p or ring)", m.Topology)
+		}
+		if cfg.Net.Topology != t {
+			cfg.Net.Topology = t
+			key = append(key, ",topology="+m.Topology...)
+		}
+	}
+	if len(key) == 0 {
+		return "", nil
+	}
+	key[0] = 'm'
+	return "|" + string(key), nil
+}
+
+// Validate reports whether every knob of the override is within its
+// bound.
+func (m MachineSpec) Validate() error {
+	if m == (MachineSpec{}) {
+		return nil
+	}
+	cfg := pipeline.DefaultConfig(2)
+	_, err := applyMachine(&cfg, &m)
+	return err
+}
+
 // passOptions derives the pass options from the machine configuration
 // being run: issue widths and communication cost come from the live
-// config (MachineTweak included), not from a hardcoded default machine.
+// config (machine override included), not from a hardcoded default
+// machine.
 func (r *resolved) passOptions(cfg *pipeline.Config) partition.Options {
 	return partition.Options{
 		NumVC:        r.numVC,

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"clustersim/internal/engine"
-	"clustersim/internal/pipeline"
 	"clustersim/internal/sim"
 	"clustersim/internal/store"
 	"clustersim/internal/workload"
@@ -68,27 +67,51 @@ func TestResultsPersistAcrossEngines(t *testing.T) {
 	}
 }
 
-// Uncacheable jobs (a MachineTweak with no TweakKey) must never touch the
-// store.
-func TestUncacheableJobsBypassStore(t *testing.T) {
+// Histogram runs must never touch the store: the codec drops histograms,
+// so a stored copy would serve a histogram run without them.
+func TestHistogramRunsBypassStore(t *testing.T) {
 	st, err := store.OpenDisk(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := engine.New(engine.Options{Parallelism: 1, ResultStore: st})
 	job := engine.Job{Simpoint: workload.ByName("crafty"), Setup: sim.SetupOP(2),
-		Opts: sim.RunOptions{NumUops: 2000, MachineTweak: func(*pipeline.Config) {}}}
+		Opts: sim.RunOptions{NumUops: 2000, TrackHistograms: true}}
 	if res := eng.Run(context.Background(), job); res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	if est := eng.Stats(); est.StoreHits+est.StoreMisses != 0 {
-		t.Errorf("uncacheable job consulted the store: %+v", est)
+		t.Errorf("histogram run consulted the store: %+v", est)
 	}
 	if sst := st.Stats(); sst.Puts != 0 {
-		t.Errorf("uncacheable job persisted: %+v", sst)
+		t.Errorf("histogram run persisted: %+v", sst)
 	}
 	if _, ok := eng.ResultKey(job); ok {
-		t.Error("uncacheable job reported a result key")
+		t.Error("histogram run reported a store key")
+	}
+}
+
+// A machine-override run persists under its own key: a second engine on
+// the same store serves it without simulating, while the Table 2 run
+// of the same job is a different key and still misses.
+func TestMachineOverrideRunsPersist(t *testing.T) {
+	st, err := store.OpenDisk(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := engine.Job{Simpoint: workload.ByName("crafty"), Setup: sim.SetupOB(2),
+		Opts: sim.RunOptions{NumUops: 2000, Machine: engine.MachineSpec{IQInt: 24, IQFP: 24}}}
+	ctx := context.Background()
+	first := engine.New(engine.Options{Parallelism: 1, ResultStore: st}).Run(ctx, job)
+	second := engine.New(engine.Options{Parallelism: 1, ResultStore: st})
+	got := second.Run(ctx, job)
+	if first.Err != nil || got.Err != nil || !bytes.Equal(encode(t, first.Metrics), encode(t, got.Metrics)) {
+		t.Fatalf("stored override result differs: %v %v", first.Err, got.Err)
+	}
+	job.Opts.Machine = engine.MachineSpec{}
+	second.Run(ctx, job)
+	if est := second.Stats(); est.StoreHits != 1 || est.Simulations != 1 {
+		t.Errorf("want the override served from the store and the Table 2 run simulated: %+v", est)
 	}
 }
 

@@ -300,6 +300,54 @@ func TestSubmitRejectsBadSetups(t *testing.T) {
 	}
 }
 
+// Every machine knob is validated at submission: one out of bound
+// answers 400 bad_request, and the server stays up to run a good
+// overridden machine to completion.
+func TestSubmitRejectsBadMachines(t *testing.T) {
+	ts, _, _ := startServer(t)
+	for _, machine := range []string{
+		`{"link_latency":-1}`, `{"link_latency":65}`,
+		`{"topology":"mesh"}`,
+		`{"link_bandwidth":-1}`, `{"link_bandwidth":17}`,
+		`{"copy_issue":-1}`, `{"copy_issue":17}`,
+		`{"iq_int":-1}`, `{"iq_int":513}`,
+		`{"iq_fp":-1}`, `{"iq_fp":513}`,
+		`{"prefetch_degree":-2}`, `{"prefetch_degree":17}`,
+		`{"issue_int":1}`,
+	} {
+		resp, raw := postJSON(t, ts.URL+"/v1/jobs",
+			`{"simpoint":"crafty","setup":{"kind":"OP"},"opts":{"machine":`+machine+`}}`)
+		var e api.Error
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(raw, &e) != nil || e.Code != api.CodeBadRequest {
+			t.Errorf("%s: status %d, body %s", machine, resp.StatusCode, raw)
+		}
+	}
+
+	resp, raw := postJSON(t, ts.URL+"/v1/jobs",
+		`{"simpoint":"crafty","setup":{"kind":"VC"},"opts":{"num_uops":2000,`+
+			`"machine":{"link_latency":4,"topology":"ring","prefetch_degree":-1}}}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("good machine rejected: %d %s", resp.StatusCode, raw)
+	}
+	var sub service.SubmitResponse
+	if err := json.Unmarshal(raw, &sub); err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, ts.URL, sub.ID)
+	resp2, err := http.Get(ts.URL + "/v1/jobs/" + sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp2.Body.Close()
+	var status service.StatusResponse
+	if err := json.NewDecoder(resp2.Body).Decode(&status); err != nil {
+		t.Fatal(err)
+	}
+	if len(status.Results) != 1 || status.Results[0].Error != "" || status.Results[0].Cycles == 0 {
+		t.Errorf("good machine after bad ones: %+v", status.Results)
+	}
+}
+
 // Completed submissions are evicted beyond the retention bound so the
 // daemon's registry doesn't grow with lifetime traffic; results stay
 // fetchable by key.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"clustersim/internal/engine"
-	"clustersim/internal/pipeline"
 	"clustersim/internal/workload"
 )
 
@@ -118,12 +117,56 @@ func TestPooledCoreByteIdentity(t *testing.T) {
 	}
 }
 
+// TestPooledCoreByteIdentityOverriddenMachines extends the pooling
+// contract to the ablations' machines: the jobs move through more machine
+// shapes than the pool holds cores, so cores are reused within a shape and
+// evicted across shapes, and every result must still encode
+// byte-identically to a fresh core's.
+func TestPooledCoreByteIdentityOverriddenMachines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-machine sweep")
+	}
+	sps := []*workload.Simpoint{workload.ByName("crafty"), workload.ByName("swim")}
+	machines := []engine.MachineSpec{
+		{LinkLatency: 4},
+		{IQInt: 24, IQFP: 24},
+		{Topology: "ring"},
+		{CopyIssue: 2, LinkBandwidth: 2},
+		{PrefetchDegree: engine.PrefetchOff},
+		{PrefetchDegree: 8},
+	}
+	eng := engine.New(engine.Options{Parallelism: 2})
+	for _, m := range machines {
+		for _, setup := range []Setup{SetupOP(2), SetupVC(2, 2), SetupOB(4), SetupVC(2, 4)} {
+			for _, sp := range sps {
+				job := engine.Job{Simpoint: sp, Setup: setup, Opts: RunOptions{NumUops: 3000, Machine: m}}
+				got := eng.Run(context.Background(), job)
+				want := engine.Execute(context.Background(), job)
+				if got.Err != nil || want.Err != nil {
+					t.Fatalf("%s/%s %+v: %v %v", setup.Label, sp.Name, m, got.Err, want.Err)
+				}
+				encGot, errG := engine.EncodeResult(got)
+				encWant, errW := engine.EncodeResult(want)
+				if errG != nil || errW != nil {
+					t.Fatalf("%s/%s %+v: encoding: %v %v", setup.Label, sp.Name, m, errG, errW)
+				}
+				if !bytes.Equal(encGot, encWant) {
+					t.Errorf("%s/%s %+v: pooled-core result differs from fresh-core reference", setup.Label, sp.Name, m)
+				}
+			}
+		}
+	}
+	if st := eng.Stats(); st.CorePoolHits == 0 {
+		t.Error("sweep ran without a single core-pool hit: pooling inactive")
+	}
+}
+
 // TestResultKeysStableAcrossRewrite pins the exact result content keys of
 // every setup the reports run: the determinism suite's, the scoped and
-// chain forms of the ablations, the 4-cluster machine's, and one tweaked
-// run. A key change silently orphans every blob in existing
-// content-addressed stores (all cached results re-simulate), so it must be
-// a deliberate decision, not a side effect.
+// chain forms of the ablations, the 4-cluster machine's, and one run on an
+// overridden machine. A key change silently orphans every blob in
+// existing content-addressed stores (all cached results re-simulate), so
+// it must be a deliberate decision, not a side effect.
 func TestResultKeysStableAcrossRewrite(t *testing.T) {
 	const crafty = "result|v1|crafty|s2698591577689284590|h66f41a72d268c871|"
 	cases := []struct {
@@ -167,11 +210,10 @@ func TestResultKeysStableAcrossRewrite(t *testing.T) {
 			t.Errorf("%s: result key drifted:\n got %q\nwant %q", tc.setup.Label, key, tc.want)
 		}
 	}
-	tweaked := engine.Job{Simpoint: workload.ByName("swim"), Setup: SetupVC(2, 2), Opts: RunOptions{
-		NumUops: 3000, WarmupUops: 500, MachineTweak: func(*pipeline.Config) {},
-		TweakKey: "link latency 4 cycles (2 clusters)"}}
-	want := "result|v1|swim|s8753259172190019931|hd7dc3eeb24659f8e|VC|pVC/2/0/0|c2|u3000|w500|tlink latency 4 cycles (2 clusters)"
-	if key, ok := eng.ResultKey(tweaked); !ok || key != want {
-		t.Errorf("tweaked VC: result key drifted:\n got %q (%v)\nwant %q", key, ok, want)
+	slow := engine.Job{Simpoint: workload.ByName("swim"), Setup: SetupVC(2, 2), Opts: RunOptions{
+		NumUops: 3000, WarmupUops: 500, Machine: engine.MachineSpec{LinkLatency: 4}}}
+	want := "result|v1|swim|s8753259172190019931|hd7dc3eeb24659f8e|VC|pVC/2/0/0|c2|u3000|w500|t|mlink_latency=4"
+	if key, ok := eng.ResultKey(slow); !ok || key != want {
+		t.Errorf("latency-4 VC: result key drifted:\n got %q (%v)\nwant %q", key, ok, want)
 	}
 }

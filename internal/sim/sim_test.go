@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"clustersim/internal/engine"
-	"clustersim/internal/pipeline"
 	"clustersim/internal/workload"
 )
 
@@ -107,18 +106,18 @@ func TestRunMatrixMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestMachineTweak(t *testing.T) {
+func TestMachineOverride(t *testing.T) {
 	sp := workload.ByName("crafty")
 	opt := quickOpts()
-	opt.MachineTweak = func(cfg *pipeline.Config) { cfg.Cluster.IssueInt = 1 }
-	narrow := RunOne(sp, SetupOP(2), opt)
-	wide := RunOne(sp, SetupOP(2), quickOpts())
-	if narrow.Err != nil || wide.Err != nil {
-		t.Fatalf("errs: %v %v", narrow.Err, wide.Err)
+	opt.Machine = engine.MachineSpec{LinkLatency: 8}
+	slow := RunOne(sp, SetupOP(2), opt)
+	fast := RunOne(sp, SetupOP(2), quickOpts())
+	if slow.Err != nil || fast.Err != nil {
+		t.Fatalf("errs: %v %v", slow.Err, fast.Err)
 	}
-	if narrow.Metrics.Cycles <= wide.Metrics.Cycles {
-		t.Errorf("halving issue width should cost cycles: %d vs %d",
-			narrow.Metrics.Cycles, wide.Metrics.Cycles)
+	if slow.Metrics.Cycles <= fast.Metrics.Cycles {
+		t.Errorf("8-cycle links should cost cycles: %d vs %d",
+			slow.Metrics.Cycles, fast.Metrics.Cycles)
 	}
 }
 

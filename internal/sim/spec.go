@@ -26,20 +26,24 @@ var suiteIndex = sync.OnceValue(func() map[string]suiteIdentity {
 
 // SpecFromJob converts a runnable job back to its declarative wire form —
 // the inverse of JobFromSpec, used by remote runners to ship a job to a
-// clusterd worker. Not every job can travel: machine-tweak closures,
-// setups whose spec does not resolve, and workloads outside the
-// synthetic suite have no declarative form and must execute locally. The
-// returned error says which constraint failed so hybrid runners can route
-// such jobs to a local fallback.
+// clusterd worker. Not every job can travel: workloads outside the
+// synthetic suite have no declarative form, histogram runs need the
+// histograms the wire result does not carry, and a setup or machine
+// override that does not resolve fails anywhere. The returned error says
+// which constraint failed so hybrid runners can route such jobs to a
+// local fallback.
 func SpecFromJob(job engine.Job) (engine.JobSpec, error) {
 	if job.Simpoint == nil {
 		return engine.JobSpec{}, fmt.Errorf("sim: job has no simpoint")
 	}
-	if job.Opts.MachineTweak != nil {
-		return engine.JobSpec{}, fmt.Errorf("sim: machine-tweak closures cannot cross a process boundary")
+	if job.Opts.TrackHistograms {
+		return engine.JobSpec{}, fmt.Errorf("sim: histogram runs run locally only (the wire result carries no histograms)")
 	}
 	if _, err := engine.NewSetup(job.Setup.SetupSpec); err != nil {
 		return engine.JobSpec{}, fmt.Errorf("sim: setup %q: %w", job.Setup.Label, err)
+	}
+	if err := job.Opts.Machine.Validate(); err != nil {
+		return engine.JobSpec{}, fmt.Errorf("sim: %w", err)
 	}
 	suite, ok := suiteIndex()[job.Simpoint.Name]
 	if !ok {
@@ -52,19 +56,24 @@ func SpecFromJob(job engine.Job) (engine.JobSpec, error) {
 	if suite.seed != job.Simpoint.Seed || suite.fp != job.Simpoint.Program.Fingerprint() {
 		return engine.JobSpec{}, fmt.Errorf("sim: workload %q does not match the suite's definition (custom workloads run locally only)", job.Simpoint.Name)
 	}
-	return engine.JobSpec{
+	spec := engine.JobSpec{
 		Simpoint: job.Simpoint.Name,
 		Setup:    job.Setup.SetupSpec,
 		Opts:     engine.OptionsSpec{NumUops: job.Opts.NumUops, WarmupUops: job.Opts.WarmupUops},
-	}, nil
+	}
+	if job.Opts.Machine != (engine.MachineSpec{}) {
+		m := job.Opts.Machine
+		spec.Opts.Machine = &m
+	}
+	return spec, nil
 }
 
 // JobFromSpec resolves a serialized job spec into a runnable engine job:
 // the simpoint is looked up in the synthetic suite (programs are never
 // shipped — they are rebuilt deterministically from the suite tables) and
-// the setup spec is resolved and validated by engine.NewSetup. A negative
-// trace length or warmup is refused too: it would size the trace
-// negative.
+// the setup spec is resolved and validated by engine.NewSetup, the
+// machine override by MachineSpec.Validate. A negative trace length or
+// warmup is refused too: it would size the trace negative.
 func JobFromSpec(spec engine.JobSpec) (engine.Job, error) {
 	sp := workload.ByName(spec.Simpoint)
 	if sp == nil {
@@ -78,5 +87,9 @@ func JobFromSpec(spec engine.JobSpec) (engine.Job, error) {
 	if err != nil {
 		return engine.Job{}, err
 	}
-	return engine.Job{Simpoint: sp, Setup: setup, Opts: spec.Opts.RunOptions()}, nil
+	opts := spec.Opts.RunOptions()
+	if err := opts.Machine.Validate(); err != nil {
+		return engine.Job{}, err
+	}
+	return engine.Job{Simpoint: sp, Setup: setup, Opts: opts}, nil
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/json"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -8,7 +9,6 @@ import (
 	"time"
 
 	"clustersim/internal/engine"
-	"clustersim/internal/pipeline"
 	"clustersim/internal/prog"
 	"clustersim/internal/uarch"
 	"clustersim/internal/workload"
@@ -75,10 +75,16 @@ func TestSpecFromJobRejections(t *testing.T) {
 			want: "num_vc -1 outside 1..32",
 		},
 		{
-			name: "machine tweak closure",
+			name: "histogram run",
 			job: engine.Job{Simpoint: sp, Setup: SetupOP(2),
-				Opts: RunOptions{MachineTweak: func(cfg *pipeline.Config) {}, TweakKey: "x"}},
-			want: "machine-tweak",
+				Opts: RunOptions{TrackHistograms: true}},
+			want: "histogram",
+		},
+		{
+			name: "machine out of bound",
+			job: engine.Job{Simpoint: sp, Setup: SetupOP(2),
+				Opts: RunOptions{Machine: engine.MachineSpec{LinkLatency: 65}}},
+			want: "link_latency 65 outside 1..64",
 		},
 		{
 			name: "custom workload",
@@ -105,6 +111,52 @@ func TestSpecFromJobRejections(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// Machine overrides travel: every ablation machine survives the JSON wire
+// round trip with its result key intact, and a Table 2 machine travels as
+// no override at all.
+func TestSpecJobRoundTripMachines(t *testing.T) {
+	sp := workload.ByName("swim")
+	eng := engine.New(engine.Options{})
+	for _, m := range []engine.MachineSpec{
+		{},
+		{LinkLatency: 4},
+		{IQInt: 24, IQFP: 24},
+		{Topology: "ring"},
+		{CopyIssue: 2, LinkBandwidth: 2},
+		{PrefetchDegree: engine.PrefetchOff},
+		{PrefetchDegree: 8},
+	} {
+		job := engine.Job{Simpoint: sp, Setup: SetupVC(2, 4), Opts: RunOptions{NumUops: 9000, Machine: m}}
+		spec, err := SpecFromJob(job)
+		if err != nil {
+			t.Fatalf("%+v: SpecFromJob: %v", m, err)
+		}
+		raw, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(string(raw), `"machine"`); got != (m != engine.MachineSpec{}) {
+			t.Errorf("%+v: wire form %s", m, raw)
+		}
+		var wire engine.JobSpec
+		if err := json.Unmarshal(raw, &wire); err != nil {
+			t.Fatal(err)
+		}
+		back, err := JobFromSpec(wire)
+		if err != nil {
+			t.Fatalf("%+v: JobFromSpec: %v", m, err)
+		}
+		if back.Opts.Machine != m {
+			t.Errorf("round-tripped machine %+v, want %+v", back.Opts.Machine, m)
+		}
+		k1, ok1 := eng.ResultKey(job)
+		k2, ok2 := eng.ResultKey(back)
+		if !ok1 || !ok2 || k1 != k2 {
+			t.Errorf("%+v: result keys diverge after round trip:\n  %q (%v)\n  %q (%v)", m, k1, ok1, k2, ok2)
 		}
 	}
 }
