@@ -72,10 +72,9 @@ const (
 	//
 	// v8: every paper job is declarative. OptionsSpec gained machine, an
 	// override of the Table 2 machine with named knobs (link_latency,
-	// topology, link_bandwidth, copy_issue, iq_int, iq_fp,
-	// prefetch_degree, where -1 turns prefetching off); zero or absent
-	// knobs keep Table 2, and a knob out of bound is refused with
-	// bad_request. A v7 server would refuse the unknown field mid-run;
+	// topology, link_bandwidth, copy_issue, iq, prefetch_degree, where
+	// -1 turns prefetching off); zero or absent knobs keep Table 2, and a
+	// knob out of bound is refused with bad_request. A v7 server would refuse the unknown field mid-run;
 	// the bump makes the mismatch fail at construction instead.
 	Version = 8
 	// VersionHeader is the HTTP response header carrying Version.

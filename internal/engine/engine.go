@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -128,16 +129,14 @@ type Engine struct {
 	progs   *flightCache[*prog.Program]
 	results *flightCache[*Result]
 
-	// cores pools idle pipeline cores keyed by their config Shape. At
+	// idle pools idle pipeline cores in release order, oldest first. At
 	// most Parallelism cores idle in total (more can never be in use at
-	// once), whatever the number of shapes: a release past the bound drops
-	// a core of the least recently released shape. A sweep of same-shaped
-	// jobs reuses a handful of cores via Reset instead of constructing one
-	// per job. Disabled together with the caches.
-	coresMu   sync.Mutex
-	cores     map[pipeline.Config]*corePool
-	idleCores int
-	releases  uint64
+	// once), whatever their shapes: a release past the bound drops the
+	// least recently released core. A sweep of same-shaped jobs reuses a
+	// handful of cores via Reset instead of constructing one per job.
+	// Disabled together with the caches.
+	coresMu sync.Mutex
+	idle    []*pipeline.Core
 
 	simulations                         atomic.Int64
 	submitted, completed                atomic.Int64
@@ -203,7 +202,6 @@ func New(opts Options) *Engine {
 		sched:   newScheduler(opts.Parallelism),
 		progs:   newFlightCache[*prog.Program](maxPrograms),
 		results: newFlightCache[*Result](maxResults),
-		cores:   make(map[pipeline.Config]*corePool),
 	}
 }
 
@@ -571,11 +569,11 @@ func (e *Engine) acquireCore(cfg pipeline.Config, pol steer.Policy, tr *trace.Tr
 	shape := cfg.Shape()
 	var core *pipeline.Core
 	e.coresMu.Lock()
-	if pool := e.cores[shape]; pool != nil {
-		core = pool.pop()
-		e.idleCores--
-		if len(pool.idle) == 0 {
-			delete(e.cores, shape)
+	for i := len(e.idle) - 1; i >= 0; i-- {
+		if e.idle[i].Shape() == shape {
+			core = e.idle[i]
+			e.idle = slices.Delete(e.idle, i, i+1)
+			break
 		}
 	}
 	e.coresMu.Unlock()
@@ -591,55 +589,21 @@ func (e *Engine) acquireCore(cfg pipeline.Config, pol steer.Policy, tr *trace.Tr
 	return pipeline.NewCore(cfg, pol, tr)
 }
 
-// corePool is the idle cores of one shape and the tick of its latest
-// release.
-type corePool struct {
-	idle     []*pipeline.Core
-	released uint64
-}
-
-func (p *corePool) pop() *pipeline.Core {
-	core := p.idle[len(p.idle)-1]
-	p.idle[len(p.idle)-1] = nil
-	p.idle = p.idle[:len(p.idle)-1]
-	return core
-}
-
 // releaseCore parks an idle core for reuse, dropping its trace/policy
 // references first. Idle cores are bounded by Parallelism in total —
-// more can never be running at once — so past the bound a core of the
-// least recently released shape, one the workload moved away from, is
-// dropped.
+// more can never be running at once — so past the bound the least
+// recently released core, likely of a shape the workload moved away
+// from, is dropped.
 func (e *Engine) releaseCore(core *pipeline.Core) {
 	if e.opts.DisableCache {
 		return
 	}
-	shape := core.Shape()
 	core.Release()
 	e.coresMu.Lock()
 	defer e.coresMu.Unlock()
-	pool := e.cores[shape]
-	if pool == nil {
-		pool = &corePool{}
-		e.cores[shape] = pool
-	}
-	e.releases++
-	pool.released = e.releases
-	pool.idle = append(pool.idle, core)
-	if e.idleCores++; e.idleCores <= e.opts.Parallelism {
-		return
-	}
-	var lruShape pipeline.Config
-	var lru *corePool
-	for s, p := range e.cores {
-		if lru == nil || p.released < lru.released {
-			lruShape, lru = s, p
-		}
-	}
-	lru.pop()
-	e.idleCores--
-	if len(lru.idle) == 0 {
-		delete(e.cores, lruShape)
+	e.idle = append(e.idle, core)
+	if len(e.idle) > e.opts.Parallelism {
+		e.idle = slices.Delete(e.idle, 0, 1)
 	}
 }
 

@@ -139,9 +139,9 @@ func TestMachineOverrideTable2KeysAsNone(t *testing.T) {
 		}
 		for _, m := range []engine.MachineSpec{
 			{LinkLatency: 1}, {Topology: "p2p"}, {LinkBandwidth: 1}, {CopyIssue: 1},
-			{IQInt: 48}, {IQFP: 48}, {PrefetchDegree: 4},
+			{IQ: 48}, {PrefetchDegree: 4},
 			{LinkLatency: 1, Topology: "p2p", LinkBandwidth: 1, CopyIssue: 1,
-				IQInt: 48, IQFP: 48, PrefetchDegree: 4},
+				IQ: 48, PrefetchDegree: 4},
 		} {
 			job := base
 			job.Opts.Machine = m
@@ -152,30 +152,46 @@ func TestMachineOverrideTable2KeysAsNone(t *testing.T) {
 	}
 }
 
+// A ring of two clusters is their one point-to-point link, so on two
+// clusters the topology knob resolves away and keys like no override;
+// on four it keys apart.
+func TestRingOnTwoClustersKeysAsNone(t *testing.T) {
+	eng := engine.New(engine.Options{Parallelism: 1})
+	for _, c := range []struct {
+		setup sim.Setup
+		same  bool
+	}{{sim.SetupVC(2, 2), true}, {sim.SetupOB(2), true}, {sim.SetupOB(4), false}} {
+		job := quickJob("gzip-1", c.setup)
+		want, _ := eng.ResultKey(job)
+		job.Opts.Machine = engine.MachineSpec{Topology: "ring"}
+		if got, ok := eng.ResultKey(job); !ok || (got == want) != c.same {
+			t.Errorf("%s ring: key %q (%v), Table 2 key %q, want same=%v", c.setup.Label, got, ok, want, c.same)
+		}
+	}
+}
+
 // Distinct resolved machines never share a key, and every spelling of
 // one machine shares one.
 func TestMachineOverrideKeysDistinct(t *testing.T) {
 	machines := [][]engine.MachineSpec{
-		{{LinkLatency: 2}, {LinkLatency: 2, IQInt: 48}},
+		{{LinkLatency: 2}, {LinkLatency: 2, IQ: 48}},
 		{{LinkLatency: 8}},
 		{{Topology: "ring"}, {Topology: "ring", PrefetchDegree: 4}},
 		{{LinkBandwidth: 2}},
 		{{LinkBandwidth: 4}},
 		{{CopyIssue: 2}},
 		{{CopyIssue: 4}},
-		{{IQInt: 24}},
-		{{IQInt: 96}},
-		{{IQFP: 24}},
-		{{IQFP: 96}},
+		{{IQ: 24}, {IQ: 24, CopyIssue: 1}},
+		{{IQ: 96}},
 		{{PrefetchDegree: engine.PrefetchOff}},
 		{{PrefetchDegree: 8}},
-		{{IQInt: 24, IQFP: 24}, {IQFP: 24, IQInt: 24, CopyIssue: 1}},
-		{{IQInt: 96, IQFP: 96}},
+		{{IQ: 24, LinkLatency: 8}},
+		{{IQ: 96, PrefetchDegree: engine.PrefetchOff}},
 		{{CopyIssue: 2, LinkBandwidth: 2}},
 		{{CopyIssue: 4, LinkBandwidth: 4}},
 		{{LinkLatency: 2, Topology: "ring"}},
 		{{LinkLatency: 8, Topology: "ring", PrefetchDegree: engine.PrefetchOff}},
-		{{LinkLatency: 2, LinkBandwidth: 2, CopyIssue: 2, IQInt: 24, IQFP: 96,
+		{{LinkLatency: 2, LinkBandwidth: 2, CopyIssue: 2, IQ: 24,
 			Topology: "ring", PrefetchDegree: 8}},
 	}
 	eng := engine.New(engine.Options{Parallelism: 1})
@@ -212,7 +228,7 @@ func TestMachineOverrideCaching(t *testing.T) {
 	base := quickJob("gzip-1", sim.SetupVC(2, 2))
 	ref := eng.Run(ctx, base)
 	same := base
-	same.Opts.Machine = engine.MachineSpec{LinkLatency: 1, IQInt: 48}
+	same.Opts.Machine = engine.MachineSpec{LinkLatency: 1, IQ: 48}
 	if got := eng.Run(ctx, same); got.Err != nil || !bytes.Equal(encode(t, got.Metrics), encode(t, ref.Metrics)) {
 		t.Errorf("Table 2 override: %v, or metrics differ from the Table 2 run", got.Err)
 	}
@@ -259,8 +275,7 @@ var badMachines = []engine.MachineSpec{
 	{Topology: "mesh"}, {Topology: "RING"},
 	{LinkBandwidth: -1}, {LinkBandwidth: 17},
 	{CopyIssue: -1}, {CopyIssue: 17},
-	{IQInt: -1}, {IQInt: 513},
-	{IQFP: -1}, {IQFP: 513},
+	{IQ: -1}, {IQ: 513},
 	{PrefetchDegree: -2}, {PrefetchDegree: 17},
 }
 

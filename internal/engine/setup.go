@@ -171,10 +171,9 @@ type MachineSpec struct {
 	// CopyIssue is the copy micro-ops each cluster issues per cycle,
 	// 1..16 (Table 2: 1).
 	CopyIssue int `json:"copy_issue,omitempty"`
-	// IQInt and IQFP are the per-cluster INT and FP issue-queue entries,
-	// 1..512, the ROB size (Table 2: 48 each).
-	IQInt int `json:"iq_int,omitempty"`
-	IQFP  int `json:"iq_fp,omitempty"`
+	// IQ is the entries of each cluster's INT and of its FP issue queue,
+	// 1..512, the ROB size (Table 2: 48).
+	IQ int `json:"iq,omitempty"`
 	// PrefetchDegree is the stream prefetcher's next-line count, 1..16
 	// (Table 2: 4), or PrefetchOff (-1). Zero already means "Table 2",
 	// so "no prefetching" has its own value.
@@ -194,7 +193,8 @@ var topologies = map[string]interconnect.Topology{
 // applyMachine is the one place that validates a machine override and
 // resolves it onto cfg, the Table 2 machine. It returns the canonical
 // override's key: every knob whose resolved value differs from cfg's, in
-// a fixed order, as "name=value"; a knob set to its Table 2 value is
+// a fixed order, as "name=value"; a knob set to its Table 2 value, or
+// one that changes nothing on this machine (a ring of two clusters), is
 // dropped, so an override that resolves to the Table 2 machine keys as "".
 func applyMachine(cfg *pipeline.Config, m *MachineSpec) (string, error) {
 	var key []byte
@@ -217,8 +217,10 @@ func applyMachine(cfg *pipeline.Config, m *MachineSpec) (string, error) {
 	set("link_latency", m.LinkLatency, 1, 64, &cfg.Net.Latency)
 	set("link_bandwidth", m.LinkBandwidth, 1, 16, &cfg.Net.BandwidthPerLink)
 	set("copy_issue", m.CopyIssue, 1, 16, &cfg.Cluster.IssueCopy)
-	set("iq_int", m.IQInt, 1, 512, &cfg.Cluster.IQInt)
-	set("iq_fp", m.IQFP, 1, 512, &cfg.Cluster.IQFP)
+	set("iq", m.IQ, 1, 512, &cfg.Cluster.IQInt)
+	if m.IQ > 0 { // Table 2 sizes both queues alike, so "iq" keys both
+		cfg.Cluster.IQFP = m.IQ
+	}
 	set("prefetch_degree", m.PrefetchDegree, PrefetchOff, 16, &cfg.Mem.PrefetchDegree)
 	if err != nil {
 		return "", err
@@ -228,7 +230,9 @@ func applyMachine(cfg *pipeline.Config, m *MachineSpec) (string, error) {
 		if !ok {
 			return "", fmt.Errorf("engine: machine topology %q (want p2p or ring)", m.Topology)
 		}
-		if cfg.Net.Topology != t {
+		// A ring of two clusters is their one link, point-to-point, so
+		// the knob resolves away there.
+		if cfg.Net.Topology != t && cfg.NumClusters > 2 {
 			cfg.Net.Topology = t
 			key = append(key, ",topology="+m.Topology...)
 		}

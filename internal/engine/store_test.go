@@ -100,7 +100,7 @@ func TestMachineOverrideRunsPersist(t *testing.T) {
 		t.Fatal(err)
 	}
 	job := engine.Job{Simpoint: workload.ByName("crafty"), Setup: sim.SetupOB(2),
-		Opts: sim.RunOptions{NumUops: 2000, Machine: engine.MachineSpec{IQInt: 24, IQFP: 24}}}
+		Opts: sim.RunOptions{NumUops: 2000, Machine: engine.MachineSpec{IQ: 24}}}
 	ctx := context.Background()
 	first := engine.New(engine.Options{Parallelism: 1, ResultStore: st}).Run(ctx, job)
 	second := engine.New(engine.Options{Parallelism: 1, ResultStore: st})

@@ -129,7 +129,7 @@ func AblationIQSize(opt Options) ([]*AblationResult, error) {
 			fmt.Sprintf("issue queues %d entries (2 clusters)", size), "config",
 			[]sim.Setup{sim.SetupVC(2, 2), sim.SetupOneCluster(2)},
 			[]string{"VC", "one-cluster"},
-			engine.MachineSpec{IQInt: size, IQFP: size})
+			engine.MachineSpec{IQ: size})
 		if err != nil {
 			return nil, err
 		}

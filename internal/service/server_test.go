@@ -310,8 +310,7 @@ func TestSubmitRejectsBadMachines(t *testing.T) {
 		`{"topology":"mesh"}`,
 		`{"link_bandwidth":-1}`, `{"link_bandwidth":17}`,
 		`{"copy_issue":-1}`, `{"copy_issue":17}`,
-		`{"iq_int":-1}`, `{"iq_int":513}`,
-		`{"iq_fp":-1}`, `{"iq_fp":513}`,
+		`{"iq":-1}`, `{"iq":513}`,
 		`{"prefetch_degree":-2}`, `{"prefetch_degree":17}`,
 		`{"issue_int":1}`,
 	} {

@@ -129,7 +129,7 @@ func TestPooledCoreByteIdentityOverriddenMachines(t *testing.T) {
 	sps := []*workload.Simpoint{workload.ByName("crafty"), workload.ByName("swim")}
 	machines := []engine.MachineSpec{
 		{LinkLatency: 4},
-		{IQInt: 24, IQFP: 24},
+		{IQ: 24},
 		{Topology: "ring"},
 		{CopyIssue: 2, LinkBandwidth: 2},
 		{PrefetchDegree: engine.PrefetchOff},

@@ -124,7 +124,7 @@ func TestSpecJobRoundTripMachines(t *testing.T) {
 	for _, m := range []engine.MachineSpec{
 		{},
 		{LinkLatency: 4},
-		{IQInt: 24, IQFP: 24},
+		{IQ: 24},
 		{Topology: "ring"},
 		{CopyIssue: 2, LinkBandwidth: 2},
 		{PrefetchDegree: engine.PrefetchOff},
