@@ -8,7 +8,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -156,18 +158,24 @@ func TestRunnerMatchesLocalEngine(t *testing.T) {
 	}
 }
 
-// Jobs with no declarative wire form route to the local fallback; without
-// one they fail loudly instead of silently simulating the wrong thing.
+// customJob is a job with no declarative wire form: gzip-1's program
+// under a name outside the suite.
+func customJob(name string, setup engine.Setup) engine.Job {
+	sp := workload.ByName("gzip-1")
+	return engine.Job{
+		Simpoint: &workload.Simpoint{Name: name, Bench: name, Weight: 1,
+			Seed: sp.Seed, Program: sp.Program},
+		Setup: setup,
+		Opts:  engine.RunOptions{NumUops: 2000},
+	}
+}
+
+// Jobs with no declarative wire form fail loudly on a bare runner instead
+// of silently simulating the wrong thing; Hybrid runs them locally.
 func TestRunnerFallback(t *testing.T) {
 	_, c, serverEng := startServer(t)
 	ctx := context.Background()
-	sp := workload.ByName("gzip-1")
-	custom := engine.Job{
-		Simpoint: &workload.Simpoint{Name: "homegrown", Bench: "homegrown", Weight: 1,
-			Seed: sp.Seed, Program: sp.Program},
-		Setup: sim.SetupOP(2),
-		Opts:  engine.RunOptions{NumUops: 2000},
-	}
+	custom := customJob("homegrown", sim.SetupOP(2))
 
 	bare := client.NewRunner(c)
 	if res := bare.Run(ctx, custom); res.Err == nil {
@@ -175,7 +183,7 @@ func TestRunnerFallback(t *testing.T) {
 	}
 
 	local := engine.New(engine.Options{Parallelism: 1})
-	hybrid := client.NewRunner(c, client.WithFallback(local))
+	hybrid := client.Hybrid(bare, local)
 	res := hybrid.Run(ctx, custom)
 	if res.Err != nil {
 		t.Fatalf("fallback run: %v", res.Err)
@@ -185,6 +193,72 @@ func TestRunnerFallback(t *testing.T) {
 	}
 	if local.Stats().Simulations != 1 {
 		t.Errorf("custom-program job did not run on the fallback engine")
+	}
+}
+
+// One Stream through Hybrid that mixes suite jobs with custom-program
+// jobs returns every result under its submitted index, runs the custom
+// jobs on the local engine only, and reports progress once per job.
+func TestHybridMixedBatch(t *testing.T) {
+	_, c, serverEng := startServer(t)
+	ctx := context.Background()
+	opts := engine.RunOptions{NumUops: 2000}
+	jobs := []engine.Job{
+		{Simpoint: workload.ByName("gzip-1"), Setup: sim.SetupOP(2), Opts: opts},
+		customJob("homegrown", sim.SetupOP(2)),
+		{Simpoint: workload.ByName("mcf"), Setup: sim.SetupVC(2, 2), Opts: opts},
+		customJob("homegrown-2", sim.SetupVC(2, 2)),
+		{Simpoint: workload.ByName("swim"), Setup: sim.SetupOP(2), Opts: opts},
+	}
+	local := engine.New(engine.Options{Parallelism: 2})
+	var mu sync.Mutex
+	var dones []int
+	var labels, wantLabels []string
+	for _, j := range jobs {
+		wantLabels = append(wantLabels, j.Simpoint.Name+"/"+j.Setup.Label)
+	}
+	r := engine.Progress(client.Hybrid(client.NewRunner(c), local), func(done, total int, label string) {
+		mu.Lock()
+		defer mu.Unlock()
+		dones, labels = append(dones, done), append(labels, label)
+		if total != len(jobs) {
+			t.Errorf("progress total %d, want %d", total, len(jobs))
+		}
+	})
+
+	seen := make([]bool, len(jobs))
+	for jr := range r.Stream(ctx, jobs) {
+		if seen[jr.Index] {
+			t.Fatalf("index %d delivered twice", jr.Index)
+		}
+		seen[jr.Index] = true
+		want := jobs[jr.Index]
+		if jr.Result.Err != nil {
+			t.Fatalf("job %d: %v", jr.Index, jr.Result.Err)
+		}
+		if jr.Job.Simpoint != want.Simpoint || jr.Result.Simpoint.Name != want.Simpoint.Name ||
+			jr.Result.Setup != want.Setup.Label {
+			t.Errorf("index %d carries %s/%s, submitted %s/%s", jr.Index,
+				jr.Result.Simpoint.Name, jr.Result.Setup, want.Simpoint.Name, want.Setup.Label)
+		}
+	}
+	if slices.Contains(seen, false) {
+		t.Fatalf("missing results: %v", seen)
+	}
+	if got := local.Stats().Simulations; got != 2 {
+		t.Errorf("local engine ran %d simulations, want the 2 custom jobs", got)
+	}
+	if got := serverEng.Stats().Simulations; got != 3 {
+		t.Errorf("server ran %d simulations, want the 3 suite jobs", got)
+	}
+	slices.Sort(dones)
+	if !slices.Equal(dones, []int{1, 2, 3, 4, 5}) {
+		t.Errorf("progress done values %v, want 1..5", dones)
+	}
+	slices.Sort(labels)
+	slices.Sort(wantLabels)
+	if !slices.Equal(labels, wantLabels) {
+		t.Errorf("progress labels %v, want %v", labels, wantLabels)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"clustersim/internal/api"
@@ -22,16 +21,12 @@ import (
 
 // Runner executes engine jobs on a remote clusterd instance. Jobs with no
 // declarative wire form (non-suite workloads, histogram runs, setups or
-// machine overrides that do not resolve) are routed to the optional local fallback runner;
-// without one they fail with the conversion error. Safe for concurrent
-// use.
+// machine overrides that do not resolve) fail at once with the conversion
+// error; Hybrid routes them to a local runner instead. Safe for
+// concurrent use.
 type Runner struct {
-	c        *Client
-	local    engine.Runner
-	progress func(done, total int, label string)
-	tracer   *obs.Tracer
-
-	submitted, completed atomic.Int64
+	c      *Client
+	tracer *obs.Tracer
 
 	baseOnce sync.Once
 	baseline engine.CacheStats // server counters when this runner first ran
@@ -52,20 +47,6 @@ func (e *JobError) Error() string { return "clusterd: " + e.Message }
 
 // RunnerOption configures a Runner.
 type RunnerOption func(*Runner)
-
-// WithFallback routes jobs that cannot travel (no declarative spec) to a
-// local runner instead of failing them. steerbench uses a private local
-// engine here; every paper job travels, so it runs none of them.
-func WithFallback(local engine.Runner) RunnerOption {
-	return func(r *Runner) { r.local = local }
-}
-
-// WithProgress mirrors engine.Options.Progress: fn is called after every
-// finished job with the runner-lifetime completed and submitted counts.
-// It may be called concurrently.
-func WithProgress(fn func(done, total int, label string)) RunnerOption {
-	return func(r *Runner) { r.progress = fn }
-}
 
 // WithRunnerTracer records one client-side flight per remote batch
 // (spans: submit, stream, and one fetch per result) into t, under the
@@ -108,58 +89,32 @@ func (r *Runner) Run(ctx context.Context, job engine.Job) *engine.Result {
 }
 
 // Stream submits the jobs and returns a channel yielding each result as
-// it completes. Remote-able jobs travel as one batch submission; the rest
-// go to the local fallback concurrently. The channel is buffered to hold
-// every result and closed once all jobs finish.
+// it completes. Jobs with a wire form travel as one batch submission; the
+// rest fail at once with the conversion error. The channel is buffered to
+// hold every result and closed once all jobs finish.
 func (r *Runner) Stream(ctx context.Context, jobs []engine.Job) <-chan engine.JobResult {
 	out := make(chan engine.JobResult, len(jobs))
-	r.submitted.Add(int64(len(jobs)))
 	go func() {
 		defer close(out)
 		r.captureBaseline(ctx)
 
-		// Partition: jobs with a wire form go remote, the rest local.
 		var specs []engine.JobSpec
 		var remoteIdx []int
-		var localJobs []engine.Job
-		var localIdx []int
 		for i, job := range jobs {
 			spec, err := sim.SpecFromJob(job)
-			switch {
-			case err == nil:
-				specs = append(specs, spec)
-				remoteIdx = append(remoteIdx, i)
-			case r.local != nil:
-				localJobs = append(localJobs, jobs[i])
-				localIdx = append(localIdx, i)
-			default:
-				out <- r.finish(engine.JobResult{Index: i, Job: jobs[i], Result: &engine.Result{
-					Simpoint: jobs[i].Simpoint, Setup: jobs[i].Setup.Label,
-					Err: fmt.Errorf("client: job not remoteable and no local fallback: %w", err),
-				}})
+			if err != nil {
+				out <- engine.JobResult{Index: i, Job: job, Result: &engine.Result{
+					Simpoint: job.Simpoint, Setup: job.Setup.Label,
+					Err: fmt.Errorf("client: job has no wire form: %w", err),
+				}}
+				continue
 			}
-		}
-
-		var wg sync.WaitGroup
-		if len(localJobs) > 0 {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for jr := range r.local.Stream(ctx, localJobs) {
-					out <- r.finish(engine.JobResult{
-						Index: localIdx[jr.Index], Job: jr.Job, Result: jr.Result,
-					})
-				}
-			}()
+			specs = append(specs, spec)
+			remoteIdx = append(remoteIdx, i)
 		}
 		if len(specs) > 0 {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				r.streamRemote(ctx, jobs, specs, remoteIdx, out)
-			}()
+			r.streamRemote(ctx, jobs, specs, remoteIdx, out)
 		}
-		wg.Wait()
 	}()
 	return out
 }
@@ -171,9 +126,9 @@ func (r *Runner) Stream(ctx context.Context, jobs []engine.Job) <-chan engine.Jo
 func (r *Runner) streamRemote(ctx context.Context, jobs []engine.Job, specs []engine.JobSpec, remoteIdx []int, out chan<- engine.JobResult) {
 	fail := func(err error) {
 		for _, idx := range remoteIdx {
-			out <- r.finish(engine.JobResult{Index: idx, Job: jobs[idx], Result: &engine.Result{
+			out <- engine.JobResult{Index: idx, Job: jobs[idx], Result: &engine.Result{
 				Simpoint: jobs[idx].Simpoint, Setup: jobs[idx].Setup.Label, Err: err,
-			}})
+			}}
 		}
 	}
 	// Propagate the caller's trace ID as the batch's base when the
@@ -218,7 +173,7 @@ func (r *Runner) streamRemote(ctx context.Context, jobs []engine.Job, specs []en
 			tf := fl.Begin()
 			res := r.fetch(ctx, job, ev)
 			fl.Span("fetch", tf)
-			out <- r.finish(engine.JobResult{Index: idx, Job: job, Result: res})
+			out <- engine.JobResult{Index: idx, Job: job, Result: res}
 		}()
 	})
 	fl.Span("stream", t0)
@@ -231,9 +186,9 @@ func (r *Runner) streamRemote(ctx context.Context, jobs []engine.Job, specs []en
 			continue
 		}
 		idx := remoteIdx[i]
-		out <- r.finish(engine.JobResult{Index: idx, Job: jobs[idx], Result: &engine.Result{
+		out <- engine.JobResult{Index: idx, Job: jobs[idx], Result: &engine.Result{
 			Simpoint: jobs[idx].Simpoint, Setup: jobs[idx].Setup.Label, Err: streamErr,
-		}})
+		}}
 	}
 }
 
@@ -257,36 +212,19 @@ func (r *Runner) fetch(ctx context.Context, job engine.Job, ev api.JobEvent) *en
 	return res
 }
 
-// finish updates the runner-lifetime progress counters around a result.
-func (r *Runner) finish(jr engine.JobResult) engine.JobResult {
-	done := r.completed.Add(1)
-	if r.progress != nil {
-		label := ""
-		if jr.Job.Simpoint != nil {
-			label = jr.Job.Simpoint.Name + "/" + jr.Job.Setup.Label
-		}
-		r.progress(int(done), int(r.submitted.Load()), label)
-	}
-	return jr
-}
-
 // Stats reports the work attributable to this runner: the server's
-// counter deltas since the runner first submitted, plus the local
-// fallback's counters when one is configured. A stats fetch failure
-// degrades to the local half alone.
+// counter deltas since the runner first submitted. A stats fetch failure
+// degrades to zero counters.
 func (r *Runner) Stats() engine.CacheStats {
-	var remote engine.CacheStats
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	// The Once both sets the baseline for a runner that never ran (delta
 	// 0, correctly "no work attributable") and orders this read of
 	// r.baseline after a concurrent Stream's write.
 	r.captureBaseline(ctx)
-	if st, err := r.c.Stats(ctx); err == nil {
-		remote = st.Engine.Delta(r.baseline)
+	st, err := r.c.Stats(ctx)
+	if err != nil {
+		return engine.CacheStats{}
 	}
-	if r.local != nil {
-		return remote.Add(r.local.Stats())
-	}
-	return remote
+	return st.Engine.Delta(r.baseline)
 }

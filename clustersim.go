@@ -23,7 +23,8 @@
 // (NewEngine): sharing one engine across runs and experiments memoizes
 // annotated programs and whole results, simulating each unique
 // (workload, configuration, options) combination exactly once per process,
-// with context cancellation and live progress reporting.
+// with context cancellation; wrap any Runner in Progress for live progress
+// reporting.
 package clustersim
 
 import (
@@ -123,7 +124,7 @@ func RunMatrix(ws []*Workload, setups []Setup, opt RunOptions, parallelism int) 
 // executes exactly once per process.
 type Engine = engine.Engine
 
-// EngineOptions configures a new Engine (parallelism, caching, progress).
+// EngineOptions configures a new Engine (parallelism, caching, tracing).
 type EngineOptions = engine.Options
 
 // EngineStats snapshots an engine's cache-hit counters.
@@ -209,19 +210,16 @@ type Runner = engine.Runner
 // ("http://host:8080") and returns a Runner executing jobs there,
 // deduplicated against everything the daemon's content-addressed store
 // has ever computed. local, when non-nil, handles jobs that cannot travel
-// (non-suite workloads, histogram runs); with a nil local such jobs fail.
-// For streaming, backoff and progress options use the clustersim/client
-// package directly.
+// (non-suite workloads, histogram runs) through client.Hybrid; with a nil
+// local such jobs fail. Wrap the result in Progress for live progress;
+// for backoff, auth and tracing options use the clustersim/client package
+// directly.
 func NewRemoteRunner(baseURL string, local Runner) (Runner, error) {
 	c, err := client.New(baseURL)
 	if err != nil {
 		return nil, err
 	}
-	var opts []client.RunnerOption
-	if local != nil {
-		opts = append(opts, client.WithFallback(local))
-	}
-	return client.NewRunner(c, opts...), nil
+	return withLocal(client.NewRunner(c), local), nil
 }
 
 // NewFleetRunner shards simulation batches across the clusterd workers
@@ -230,17 +228,34 @@ func NewRemoteRunner(baseURL string, local Runner) (Runner, error) {
 // streams into one exactly-once result stream, and re-shards the jobs of
 // a worker lost mid-stream onto the survivors. A single URL degrades to
 // the plain single-host remote runner. local, when non-nil, handles jobs
-// that cannot travel. For auth, progress, re-admission and health-check
-// options use the clustersim/fleet package directly.
+// that cannot travel, as in NewRemoteRunner. For auth, re-admission and
+// health-check options use the clustersim/fleet package directly.
 func NewFleetRunner(urls []string, local Runner) (Runner, error) {
 	if len(urls) == 1 {
 		return NewRemoteRunner(urls[0], local)
 	}
-	var opts []fleet.Option
-	if local != nil {
-		opts = append(opts, fleet.WithFallback(local))
+	f, err := fleet.New(urls)
+	if err != nil {
+		return nil, err
 	}
-	return fleet.New(urls, opts...)
+	return withLocal(f, local), nil
+}
+
+// withLocal composes remote with local through client.Hybrid, or returns
+// remote alone when there is no local runner.
+func withLocal(remote, local Runner) Runner {
+	if local == nil {
+		return remote
+	}
+	return client.Hybrid(remote, local)
+}
+
+// Progress wraps r so that fn is called after every finished job with the
+// wrapper-lifetime completed and submitted job counts and the job's
+// "simpoint/setup" label. fn may be called concurrently; Stats passes
+// through.
+func Progress(r Runner, fn func(done, total int, label string)) Runner {
+	return engine.Progress(r, fn)
 }
 
 // RunOn executes one simulation on any Runner with cancellation.

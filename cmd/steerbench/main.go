@@ -119,7 +119,7 @@ func main() {
 		par      = flag.Int("parallel", 0, "concurrent simulations (0 = all cores)")
 		out      = flag.String("out", "", "also write the report to this file")
 		csvDir   = flag.String("csvdir", "", "write per-figure CSV files into this directory")
-		cacheDir = flag.String("cachedir", "", "persist completed results in this directory (reruns skip finished simulations; with -remote it only backs locally executed fallback jobs)")
+		cacheDir = flag.String("cachedir", "", "persist completed results in this directory (reruns skip finished simulations; with -remote it only backs the jobs that run locally)")
 		cacheMax = flag.Int64("cachemax", 0, "bound the -cachedir store to this many bytes (0 = unbounded)")
 		progress = flag.Bool("progress", false, "print live phase/ETA progress and engine cache stats to stderr")
 		remote   = flag.String("remote", "", "execute simulations remotely: one clusterd URL, or a comma-separated list to shard across a fleet; jobs that cannot travel run locally")
@@ -212,17 +212,15 @@ func main() {
 		}
 		engOpts.ResultStore = st
 	}
-	meter := newProgressMeter()
-	if *progress && *remote == "" {
-		engOpts.Progress = meter.print
-	}
 	eng := clustersim.NewEngine(engOpts)
 
 	// The runner is the execution seam: the local engine by default, a
 	// clusterd client when -remote is one URL, a sharded fleet runner when
-	// it is a comma-separated list (with the local engine as the fallback
-	// for jobs that have no declarative wire form; every paper job has
-	// one, ablations included). Everything downstream is runner-agnostic.
+	// it is a comma-separated list. A remote runner is composed with the
+	// local engine through client.Hybrid, which runs the jobs that have no
+	// declarative wire form (every paper job has one, ablations included);
+	// -progress wraps whichever runner results. Everything downstream is
+	// runner-agnostic.
 	var runner clustersim.Runner = eng
 	var fl *fleet.Runner // non-nil when sharding, for the fleet footer
 	urls := splitURLs(*remote)
@@ -231,6 +229,10 @@ func main() {
 		// whole suite locally with the remote flags ignored.
 		fmt.Fprintf(os.Stderr, "steerbench: -remote %q contains no URLs\n", *remote)
 		os.Exit(1)
+	}
+	var ropts []client.RunnerOption
+	if tracer != nil {
+		ropts = append(ropts, client.WithRunnerTracer(tracer))
 	}
 	if len(urls) == 1 {
 		var copts []client.Option
@@ -253,29 +255,16 @@ func main() {
 			fmt.Fprintf(os.Stderr, "steerbench: clusterd at %s refused: %v\n", urls[0], err)
 			os.Exit(1)
 		}
-		ropts := []client.RunnerOption{client.WithFallback(eng)}
-		if *progress {
-			ropts = append(ropts, client.WithProgress(meter.print))
-		}
-		if tracer != nil {
-			ropts = append(ropts, client.WithRunnerTracer(tracer))
-		}
 		runner = client.NewRunner(c, ropts...)
 	} else if len(urls) > 1 {
 		fopts := []fleet.Option{
-			fleet.WithFallback(eng),
 			fleet.WithLog(func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, format+"\n", args...)
 			}),
+			fleet.WithRunnerOptions(ropts...),
 		}
 		if *token != "" {
 			fopts = append(fopts, fleet.WithToken(*token))
-		}
-		if *progress {
-			fopts = append(fopts, fleet.WithProgress(meter.print))
-		}
-		if tracer != nil {
-			fopts = append(fopts, fleet.WithRunnerOptions(client.WithRunnerTracer(tracer)))
 		}
 		if *coordURL != "" {
 			fopts = append(fopts, fleet.WithCoordinator(*coordURL))
@@ -290,6 +279,13 @@ func main() {
 		defer fl.Close()
 		fmt.Fprintf(os.Stderr, "steerbench: sharding across %d clusterd workers\n", len(urls))
 		runner = fl
+	}
+	if len(urls) > 0 {
+		runner = client.Hybrid(runner, eng)
+	}
+	meter := newProgressMeter()
+	if *progress {
+		runner = clustersim.Progress(runner, meter.print)
 	}
 	opt := clustersim.ExperimentOptions{
 		NumUops: *uops, Quick: *quick, Parallelism: *par,
@@ -372,79 +368,15 @@ func main() {
 		return r.Render(), nil
 	})
 	run("ablation", func() (string, error) {
-		var b strings.Builder
-		chain, err := experiments.AblationChainLen(opt)
+		rs, err := experiments.Ablations(opt)
 		if err != nil {
 			return "", err
 		}
-		b.WriteString(chain.Render())
-		b.WriteByte('\n')
-		nvc, err := experiments.AblationNumVC(opt)
-		if err != nil {
-			return "", err
+		texts := make([]string, len(rs))
+		for i, r := range rs {
+			texts[i] = r.Render()
 		}
-		b.WriteString(nvc.Render())
-		b.WriteByte('\n')
-		lats, err := experiments.AblationLinkLatency(opt)
-		if err != nil {
-			return "", err
-		}
-		for _, r := range lats {
-			b.WriteString(r.Render())
-			b.WriteByte('\n')
-		}
-		iqs, err := experiments.AblationIQSize(opt)
-		if err != nil {
-			return "", err
-		}
-		for _, r := range iqs {
-			b.WriteString(r.Render())
-			b.WriteByte('\n')
-		}
-		scopes, err := experiments.AblationRegionScope(opt)
-		if err != nil {
-			return "", err
-		}
-		for _, r := range scopes {
-			b.WriteString(r.Render())
-			b.WriteByte('\n')
-		}
-		sos, err := experiments.AblationStallOverSteer(opt)
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(sos.Render())
-		b.WriteByte('\n')
-		cbw, err := experiments.AblationCopyBandwidth(opt)
-		if err != nil {
-			return "", err
-		}
-		for _, r := range cbw {
-			b.WriteString(r.Render())
-			b.WriteByte('\n')
-		}
-		vcc, err := experiments.AblationVCComm(opt)
-		if err != nil {
-			return "", err
-		}
-		for _, r := range vcc {
-			b.WriteString(r.Render())
-			b.WriteByte('\n')
-		}
-		topo, err := experiments.AblationTopology(opt)
-		if err != nil {
-			return "", err
-		}
-		for _, r := range topo {
-			b.WriteString(r.Render())
-			b.WriteByte('\n')
-		}
-		pf, err := experiments.AblationPrefetch(opt)
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(pf.Render())
-		return b.String(), nil
+		return strings.Join(texts, "\n"), nil
 	})
 
 	// Cache effectiveness: always on stderr with -progress, and recorded

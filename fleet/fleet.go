@@ -75,8 +75,6 @@ type member struct {
 
 // config collects construction options.
 type config struct {
-	fallback      engine.Runner
-	progress      func(done, total int, label string)
 	logf          func(format string, args ...any)
 	token         string
 	healthTimeout time.Duration
@@ -88,20 +86,6 @@ type config struct {
 
 // Option configures a fleet Runner.
 type Option func(*config)
-
-// WithFallback routes jobs that cannot travel (no declarative spec:
-// custom programs, histogram runs) to a local runner instead of failing
-// them — the same hybrid split client.Runner offers.
-func WithFallback(local engine.Runner) Option {
-	return func(c *config) { c.fallback = local }
-}
-
-// WithProgress mirrors engine.Options.Progress: fn is called after every
-// finished job with the runner-lifetime completed and submitted counts.
-// It may be called concurrently.
-func WithProgress(fn func(done, total int, label string)) Option {
-	return func(c *config) { c.progress = fn }
-}
 
 // WithLog sets the sink for operational messages — worker loss,
 // retries, re-sharding, re-admission, membership transitions. The
@@ -128,7 +112,7 @@ func WithClientOptions(opts ...client.Option) Option {
 	return func(c *config) { c.clientOpts = append(c.clientOpts, opts...) }
 }
 
-// WithRunnerOptions passes extra options (tracer, progress hooks) to every
+// WithRunnerOptions passes extra options (a tracer) to every
 // member's per-worker runner — including workers admitted after
 // construction.
 func WithRunnerOptions(opts ...client.RunnerOption) Option {
@@ -190,8 +174,6 @@ type Runner struct {
 	mship       *controlplane.Membership
 	coordinator *controlplane.Coordinator
 
-	fallback engine.Runner
-	progress func(done, total int, label string)
 	logf     func(format string, args ...any)
 	cooldown time.Duration
 	// maxRetries bounds how often one job may fail with a worker-loss
@@ -203,8 +185,6 @@ type Runner struct {
 	// join after construction (AddWorker, coordinator adoption).
 	copts []client.Option
 	ropts []client.RunnerOption
-
-	submitted, completed atomic.Int64
 
 	// Control-plane counters surfaced by FleetStats.
 	readmissions, drainMigrated, backfilled atomic.Int64
@@ -235,8 +215,6 @@ func New(urls []string, opts ...Option) (*Runner, error) {
 		cfg.cooldown = defaultCooldown
 	}
 	f := &Runner{
-		fallback:   cfg.fallback,
-		progress:   cfg.progress,
 		logf:       cfg.logf,
 		cooldown:   cfg.cooldown,
 		maxRetries: len(urls) + 2,
@@ -352,8 +330,7 @@ func (f *Runner) Run(ctx context.Context, job engine.Job) *engine.Result {
 }
 
 // Stats aggregates the work attributable to this runner: the sum of
-// every routable member runner's server-counter deltas, plus the
-// fallback's counters when one is configured. Removed and unreachable
+// every routable member runner's server-counter deltas. Removed and unreachable
 // members are skipped — their counters cannot be read, so work a member
 // completed and delivered before it was lost drops out of the aggregate
 // (its *unfinished* jobs re-ran on survivors and are counted there).
@@ -380,9 +357,6 @@ func (f *Runner) Stats() engine.CacheStats {
 	for _, p := range parts {
 		total = total.Add(p)
 	}
-	if f.fallback != nil {
-		total = total.Add(f.fallback.Stats())
-	}
 	return total
 }
 
@@ -398,15 +372,14 @@ type task struct {
 }
 
 // Stream submits the jobs and returns a channel yielding each result
-// exactly once as it completes. Remoteable jobs shard across the fleet;
-// the rest go to the fallback concurrently. The channel is buffered to
+// exactly once as it completes. Jobs with a wire form shard across the
+// fleet; the rest fail at once with the conversion error. The channel is buffered to
 // hold every result and closed once all jobs finish. When a coordinator
 // is configured the membership view is re-synced first, so a runner
 // never submits a batch against an epoch another runner has already
 // moved past.
 func (f *Runner) Stream(ctx context.Context, jobs []engine.Job) <-chan engine.JobResult {
 	out := make(chan engine.JobResult, len(jobs))
-	f.submitted.Add(int64(len(jobs)))
 	go func() {
 		defer close(out)
 		f.syncMembership(ctx)
@@ -414,19 +387,12 @@ func (f *Runner) Stream(ctx context.Context, jobs []engine.Job) <-chan engine.Jo
 		// keyer only computes result content keys; it runs nothing.
 		keyer := engine.New(engine.Options{Parallelism: 1, DisableCache: true})
 		var tasks []task
-		var localJobs []engine.Job
-		var localIdx []int
 		for i, job := range jobs {
 			if _, err := sim.SpecFromJob(job); err != nil {
-				if f.fallback != nil {
-					localJobs = append(localJobs, jobs[i])
-					localIdx = append(localIdx, i)
-				} else {
-					out <- f.finish(engine.JobResult{Index: i, Job: jobs[i], Result: &engine.Result{
-						Simpoint: jobs[i].Simpoint, Setup: jobs[i].Setup.Label,
-						Err: fmt.Errorf("fleet: job not remoteable and no local fallback: %w", err),
-					}})
-				}
+				out <- engine.JobResult{Index: i, Job: job, Result: &engine.Result{
+					Simpoint: job.Simpoint, Setup: job.Setup.Label,
+					Err: fmt.Errorf("fleet: job has no wire form: %w", err),
+				}}
 				continue
 			}
 			key, ok := keyer.ResultKey(job)
@@ -438,42 +404,11 @@ func (f *Runner) Stream(ctx context.Context, jobs []engine.Job) <-chan engine.Jo
 			}
 			tasks = append(tasks, task{idx: i, key: key})
 		}
-
-		var wg sync.WaitGroup
-		if len(localJobs) > 0 {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for jr := range f.fallback.Stream(ctx, localJobs) {
-					out <- f.finish(engine.JobResult{
-						Index: localIdx[jr.Index], Job: jr.Job, Result: jr.Result,
-					})
-				}
-			}()
-		}
 		if len(tasks) > 0 {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				f.runSharded(ctx, jobs, tasks, out)
-			}()
+			f.runSharded(ctx, jobs, tasks, out)
 		}
-		wg.Wait()
 	}()
 	return out
-}
-
-// finish updates the runner-lifetime progress counters around a result.
-func (f *Runner) finish(jr engine.JobResult) engine.JobResult {
-	done := f.completed.Add(1)
-	if f.progress != nil {
-		label := ""
-		if jr.Job.Simpoint != nil {
-			label = jr.Job.Simpoint.Name + "/" + jr.Job.Setup.Label
-		}
-		f.progress(int(done), int(f.submitted.Load()), label)
-	}
-	return jr
 }
 
 // retryable classifies a failed job result: true means the failure looks
@@ -530,7 +465,7 @@ func (f *Runner) runSharded(ctx context.Context, jobs []engine.Job, tasks []task
 		}
 		delivered[jr.Index] = true
 		mu.Unlock()
-		out <- f.finish(jr)
+		out <- jr
 	}
 	failAll := func(ts []task, cause error, format string) {
 		for _, t := range ts {

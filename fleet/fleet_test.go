@@ -475,19 +475,25 @@ func TestFleetAllWorkersLost(t *testing.T) {
 	}
 }
 
-// Jobs with no declarative wire form run on the fallback; without one
-// they fail loudly. Deterministic job failures are never retried as
-// worker loss.
+// customJob is a job with no declarative wire form: gzip-1's program
+// under a name outside the suite.
+func customJob(name string, setup engine.Setup) engine.Job {
+	sp := workload.ByName("gzip-1")
+	return engine.Job{
+		Simpoint: &workload.Simpoint{Name: name, Bench: name, Weight: 1,
+			Seed: sp.Seed, Program: sp.Program},
+		Setup: setup,
+		Opts:  engine.RunOptions{NumUops: 2000},
+	}
+}
+
+// Jobs with no declarative wire form fail loudly on a bare fleet;
+// client.Hybrid runs them locally. Deterministic job failures are never
+// retried as worker loss.
 func TestFleetFallback(t *testing.T) {
 	w1, w2 := startWorker(t), startWorker(t)
 	ctx := context.Background()
-	sp := workload.ByName("gzip-1")
-	custom := engine.Job{
-		Simpoint: &workload.Simpoint{Name: "homegrown", Bench: "homegrown", Weight: 1,
-			Seed: sp.Seed, Program: sp.Program},
-		Setup: sim.SetupOP(2),
-		Opts:  engine.RunOptions{NumUops: 2000},
-	}
+	custom := customJob("homegrown", sim.SetupOP(2))
 
 	bare, err := fleet.New([]string{w1.ts.URL, w2.ts.URL}, fastClient())
 	if err != nil {
@@ -496,24 +502,70 @@ func TestFleetFallback(t *testing.T) {
 	if res := bare.Run(ctx, custom); res.Err == nil {
 		t.Fatal("non-remoteable job succeeded without a fallback")
 	}
+	if w1.eng.Stats().Simulations+w2.eng.Stats().Simulations != 0 {
+		t.Error("custom-program job leaked to the fleet")
+	}
+	// Both workers stay alive: a job-level refusal is not worker loss.
+	if bare.Alive() != 2 {
+		t.Errorf("fleet reports %d alive after a local-only job, want 2", bare.Alive())
+	}
 
 	local := engine.New(engine.Options{Parallelism: 1})
-	hybrid, err := fleet.New([]string{w1.ts.URL, w2.ts.URL}, fastClient(), fleet.WithFallback(local))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := hybrid.Run(ctx, custom); res.Err != nil {
+	if res := client.Hybrid(bare, local).Run(ctx, custom); res.Err != nil {
 		t.Fatalf("fallback run: %v", res.Err)
 	}
 	if local.Stats().Simulations != 1 {
 		t.Error("custom-program job did not run on the fallback engine")
 	}
-	if w1.eng.Stats().Simulations+w2.eng.Stats().Simulations != 0 {
-		t.Error("custom-program job leaked to the fleet")
+}
+
+// One Stream through client.Hybrid over a two-worker fleet that mixes
+// suite jobs with custom-program jobs returns every result under its
+// submitted index and runs the custom jobs on the local engine only.
+func TestFleetHybridMixedBatch(t *testing.T) {
+	w1, w2 := startWorker(t), startWorker(t)
+	ctx := context.Background()
+	f, err := fleet.New([]string{w1.ts.URL, w2.ts.URL}, fastClient())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Both workers stay alive: a job-level refusal is not worker loss.
-	if hybrid.Alive() != 2 {
-		t.Errorf("fleet reports %d alive after a local-only job, want 2", hybrid.Alive())
+	_, _, suite := suiteJobs(t, 3) // 6 unique jobs
+	jobs := []engine.Job{customJob("homegrown", sim.SetupOP(2))}
+	for i, j := range suite {
+		jobs = append(jobs, j)
+		if i == 2 {
+			jobs = append(jobs, customJob("homegrown-2", sim.SetupVC(2, 2)))
+		}
+	}
+	jobs = append(jobs, customJob("homegrown-3", sim.SetupOP(2)))
+	local := engine.New(engine.Options{Parallelism: 2})
+
+	seen := make([]bool, len(jobs))
+	for jr := range client.Hybrid(f, local).Stream(ctx, jobs) {
+		if seen[jr.Index] {
+			t.Fatalf("index %d delivered twice", jr.Index)
+		}
+		seen[jr.Index] = true
+		want := jobs[jr.Index]
+		if jr.Result.Err != nil {
+			t.Fatalf("job %d: %v", jr.Index, jr.Result.Err)
+		}
+		if jr.Job.Simpoint != want.Simpoint || jr.Result.Simpoint.Name != want.Simpoint.Name ||
+			jr.Result.Setup != want.Setup.Label {
+			t.Errorf("index %d carries %s/%s, submitted %s/%s", jr.Index,
+				jr.Result.Simpoint.Name, jr.Result.Setup, want.Simpoint.Name, want.Setup.Label)
+		}
+	}
+	for i, ok := range seen {
+		if !ok {
+			t.Fatalf("no result for index %d", i)
+		}
+	}
+	if got := local.Stats().Simulations; got != 3 {
+		t.Errorf("local engine ran %d simulations, want the 3 custom jobs", got)
+	}
+	if got := w1.eng.Stats().Simulations + w2.eng.Stats().Simulations; got != int64(len(suite)) {
+		t.Errorf("fleet ran %d simulations, want the %d suite jobs", got, len(suite))
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package engine is the shared simulation substrate every run path —
 // sim.RunOne/RunMatrix, the experiment harness and cmd/steerbench — submits
-// jobs to. It owns a cancellable worker pool with progress reporting, and
+// jobs to. It owns a cancellable worker pool and
 // two content-keyed single-flight caches: annotated program clones (keyed
 // by simpoint + compiler-pass signature, bounded at maxPrograms entries)
 // and whole Results (keyed by simpoint + configuration + run options,
@@ -104,10 +104,6 @@ type Options struct {
 	// DisableCache turns every cache off (each job re-annotates and
 	// re-simulates from scratch), including ResultStore and the core pool.
 	DisableCache bool
-	// Progress, if set, is called after every finished job with the
-	// engine-lifetime completed and submitted job counts and the finished
-	// job's "simpoint/setup" label. It may be called concurrently.
-	Progress func(done, total int, label string)
 	// Tracer, if set, records a per-stage span trace (queue wait,
 	// annotate, expand, execute, encode, store put/get, cache-hit
 	// short-circuits) for every job into a bounded ring of flight
@@ -139,7 +135,6 @@ type Engine struct {
 	idle    []*pipeline.Core
 
 	simulations                         atomic.Int64
-	submitted, completed                atomic.Int64
 	storeHits, storeMisses, storeErrors atomic.Int64
 	corePoolHits, corePoolMisses        atomic.Int64
 	deadlineShed                        atomic.Int64
@@ -246,7 +241,6 @@ func Execute(ctx context.Context, job Job) *Result {
 // never cached.
 func (e *Engine) Run(ctx context.Context, job Job) *Result {
 	job.Opts = job.Opts.withDefaults()
-	e.submitted.Add(1)
 	// One flight per submission, even for cache hits: the flight's span
 	// set is what distinguishes a computed result (execute span) from a
 	// served one (cache_hit / store_get spans). The trace ID rides in on
@@ -254,11 +248,6 @@ func (e *Engine) Run(ctx context.Context, job Job) *Result {
 	fl := e.opts.Tracer.StartFlight(ctx, job.Simpoint.Name+"/"+job.Setup.Label)
 	res := e.run(ctx, job, fl)
 	fl.End()
-	done := e.completed.Add(1)
-	if e.opts.Progress != nil {
-		e.opts.Progress(int(done), int(e.submitted.Load()),
-			job.Simpoint.Name+"/"+job.Setup.Label)
-	}
 	return res
 }
 

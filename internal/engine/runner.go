@@ -8,6 +8,7 @@ package engine
 
 import (
 	"context"
+	"sync/atomic"
 
 	"clustersim/internal/workload"
 )
@@ -57,6 +58,50 @@ func RunMatrixOn(ctx context.Context, r Runner, sps []*workload.Simpoint, setups
 		}
 	}
 	return results, ctx.Err()
+}
+
+// Progress wraps r so that fn hears of every finished job: a job counts as
+// submitted when Run or Stream is called and as completed when its result
+// arrives, and fn gets the wrapper-lifetime completed and submitted counts
+// and the job's "simpoint/setup" label. fn may be called concurrently.
+// Stats passes through, so wrapping changes no counter.
+func Progress(r Runner, fn func(done, total int, label string)) Runner {
+	return &progressRunner{Runner: r, fn: fn}
+}
+
+type progressRunner struct {
+	Runner
+	fn                   func(done, total int, label string)
+	submitted, completed atomic.Int64
+}
+
+func (p *progressRunner) Run(ctx context.Context, job Job) *Result {
+	p.submitted.Add(1)
+	res := p.Runner.Run(ctx, job)
+	p.done(job)
+	return res
+}
+
+func (p *progressRunner) Stream(ctx context.Context, jobs []Job) <-chan JobResult {
+	p.submitted.Add(int64(len(jobs)))
+	in := p.Runner.Stream(ctx, jobs)
+	out := make(chan JobResult, len(jobs))
+	go func() {
+		defer close(out)
+		for jr := range in {
+			p.done(jr.Job)
+			out <- jr
+		}
+	}()
+	return out
+}
+
+func (p *progressRunner) done(job Job) {
+	label := ""
+	if job.Simpoint != nil {
+		label = job.Simpoint.Name + "/" + job.Setup.Label
+	}
+	p.fn(int(p.completed.Add(1)), int(p.submitted.Load()), label)
 }
 
 // Delta returns the counter changes from base to s — the per-invocation

@@ -56,20 +56,41 @@ func sweepVC(opt Options, name, axis string, variants []sim.Setup, labels []stri
 	}
 	out := &AblationResult{Name: name, Axis: axis}
 	for j := 1; j < len(setups); j++ {
-		var slow []float64
-		var copies, uops int64
-		for i := range sps {
-			slow = append(slow, stats.SlowdownPct(res[i][j].Metrics.Cycles, res[i][0].Metrics.Cycles))
-			copies += res[i][j].Metrics.Copies
-			uops += res[i][j].Metrics.Uops
-		}
-		out.Points = append(out.Points, AblationPoint{
-			Label:         labels[j-1],
-			SlowdownPct:   BenchAverage(sps, slow, nil),
-			CopiesPerKuop: float64(copies) * 1000 / float64(uops),
-		})
+		slow, copies := summarize(sps, column(res, j), column(res, 0))
+		out.Points = append(out.Points, AblationPoint{Label: labels[j-1], SlowdownPct: slow, CopiesPerKuop: copies})
 	}
 	return out, nil
+}
+
+// Ablations runs every sweep in report order: chain length, virtual-
+// cluster count, link latency, issue-queue size, region scope,
+// stall-over-steer, copy bandwidth, VC-comm, topology and prefetch.
+func Ablations(opt Options) ([]*AblationResult, error) {
+	opt = opt.withDefaults() // one engine across every sweep
+	var out []*AblationResult
+	for _, sweep := range []func(Options) ([]*AblationResult, error){
+		one(AblationChainLen), one(AblationNumVC), AblationLinkLatency,
+		AblationIQSize, AblationRegionScope, one(AblationStallOverSteer),
+		AblationCopyBandwidth, AblationVCComm, AblationTopology, one(AblationPrefetch),
+	} {
+		rs, err := sweep(opt)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, rs...)
+	}
+	return out, nil
+}
+
+// one adapts a single-result sweep to the multi-result shape.
+func one(sweep func(Options) (*AblationResult, error)) func(Options) ([]*AblationResult, error) {
+	return func(opt Options) ([]*AblationResult, error) {
+		r, err := sweep(opt)
+		if err != nil {
+			return nil, err
+		}
+		return []*AblationResult{r}, nil
+	}
 }
 
 // AblationChainLen sweeps the chain-length cap of the VC partitioner: the
@@ -240,8 +261,8 @@ func AblationPrefetch(opt Options) (*AblationResult, error) {
 	sps := opt.suite()
 	degrees := []int{0, 2, 4, 8}
 	out := &AblationResult{Name: "stream prefetch degree (substrate check, OP)", Axis: "degree"}
-	var base []int64
-	for di, d := range degrees {
+	var base []*sim.Result
+	for _, d := range degrees {
 		runOpts := opt.runOpts()
 		runOpts.Machine.PrefetchDegree = d
 		if d == 0 {
@@ -251,21 +272,12 @@ func AblationPrefetch(opt Options) (*AblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		var slow []float64
-		var copies, uops int64
-		for i := range sps {
-			if di == 0 {
-				base = append(base, res[i][0].Metrics.Cycles)
-			}
-			slow = append(slow, stats.SlowdownPct(res[i][0].Metrics.Cycles, base[i]))
-			copies += res[i][0].Metrics.Copies
-			uops += res[i][0].Metrics.Uops
+		col := column(res, 0)
+		if base == nil {
+			base = col // prefetching off
 		}
-		out.Points = append(out.Points, AblationPoint{
-			Label:         fmt.Sprintf("degree=%d", d),
-			SlowdownPct:   BenchAverage(sps, slow, nil),
-			CopiesPerKuop: float64(copies) * 1000 / float64(uops),
-		})
+		slow, copies := summarize(sps, col, base)
+		out.Points = append(out.Points, AblationPoint{Label: fmt.Sprintf("degree=%d", d), SlowdownPct: slow, CopiesPerKuop: copies})
 	}
 	return out, nil
 }

@@ -101,6 +101,30 @@ func BenchAverage(sps []*workload.Simpoint, values []float64, filter func(*workl
 	return stats.Mean(xs)
 }
 
+// column returns column j of a [simpoint][setup] result matrix: one
+// setup's results across the suite.
+func column(res [][]*sim.Result, j int) []*sim.Result {
+	col := make([]*sim.Result, len(res))
+	for i, row := range res {
+		col[i] = row[j]
+	}
+	return col
+}
+
+// summarize reduces one setup's results over the suite to the sweep and
+// survey summary: the bench-averaged slowdown of col against the baseline
+// results base (simpoint by simpoint), and col's copies per kilo-uop.
+func summarize(sps []*workload.Simpoint, col, base []*sim.Result) (slowdownPct, copiesPerKuop float64) {
+	slow := make([]float64, len(sps))
+	var copies, uops int64
+	for i := range sps {
+		slow[i] = stats.SlowdownPct(col[i].Metrics.Cycles, base[i].Metrics.Cycles)
+		copies += col[i].Metrics.Copies
+		uops += col[i].Metrics.Uops
+	}
+	return BenchAverage(sps, slow, nil), float64(copies) * 1000 / float64(uops)
+}
+
 // checkErrs returns the first run error in a result matrix.
 func checkErrs(res [][]*sim.Result) error {
 	for _, row := range res {

@@ -51,17 +51,11 @@ func PolicySpace(opt Options) (*PolicySpaceResult, error) {
 	}
 	out := &PolicySpaceResult{}
 	for j, ps := range policySetups {
-		var slow []float64
-		var copies, uops int64
-		for i := range sps {
-			slow = append(slow, stats.SlowdownPct(res[i][j].Metrics.Cycles, res[i][0].Metrics.Cycles))
-			copies += res[i][j].Metrics.Copies
-			uops += res[i][j].Metrics.Uops
-		}
+		slow, copies := summarize(sps, column(res, j), column(res, 0))
 		out.Points = append(out.Points, PolicyPoint{
 			Label:           setups[j].Label,
-			SlowdownPct:     BenchAverage(sps, slow, nil),
-			CopiesPerKuop:   float64(copies) * 1000 / float64(uops),
+			SlowdownPct:     slow,
+			CopiesPerKuop:   copies,
 			DependenceLogic: ps.depLogic,
 		})
 	}
