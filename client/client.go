@@ -269,13 +269,6 @@ type submitConfig struct {
 // SubmitOption adjusts one submission.
 type SubmitOption func(*submitConfig)
 
-// WithMaxParallel caps how many engine workers the batch may occupy on
-// the server at once; the server clamps the hint to its own limit. Use
-// it to keep a huge batch from monopolizing a shared worker.
-func WithMaxParallel(n int) SubmitOption {
-	return func(sc *submitConfig) { sc.req.MaxParallel = n }
-}
-
 // WithTraceBase seeds the batch's trace-ID base (sent in the
 // api.TraceHeader header): the server derives per-job trace IDs as
 // "<base>.<index>", so the caller knows every job's trace ID before the

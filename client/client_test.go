@@ -514,7 +514,7 @@ func TestClientBearerToken(t *testing.T) {
 	}
 	sub, err := c.Submit(ctx, []engine.JobSpec{
 		{Simpoint: "gzip-1", Setup: engine.SetupSpec{Kind: "OP", NumClusters: 2}, Opts: engine.OptionsSpec{NumUops: 2000}},
-	}, client.WithMaxParallel(1))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

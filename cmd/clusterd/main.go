@@ -18,8 +18,10 @@
 //
 // The typed Go SDK for this API lives in clustersim/client; steerbench
 // -remote drives whole experiment suites against a clusterd instance.
-// Completed submissions are GC'd by count (retention) and age (-subttl);
-// their results remain fetchable by content key either way.
+// Completed submissions are GC'd by count (-retention) and age (-subttl):
+// one completed longer than -subttl ago expires at the next submission
+// completion or lookup, so no background sweeper runs. Their results
+// remain fetchable by content key either way.
 //
 // With -coordinator the daemon additionally serves the fleet membership
 // register (GET/POST /v1/ring): an epoch-guarded compare-and-swap view

@@ -8,11 +8,11 @@
 // results that already exist. The measured phase then hammers four
 // serving paths with -clients concurrent workers for -duration each:
 //
+//	ServingSSEFanout    GET /v1/jobs/{id}/stream replayed end to end
 //	ServingSubmitWarm   POST /v1/jobs resubmitting the warm batch
 //	                    (served from the result store, no simulation)
 //	ServingWarmFetch    GET /v1/results full JSON bodies
 //	ServingWarmFetchETag same fetch replaying the ETag (304, no body)
-//	ServingSSEFanout    GET /v1/jobs/{id}/stream replayed end to end
 //
 // Each benchmark line reports mean latency as ns/op plus req/s, p50-ms
 // and p99-ms, with the worker count as the customary "-N" suffix:
@@ -22,8 +22,8 @@
 // Pipe the output through `benchjson -out BENCH_7.json` to snapshot or
 // `benchjson -baseline BENCH_7.json` to gate.
 //
-// Each phase is bracketed by a /metrics scrape: the delta of the server's
-// clusterd_http_request_seconds histogram over the phase is cross-checked
+// Each phase is bracketed by a /v1/stats read: the delta of the server's
+// per-route request-latency histogram over the phase is cross-checked
 // against the client-observed percentiles, and a >2× divergence is warned
 // on stderr (stdout stays benchjson-parseable) — catching time spent
 // outside the handler, like transport queueing or connection churn.
@@ -39,7 +39,6 @@ import (
 	"net/url"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -254,6 +253,12 @@ func main() {
 		route string // server-side histogram route label this bench drives
 		req   func(worker int) error
 	}{
+		// The fan-out replays the warm-up submission, so it runs first:
+		// the submit phase's thousands of submissions push that one past
+		// the server's retention bound, and its stream would answer 404.
+		{"ServingSSEFanout", "/v1/jobs/{id}/stream", func(w int) error {
+			return streamAll(hc, *token, *base, sub.ID, len(keys))
+		}},
 		{"ServingSubmitWarm", "/v1/jobs", func(w int) error {
 			req, err := http.NewRequest(http.MethodPost, *base+"/v1/jobs", strings.NewReader(submitBody))
 			if err != nil {
@@ -283,27 +288,28 @@ func main() {
 			hdr := map[string]string{"If-None-Match": `"` + store.Addr(key) + `"`}
 			return httpGet(hc, *token, *base+"/v1/results?key="+url.QueryEscape(key), hdr, http.StatusNotModified)
 		}},
-		{"ServingSSEFanout", "/v1/jobs/{id}/stream", func(w int) error {
-			return streamAll(hc, *token, *base, sub.ID, len(keys))
-		}},
 	}
 
-	// Bracket each phase with a /metrics scrape: the delta between the two
-	// scrapes is the server's own view of exactly the traffic the phase
+	// Bracket each phase with a /v1/stats read: the delta between the two
+	// reads is the server's own view of exactly the traffic the phase
 	// generated, and a client/server percentile divergence localizes where
-	// the time went (in the handler, or outside it). A scrape failure —
-	// e.g. a server predating the histogram families — disables the
-	// cross-check with one warning rather than failing the benchmark.
+	// the time went (in the handler, or outside it). A failed read
+	// disables the cross-check with one warning rather than failing the
+	// benchmark.
 	scrapesOK := true
 	scrape := func() map[string]obs.Snapshot {
 		if !scrapesOK {
 			return nil
 		}
-		m, err := scrapeRouteHistograms(hc, *token, *base)
+		stats, err := cl.Stats(ctx)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: /metrics scrape failed, skipping server-side cross-checks: %v\n", err)
+			fmt.Fprintf(os.Stderr, "loadgen: /v1/stats failed, skipping server-side cross-checks: %v\n", err)
 			scrapesOK = false
 			return nil
+		}
+		m := make(map[string]obs.Snapshot, len(stats.Routes))
+		for _, h := range stats.Routes {
+			m[h.Route] = h.Snapshot()
 		}
 		return m
 	}
@@ -347,108 +353,6 @@ func crossCheck(name, route string, r *result, server obs.Snapshot) {
 				name, q.label, clientMs, serverMs, route)
 		}
 	}
-}
-
-// scrapeRouteHistograms fetches /metrics and folds the
-// clusterd_http_request_seconds family into one cumulative snapshot per
-// route, summed across status codes.
-func scrapeRouteHistograms(hc *http.Client, token, base string) (map[string]obs.Snapshot, error) {
-	req, err := http.NewRequest(http.MethodGet, base+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	if token != "" {
-		req.Header.Set("Authorization", "Bearer "+token)
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	blob, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("/metrics: status %d", resp.StatusCode)
-	}
-	return parseRouteHistograms(string(blob)), nil
-}
-
-// parseRouteHistograms extracts the clusterd_http_request_seconds_bucket
-// series from Prometheus exposition text. Bucket counts arrive cumulative
-// per (route, code) series; summing the same le across codes keeps them
-// cumulative, so the per-route fold is a valid Snapshot.
-func parseRouteHistograms(text string) map[string]obs.Snapshot {
-	type acc struct {
-		byLe map[float64]int64
-		inf  int64
-	}
-	accs := map[string]*acc{}
-	const fam = "clusterd_http_request_seconds_bucket{"
-	for _, line := range strings.Split(text, "\n") {
-		if !strings.HasPrefix(line, fam) {
-			continue
-		}
-		// The label-set closer is the last '}' on the line: label values
-		// may contain braces ("/v1/jobs/{id}/stream") but the sample value
-		// after them never does.
-		end := strings.LastIndex(line, "}")
-		if end < 0 {
-			continue
-		}
-		val, err := strconv.ParseInt(strings.TrimSpace(line[end+1:]), 10, 64)
-		if err != nil {
-			continue
-		}
-		var route, le string
-		for _, kv := range strings.Split(line[len(fam):end], ",") {
-			k, v, ok := strings.Cut(kv, "=")
-			if !ok {
-				continue
-			}
-			v = strings.Trim(v, `"`)
-			switch k {
-			case "route":
-				route = v
-			case "le":
-				le = v
-			}
-		}
-		if route == "" || le == "" {
-			continue
-		}
-		a := accs[route]
-		if a == nil {
-			a = &acc{byLe: map[float64]int64{}}
-			accs[route] = a
-		}
-		if le == "+Inf" {
-			a.inf += val
-			continue
-		}
-		bound, err := strconv.ParseFloat(le, 64)
-		if err != nil {
-			continue
-		}
-		a.byLe[bound] += val
-	}
-	out := make(map[string]obs.Snapshot, len(accs))
-	for route, a := range accs {
-		s := obs.Snapshot{Bounds: make([]float64, 0, len(a.byLe))}
-		for b := range a.byLe {
-			s.Bounds = append(s.Bounds, b)
-		}
-		sort.Float64s(s.Bounds)
-		s.Counts = make([]int64, len(s.Bounds)+1)
-		for i, b := range s.Bounds {
-			s.Counts[i] = a.byLe[b]
-		}
-		s.Counts[len(s.Bounds)] = a.inf
-		s.Count = a.inf
-		out[route] = s
-	}
-	return out
 }
 
 // submitJSON renders the warm batch as a /v1/jobs request body.

@@ -384,8 +384,6 @@ func (f *Runner) Stream(ctx context.Context, jobs []engine.Job) <-chan engine.Jo
 		defer close(out)
 		f.syncMembership(ctx)
 
-		// keyer only computes result content keys; it runs nothing.
-		keyer := engine.New(engine.Options{Parallelism: 1, DisableCache: true})
 		var tasks []task
 		for i, job := range jobs {
 			if _, err := sim.SpecFromJob(job); err != nil {
@@ -395,7 +393,7 @@ func (f *Runner) Stream(ctx context.Context, jobs []engine.Job) <-chan engine.Jo
 				}}
 				continue
 			}
-			key, ok := keyer.ResultKey(job)
+			key, ok := engine.ResultKey(job)
 			if !ok {
 				// Unreachable: every remoteable job has a content key
 				// (SpecFromJob rejects the uncacheable shapes). Shard by

@@ -24,11 +24,11 @@ const (
 	// Version is the wire-protocol version of the types in this package.
 	// Bump it on any incompatible change to the JSON shapes or routes.
 	//
-	// v2: SubmitRequest gained max_parallel. Servers reject unknown
-	// fields, so a v1 server would answer a v2 submission that sets it
-	// with bad_request — the version bump turns that mixed-fleet hazard
-	// into a clean, detectable mismatch (which multi-worker runners
-	// treat as worker loss and route around).
+	// v2: SubmitRequest gained max_parallel (removed again in v9).
+	// Servers reject unknown fields, so a v1 server would answer a v2
+	// submission that sets it with bad_request — the version bump turns
+	// that mixed-fleet hazard into a clean, detectable mismatch (which
+	// multi-worker runners treat as worker loss and route around).
 	//
 	// v3: the fleet control plane. New routes a v2 server answers with
 	// not_found: GET /v1/keys (store key enumeration, the substrate of
@@ -76,7 +76,13 @@ const (
 	// -1 turns prefetching off); zero or absent knobs keep Table 2, and a
 	// knob out of bound is refused with bad_request. A v7 server would refuse the unknown field mid-run;
 	// the bump makes the mismatch fail at construction instead.
-	Version = 8
+	//
+	// v9: SubmitRequest lost max_parallel. A batch shares a worker
+	// through its priority lane and its tenant's quota alone, so a v9
+	// server answers a v8 submission that still sets the field with
+	// bad_request; the bump makes the mismatch fail at construction
+	// instead.
+	Version = 9
 	// VersionHeader is the HTTP response header carrying Version.
 	VersionHeader = "Clustersim-Api-Version"
 	// TraceHeader optionally carries a caller-chosen trace-ID base on
@@ -143,11 +149,6 @@ func (e *Error) Error() string {
 // curl-friendliness; the SDK always sends the batch form.
 type SubmitRequest struct {
 	Jobs []engine.JobSpec `json:"jobs"`
-	// MaxParallel optionally caps how many engine workers this batch may
-	// occupy at once; the server clamps it to its own -parallel limit.
-	// Zero means no per-batch cap. Version-gated: introduced with
-	// protocol v2 (see Version).
-	MaxParallel int `json:"max_parallel,omitempty"`
 	// Priority selects the batch's scheduling lane: "interactive" (the
 	// default; latency-sensitive, weighted 4) or "bulk" (sweeps and
 	// background fills, weighted 1). Under contention the engine grants

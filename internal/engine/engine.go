@@ -201,7 +201,7 @@ func New(opts Options) *Engine {
 }
 
 // Parallelism reports the engine's worker-pool size (the resolved value,
-// never zero). Services use it to clamp per-request parallelism hints.
+// never zero).
 func (e *Engine) Parallelism() int { return e.opts.Parallelism }
 
 // Tracer returns the engine's flight tracer (nil when tracing is
@@ -263,18 +263,25 @@ func (e *Engine) RunMatrix(ctx context.Context, sps []*workload.Simpoint, setups
 // it completes (in completion order, not submission order). The channel is
 // buffered to hold every result and is closed once all jobs finish, so a
 // consumer may stop reading early without leaking the senders (cancel the
-// context to also stop the remaining work).
+// context to also stop the remaining work). When ctx carries a trace ID,
+// it is the batch's base and job i is traced as obs.JobTraceID(base, i);
+// otherwise every job mints its own.
 func (e *Engine) Stream(ctx context.Context, jobs []Job) <-chan JobResult {
 	out := make(chan JobResult, len(jobs))
+	base := obs.TraceIDFrom(ctx)
 	go func() {
 		defer close(out)
 		var wg sync.WaitGroup
 		for i := range jobs {
 			i := i
+			jctx := ctx
+			if base != "" {
+				jctx = obs.WithTraceID(ctx, obs.JobTraceID(base, i))
+			}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				out <- JobResult{Index: i, Job: jobs[i], Result: e.Run(ctx, jobs[i])}
+				out <- JobResult{Index: i, Job: jobs[i], Result: e.Run(jctx, jobs[i])}
 			}()
 		}
 		wg.Wait()
@@ -286,7 +293,7 @@ func (e *Engine) Stream(ctx context.Context, jobs []Job) <-chan JobResult {
 // reconstructions (workload.Suite synthesizes fresh Program values per
 // call, deterministically, so name + seed + content hash is a stable key
 // that also keeps distinct custom programs from aliasing).
-func (e *Engine) fingerprint(sp *workload.Simpoint) string {
+func fingerprint(sp *workload.Simpoint) string {
 	return fmt.Sprintf("%s|s%d|h%016x", sp.Name, sp.Seed, sp.Program.Fingerprint())
 }
 
@@ -307,7 +314,7 @@ func machine(clusters int, opt *RunOptions) (pipeline.Config, string, error) {
 
 // resultKey returns the whole-result cache key of a job whose setup
 // resolved to rs, or the machine override's validation error.
-func (e *Engine) resultKey(job Job, rs *resolved) (string, error) {
+func resultKey(job Job, rs *resolved) (string, error) {
 	// A job on the Table 2 machine pays only this comparison; any other
 	// machine appends the canonical override's suffix, so its machine-
 	// derived pass options are keyed too.
@@ -323,7 +330,7 @@ func (e *Engine) resultKey(job Job, rs *resolved) (string, error) {
 	// once carried a hand-written tweak name; it stays so Table 2 keys
 	// keep their bytes and existing stores stay warm.
 	return fmt.Sprintf("%s|%s|p%s|c%d|u%d|w%d|t%s",
-		e.fingerprint(job.Simpoint), rs.label, rs.sig, rs.clusters,
+		fingerprint(job.Simpoint), rs.label, rs.sig, rs.clusters,
 		job.Opts.NumUops, job.Opts.WarmupUops, m), nil
 }
 
@@ -337,20 +344,25 @@ func storeKey(key string) string {
 // ResultKey returns the persistent-store key a job's result is (or would
 // be) stored under, and whether it has one: its setup and machine
 // override resolve, and it does not track histograms (such runs are
-// never persisted). Services use it to hand clients a fetch address at
-// submission time.
-func (e *Engine) ResultKey(job Job) (string, bool) {
+// never persisted). It depends on the job alone, not on any engine:
+// services use it to hand clients a fetch address at submission time,
+// and fleets to shard jobs by key.
+func ResultKey(job Job) (string, bool) {
 	job.Opts = job.Opts.withDefaults()
 	rs, err := resolve(job.Setup.SetupSpec)
 	if err != nil || job.Opts.TrackHistograms {
 		return "", false
 	}
-	key, err := e.resultKey(job, &rs)
+	key, err := resultKey(job, &rs)
 	if err != nil {
 		return "", false
 	}
 	return storeKey(key), true
 }
+
+// ResultKey is the package-level ResultKey, kept as a method for callers
+// that hold an engine.
+func (e *Engine) ResultKey(job Job) (string, bool) { return ResultKey(job) }
 
 // storedResult serves a result-cache miss from the persistent store, if
 // one is configured and holds a decodable blob for the key. The decoded
@@ -428,7 +440,7 @@ func (e *Engine) run(ctx context.Context, job Job, fl *obs.Flight) *Result {
 	// Results carry the label the spec derives, whatever the caller's
 	// Label field says: it is part of the cache key.
 	job.Setup.Label = rs.label
-	key, err := e.resultKey(job, &rs)
+	key, err := resultKey(job, &rs)
 	if err != nil {
 		return &Result{Simpoint: job.Simpoint, Setup: job.Setup.Label, Err: err}
 	}
@@ -611,6 +623,6 @@ func (e *Engine) annotated(sp *workload.Simpoint, rs *resolved, cfg *pipeline.Co
 		p, _ := build()
 		return p
 	}
-	p, _, _ := e.progs.get(nil, e.fingerprint(sp)+"|"+rs.programKey(cfg), build)
+	p, _, _ := e.progs.get(nil, fingerprint(sp)+"|"+rs.programKey(cfg), build)
 	return p
 }

@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"clustersim/internal/engine"
+	"clustersim/internal/obs"
 	"clustersim/internal/sim"
 	"clustersim/internal/workload"
 )
@@ -350,6 +352,40 @@ func TestStreamDeliversEverything(t *testing.T) {
 	}
 	if st := eng.Stats(); st.Simulations != 3 {
 		t.Errorf("duplicate job not deduped: %+v", st)
+	}
+}
+
+// Stream traces job i of a batch as obs.JobTraceID(base, i) when the
+// context carries the base, and lets each job mint its own trace ID when
+// it does not.
+func TestStreamTraceIDs(t *testing.T) {
+	jobs := []engine.Job{
+		quickJob("crafty", sim.SetupOP(2)),
+		quickJob("gzip-1", sim.SetupOP(2)),
+	}
+	tracer := obs.NewTracer(16)
+	eng := engine.New(engine.Options{Parallelism: 2, Tracer: tracer})
+	for range eng.Stream(obs.WithTraceID(context.Background(), "batch"), jobs) {
+	}
+	for i, id := range []string{"batch.0", "batch.1"} {
+		rec, ok := tracer.Lookup(id)
+		if want := jobs[i].Simpoint.Name + "/" + jobs[i].Setup.Label; !ok || rec.Label != want {
+			t.Errorf("flight %s = %+v (found %v), want label %s", id, rec, ok, want)
+		}
+	}
+
+	for range eng.Stream(context.Background(), jobs) {
+	}
+	recs := tracer.Records()
+	if len(recs) != 2*len(jobs) {
+		t.Fatalf("%d flights recorded, want %d", len(recs), 2*len(jobs))
+	}
+	ids := map[string]bool{}
+	for _, rec := range recs[len(jobs):] {
+		if !obs.ValidTraceID(rec.ID) || strings.HasPrefix(rec.ID, "batch") || ids[rec.ID] {
+			t.Errorf("flight without a base has ID %q (seen: %v)", rec.ID, ids)
+		}
+		ids[rec.ID] = true
 	}
 }
 

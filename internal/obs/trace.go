@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -25,6 +26,12 @@ func WithTraceID(ctx context.Context, id string) context.Context {
 func TraceIDFrom(ctx context.Context) string {
 	id, _ := ctx.Value(traceIDKey{}).(string)
 	return id
+}
+
+// JobTraceID names job i of a batch whose trace-ID base is base:
+// "<base>.<i>", so a batch's flights are greppable as a family.
+func JobTraceID(base string, i int) string {
+	return base + "." + strconv.Itoa(i)
 }
 
 // NewTraceID mints a random 16-hex-char trace ID.

@@ -74,7 +74,7 @@ func TestSubmitRateLimited429(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("first batch: %d %s", resp.StatusCode, raw)
 	}
-	var sub service.SubmitResponse
+	var sub api.SubmitResponse
 	if err := json.Unmarshal(raw, &sub); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestSubmitRateLimited429(t *testing.T) {
 	if v := scrapeMetric(t, ts.URL, `clusterd_admission_rejects_total{reason="rate_limited"}`); v < 1 {
 		t.Fatalf("rate_limited rejects metric = %v, want >= 1", v)
 	}
-	var stats service.StatsResponse
+	var stats api.StatsResponse
 	mustGetJSON(t, ts.URL+"/v1/stats", &stats)
 	if stats.Admission == nil {
 		t.Fatal("stats.Admission missing on a limited server")
@@ -135,7 +135,7 @@ func TestSubmitQuotaExceeded429(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("within-quota batch: %d %s", resp.StatusCode, raw)
 	}
-	var sub service.SubmitResponse
+	var sub api.SubmitResponse
 	if err := json.Unmarshal(raw, &sub); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestSubmitPriorityValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("priority %q rejected: %d %s", prio, resp.StatusCode, raw)
 		}
-		var sub service.SubmitResponse
+		var sub api.SubmitResponse
 		if err := json.Unmarshal(raw, &sub); err != nil {
 			t.Fatal(err)
 		}
@@ -229,13 +229,13 @@ func TestSubmitDeadlinePropagation(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", resp.StatusCode, raw)
 	}
-	var sub service.SubmitResponse
+	var sub api.SubmitResponse
 	if err := json.Unmarshal(raw, &sub); err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, ts.URL, sub.ID)
 
-	var status service.StatusResponse
+	var status api.StatusResponse
 	mustGetJSON(t, ts.URL+"/v1/jobs/"+sub.ID, &status)
 	if len(status.Results) != 3 {
 		t.Fatalf("got %d results, want 3", len(status.Results))

@@ -32,7 +32,7 @@ func runQuickBatch(t *testing.T, base string, n int) []string {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", resp.StatusCode, raw)
 	}
-	var sub service.SubmitResponse
+	var sub api.SubmitResponse
 	if err := json.Unmarshal(raw, &sub); err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func runQuickBatch(t *testing.T, base string, n int) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var status service.StatusResponse
+		var status api.StatusResponse
 		json.NewDecoder(st.Body).Decode(&status)
 		st.Body.Close()
 		if status.Done {
@@ -104,7 +104,7 @@ func TestKeysEndpoint(t *testing.T) {
 		t.Errorf("limit=banana: %d, want 400", resp.StatusCode)
 	}
 
-	var stats service.StatsResponse
+	var stats api.StatsResponse
 	getJSON(t, ts.URL+"/v1/stats", &stats)
 	if stats.Serving.KeyPages == 0 {
 		t.Error("key pages not counted in serving stats")
@@ -163,7 +163,7 @@ func TestPutResultMigratesWithoutResimulating(t *testing.T) {
 		t.Errorf("destination simulated %d jobs despite warmed store", sims)
 	}
 
-	var stats service.StatsResponse
+	var stats api.StatsResponse
 	getJSON(t, dst.URL+"/v1/stats", &stats)
 	if stats.Serving.ResultUploads != int64(len(keys)) {
 		t.Errorf("result uploads = %d, want %d", stats.Serving.ResultUploads, len(keys))
@@ -270,7 +270,7 @@ func TestRingRegisterCAS(t *testing.T) {
 	}
 
 	// Counters: one conflict, two accepted transitions, epoch gauge live.
-	var stats service.StatsResponse
+	var stats api.StatsResponse
 	getJSON(t, ts.URL+"/v1/stats", &stats)
 	sv := stats.Serving
 	if sv.RingEpoch != 2 || sv.RingTransitions != 2 || sv.RingConflicts != 1 {

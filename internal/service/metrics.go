@@ -81,6 +81,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	eng := s.eng.Stats()
 
 	s.mu.Lock()
+	s.expire()
 	active := len(s.subs) - len(s.retired)
 	retired := len(s.retired)
 	swept := s.swept
@@ -99,7 +100,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"clusterd_engine_core_pool_misses_total", "Simulations that constructed a fresh core.", "counter", one(eng.CorePoolMisses)},
 		{"clusterd_submissions_active", "Submissions with jobs still running.", "gauge", one(int64(active))},
 		{"clusterd_submissions_retained", "Completed submissions still queryable.", "gauge", one(int64(retired))},
-		{"clusterd_submissions_swept_total", "Completed submissions evicted by the TTL sweep.", "counter", one(swept)},
+		{"clusterd_submissions_swept_total", "Completed submissions expired by the TTL.", "counter", one(swept)},
 		{"clusterd_sse_marshals_total", "Job events JSON-encoded (once per event, shared by all subscribers).", "counter", one(s.sseMarshals.Load())},
 		{"clusterd_sse_frames_total", "Shared SSE result frames written to subscribers.", "counter", one(s.sseFrames.Load())},
 		{"clusterd_sse_bytes_total", "Bytes of SSE result frames written to subscribers.", "counter", one(s.sseBytes.Load())},

@@ -46,7 +46,7 @@ func getBody(t *testing.T, url string) (*http.Response, string) {
 
 // submitOne posts one job (optionally with a caller-chosen trace base)
 // and waits for it to finish, returning the submit ack.
-func submitOne(t *testing.T, ts *httptest.Server, traceBase string) service.SubmitResponse {
+func submitOne(t *testing.T, ts *httptest.Server, traceBase string) api.SubmitResponse {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", strings.NewReader(
 		`{"simpoint":"gzip-1","setup":{"kind":"OP","clusters":2},"opts":{"num_uops":2000}}`))
@@ -61,7 +61,7 @@ func submitOne(t *testing.T, ts *httptest.Server, traceBase string) service.Subm
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sub service.SubmitResponse
+	var sub api.SubmitResponse
 	err = json.NewDecoder(resp.Body).Decode(&sub)
 	resp.Body.Close()
 	if err != nil {
@@ -246,7 +246,7 @@ func TestStatsLatencyHistograms(t *testing.T) {
 	submitOne(t, ts, "")
 
 	_, body := getBody(t, ts.URL+"/v1/stats")
-	var st service.StatsResponse
+	var st api.StatsResponse
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}

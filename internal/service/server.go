@@ -49,16 +49,6 @@ import (
 	"clustersim/internal/store"
 )
 
-// Aliases so existing callers keep compiling; the canonical definitions
-// live in internal/api where the client SDK shares them.
-type (
-	JobEvent       = api.JobEvent
-	SubmitResponse = api.SubmitResponse
-	StatusResponse = api.StatusResponse
-	ResultResponse = api.ResultResponse
-	StatsResponse  = api.StatsResponse
-)
-
 // Server is the clusterd HTTP handler. One server owns one engine (all
 // submissions share its caches and worker pool) and one result store.
 type Server struct {
@@ -71,12 +61,11 @@ type Server struct {
 
 	mu      sync.Mutex
 	subs    map[string]*submission
-	retired []string // completed submission ids, oldest first
+	retired []*submission // completed submissions, oldest completion first
 	retain  int
 	ttl     time.Duration
-	ttlCh   chan struct{} // wakes the sweeper when the TTL changes
 	nextID  int
-	swept   int64 // completed submissions evicted by the TTL sweep
+	swept   int64 // completed submissions expired by the TTL
 	// boot is a random per-process nonce in every submission ID
 	// ("sub-<boot>-<n>"), so a client reconnecting to a restarted daemon
 	// can never attach to a different submission that reuses its old
@@ -129,9 +118,9 @@ type Server struct {
 const defaultRetain = 256
 
 // defaultTTL is how long a completed submission stays queryable before
-// the sweep garbage-collects it. The retention count alone caps memory
-// but lets a burst of traffic pin stale entries for the daemon's
-// lifetime; the TTL drains them under sustained traffic too.
+// it expires. The retention count alone caps memory but lets a burst of
+// traffic pin stale entries for the daemon's lifetime; the TTL drains
+// them under sustained traffic too.
 const defaultTTL = time.Hour
 
 // defaultSSEWriteTimeout is the slow-subscriber bound: generous enough
@@ -141,14 +130,13 @@ const defaultTTL = time.Hour
 const defaultSSEWriteTimeout = 15 * time.Second
 
 // New builds a server. ctx bounds every submission's simulations: cancel
-// it to drain the service (the TTL sweeper also exits with it). st is the
-// store results are fetched from; wire the same store into the engine's
-// Options.ResultStore so computed results become fetchable.
+// it to drain the service. st is the store results are fetched from; wire
+// the same store into the engine's Options.ResultStore so computed
+// results become fetchable.
 func New(ctx context.Context, eng *engine.Engine, st store.Store) *Server {
 	s := &Server{
 		ctx: ctx, eng: eng, st: st, mux: http.NewServeMux(), now: time.Now,
 		subs: map[string]*submission{}, retain: defaultRetain, ttl: defaultTTL,
-		ttlCh:           make(chan struct{}, 1),
 		httpHist:        obs.NewVec(nil),
 		log:             slog.New(slog.NewTextHandler(io.Discard, nil)),
 		sseWriteTimeout: defaultSSEWriteTimeout,
@@ -201,7 +189,6 @@ func New(ctx context.Context, eng *engine.Engine, st store.Store) *Server {
 	s.mux.HandleFunc("/", s.observed("other", func(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, api.CodeNotFound, "no such route %s", r.URL.Path)
 	}))
-	go s.sweepLoop(ctx)
 	return s
 }
 
@@ -229,15 +216,6 @@ func (s *Server) SetToken(token string) { s.token = token }
 // Retry-After hint instead of entering the engine. Nil (the default)
 // admits everything. Call before serving traffic.
 func (s *Server) SetAdmission(c *admission.Controller) { s.adm = c }
-
-// SetSSEWriteTimeout overrides the per-frame write bound on SSE
-// streams (d <= 0 restores the default). Call before serving traffic.
-func (s *Server) SetSSEWriteTimeout(d time.Duration) {
-	if d <= 0 {
-		d = defaultSSEWriteTimeout
-	}
-	s.sseWriteTimeout = d
-}
 
 // tenantOf derives the admission identity of a request. With auth
 // enabled the bearer token IS the identity and the client-supplied
@@ -314,87 +292,50 @@ func (s *Server) SetRetention(n int) {
 	s.mu.Unlock()
 }
 
-// SetTTL overrides how long a completed submission stays queryable before
-// the sweep evicts it (d <= 0 disables the sweep; the retention count
-// still applies). The sweeper is woken to re-pace itself, so a shorter
-// TTL takes effect immediately even mid-sleep.
+// SetTTL overrides how long a completed submission stays queryable
+// (d <= 0 disables expiry; the retention count still applies). Expiry
+// happens on demand, at the next submission completion or lookup, so no
+// background goroutine paces it. Call before serving traffic.
 func (s *Server) SetTTL(d time.Duration) {
 	s.mu.Lock()
 	s.ttl = d
 	s.mu.Unlock()
-	select {
-	case s.ttlCh <- struct{}{}:
-	default: // a wakeup is already pending
-	}
 }
 
 // retire marks a submission complete and evicts the oldest completed
-// submissions beyond the retention bound.
-func (s *Server) retire(id string) {
+// submissions beyond the retention bound or older than the TTL.
+func (s *Server) retire(sub *submission) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if sub := s.subs[id]; sub != nil {
-		sub.completedAt = s.now()
+	sub.completedAt = s.now()
+	s.retired = append(s.retired, sub)
+	for len(s.retired) > max(s.retain, 0) {
+		s.evictOldest()
 	}
-	s.retired = append(s.retired, id)
-	for len(s.retired) > s.retain && len(s.retired) > 0 {
-		delete(s.subs, s.retired[0])
-		s.retired = s.retired[1:]
-	}
+	s.expire()
 }
 
-// sweepLoop periodically expires completed submissions older than the
-// TTL. The retention count bounds the registry's size; the sweep bounds
-// its age, so under sustained traffic a completed submission is GC'd
-// even while the registry sits below the count bound.
-func (s *Server) sweepLoop(ctx context.Context) {
-	const minInterval = 50 * time.Millisecond
-	for {
-		s.mu.Lock()
-		ttl := s.ttl
-		s.mu.Unlock()
-		interval := ttl / 4
-		if interval < minInterval {
-			interval = minInterval
-		}
-		if ttl <= 0 {
-			// Sweeping disabled: idle until SetTTL re-enables it.
-			interval = time.Hour
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-s.ttlCh:
-			continue // TTL changed: re-pace before sweeping
-		case <-time.After(interval):
-		}
-		s.sweep()
-	}
+// evictOldest drops the oldest completed submission. The caller holds
+// s.mu.
+func (s *Server) evictOldest() {
+	delete(s.subs, s.retired[0].id)
+	s.retired[0] = nil // the backing array must not pin its events
+	s.retired = s.retired[1:]
 }
 
-// sweep evicts completed submissions whose completion is older than the
-// TTL. In-flight submissions are never touched.
-func (s *Server) sweep() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// expire drops completed submissions whose completion is older than the
+// TTL, counting each in swept. The retired list is in completion order,
+// so the expired ones are a prefix of it; in-flight submissions are not
+// on it and never expire. The caller holds s.mu.
+func (s *Server) expire() {
 	if s.ttl <= 0 {
 		return
 	}
 	cutoff := s.now().Add(-s.ttl)
-	kept := s.retired[:0]
-	for _, id := range s.retired {
-		sub := s.subs[id]
-		if sub == nil {
-			continue // already evicted by the retention count
-		}
-		if sub.completedAt.Before(cutoff) {
-			delete(s.subs, id)
-			s.swept++
-			continue
-		}
-		kept = append(kept, id)
+	for len(s.retired) > 0 && s.retired[0].completedAt.Before(cutoff) {
+		s.evictOldest()
+		s.swept++
 	}
-	s.retired = kept
 }
 
 // submission tracks one POST /v1/jobs batch as its jobs complete.
@@ -404,11 +345,11 @@ type submission struct {
 	keys  []string
 
 	// completedAt is set (under the server mutex) when the submission
-	// retires; the TTL sweep keys off it.
+	// retires; TTL expiry keys off it.
 	completedAt time.Time
 
 	mu      sync.Mutex
-	events  []JobEvent
+	events  []api.JobEvent
 	frames  [][]byte // pre-rendered SSE frames, index-aligned with events
 	done    bool
 	changed chan struct{} // closed and replaced on every state change
@@ -416,7 +357,7 @@ type submission struct {
 
 // snapshot returns the events from index from on, whether the submission
 // has finished, and a channel closed on the next state change.
-func (sub *submission) snapshot(from int) ([]JobEvent, bool, <-chan struct{}) {
+func (sub *submission) snapshot(from int) ([]api.JobEvent, bool, <-chan struct{}) {
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
 	evs := sub.events[min(from, len(sub.events)):]
@@ -433,7 +374,7 @@ func (sub *submission) snapshotFrames(from int) ([][]byte, bool, <-chan struct{}
 	return frames, sub.done, sub.changed
 }
 
-func (sub *submission) append(ev JobEvent, frame []byte, done bool) {
+func (sub *submission) append(ev api.JobEvent, frame []byte, done bool) {
 	sub.mu.Lock()
 	if !done {
 		sub.events = append(sub.events, ev)
@@ -483,23 +424,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 // submitBody is the accepted request shape: a batch, or a bare spec.
 type submitBody struct {
-	Jobs        []engine.JobSpec `json:"jobs"`
-	MaxParallel int              `json:"max_parallel,omitempty"`
-	Priority    string           `json:"priority,omitempty"`
+	Jobs     []engine.JobSpec `json:"jobs"`
+	Priority string           `json:"priority,omitempty"`
 	engine.JobSpec
-}
-
-// clampParallel resolves a client's per-batch parallelism hint against
-// the server's own worker limit: hints are advisory, never an
-// escalation. Zero or negative means "no per-batch cap".
-func clampParallel(hint, limit int) int {
-	if hint <= 0 {
-		return 0
-	}
-	if limit > 0 && hint > limit {
-		return limit
-	}
-	return hint
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -540,7 +467,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		jobs[i] = job
-		keys[i], _ = s.eng.ResultKey(job)
+		keys[i], _ = engine.ResultKey(job)
 	}
 
 	// Admission is decided after validation (a malformed batch should
@@ -564,15 +491,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Every job gets a trace ID at submission: the caller may seed the
 	// base via the trace header (so a client's IDs and the server's
-	// agree), otherwise one is minted. Per-job IDs are "<base>.<index>",
-	// so a batch's flights are greppable as a family.
+	// agree), otherwise one is minted. The engine traces job i as
+	// obs.JobTraceID(base, i), and the ack lists the same IDs.
 	base := r.Header.Get(api.TraceHeader)
 	if !obs.ValidTraceID(base) {
 		base = obs.NewTraceID()
 	}
 	tids := make([]string, len(specs))
 	for i := range tids {
-		tids[i] = fmt.Sprintf("%s.%d", base, i)
+		tids[i] = obs.JobTraceID(base, i)
 	}
 
 	s.mu.Lock()
@@ -587,70 +514,34 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	s.log.Debug("submission accepted", "id", sub.id, "jobs", len(specs), "trace_base", base)
 
-	// The batch context carries the scheduling lane and, when the
-	// request declared a deadline, expires at it: queued jobs past the
-	// deadline are shed by the engine before simulating, and running
-	// ones are canceled through the pipeline's cancel hook.
-	runCtx := engine.WithLane(s.ctx, lane)
+	// The batch context carries the scheduling lane, the trace-ID base
+	// and, when the request declared a deadline, expires at it: queued
+	// jobs past the deadline are shed by the engine before simulating,
+	// and running ones are canceled through the pipeline's cancel hook.
+	runCtx := obs.WithTraceID(engine.WithLane(s.ctx, lane), base)
 	cancel := context.CancelFunc(func() {})
 	if deadline > 0 {
 		runCtx, cancel = context.WithTimeout(runCtx, deadline)
 	}
 
-	par := clampParallel(body.MaxParallel, s.eng.Parallelism())
 	go func() {
 		defer cancel()
 		start := time.Now()
-		runOne := func(i int) {
-			res := s.eng.Run(obs.WithTraceID(runCtx, tids[i]), jobs[i])
-			s.appendResult(sub, engine.JobResult{Index: i, Job: jobs[i], Result: res}, keys[i])
+		for jr := range s.eng.Stream(runCtx, jobs) {
+			s.appendResult(sub, jr, keys[jr.Index])
 			if s.adm != nil {
 				// Quota is in-flight work: each job returns its slot as it
 				// finishes, not when the whole batch does.
 				s.adm.Release(tenant, 1)
 			}
 		}
-		if par > 0 && par < len(jobs) {
-			// The batch asked for fewer workers than it has jobs: par
-			// batch-local workers drain an index queue, so this submission
-			// never occupies more than par engine slots at once (the
-			// engine's global limit still applies on top) and never holds
-			// more than par goroutines however wide the batch is.
-			idx := make(chan int)
-			var wg sync.WaitGroup
-			for w := 0; w < par; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := range idx {
-						runOne(i)
-					}
-				}()
-			}
-			for i := range jobs {
-				idx <- i
-			}
-			close(idx)
-			wg.Wait()
-		} else {
-			var wg sync.WaitGroup
-			for i := range jobs {
-				i := i
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					runOne(i)
-				}()
-			}
-			wg.Wait()
-		}
-		sub.append(JobEvent{}, nil, true)
-		s.retire(sub.id)
+		sub.append(api.JobEvent{}, nil, true)
+		s.retire(sub)
 		s.log.Debug("submission done", "id", sub.id, "jobs", len(jobs),
 			"dur_ms", time.Since(start).Milliseconds())
 	}()
 
-	writeJSON(w, http.StatusAccepted, SubmitResponse{
+	writeJSON(w, http.StatusAccepted, api.SubmitResponse{
 		ID: sub.id, Keys: keys, Total: len(specs), TraceIDs: tids,
 	})
 }
@@ -693,8 +584,8 @@ func errorCode(err error) string {
 	return ""
 }
 
-func jobEvent(jr engine.JobResult, key string) JobEvent {
-	ev := JobEvent{
+func jobEvent(jr engine.JobResult, key string) api.JobEvent {
+	ev := api.JobEvent{
 		Index:    jr.Index,
 		Simpoint: jr.Job.Simpoint.Name,
 		Setup:    jr.Job.Setup.Label,
@@ -713,9 +604,12 @@ func jobEvent(jr engine.JobResult, key string) JobEvent {
 	return ev
 }
 
+// lookup returns a queryable submission, first expiring those past the
+// TTL, or nil.
 func (s *Server) lookup(id string) *submission {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.expire()
 	return s.subs[id]
 }
 
@@ -726,7 +620,7 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	events, done, _ := sub.snapshot(0)
-	writeJSON(w, http.StatusOK, StatusResponse{
+	writeJSON(w, http.StatusOK, api.StatusResponse{
 		ID: sub.id, Total: len(sub.specs), Completed: len(events), Done: done, Results: events,
 	})
 }
@@ -846,7 +740,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, api.CodeInternal, "stored blob undecodable: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ResultResponse{
+	writeJSON(w, http.StatusOK, api.ResultResponse{
 		Key:        key,
 		Simpoint:   res.Simpoint.Name,
 		Bench:      res.Simpoint.Bench,
@@ -877,7 +771,7 @@ func (s *Server) servingStats() api.ServingStats {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	resp := StatsResponse{
+	resp := api.StatsResponse{
 		Engine: s.eng.Stats(), Store: s.st.Stats(), Serving: s.servingStats(),
 		Routes: s.routeHistograms(), Stages: s.stageHistograms(),
 	}

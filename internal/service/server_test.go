@@ -4,12 +4,12 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -62,7 +62,7 @@ func TestSubmitStreamFetchRoundTrip(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", resp.StatusCode, raw)
 	}
-	var sub service.SubmitResponse
+	var sub api.SubmitResponse
 	if err := json.Unmarshal(raw, &sub); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestSubmitStreamFetchRoundTrip(t *testing.T) {
 	if ct := streamResp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("stream content type %q", ct)
 	}
-	seen := map[int]service.JobEvent{}
+	seen := map[int]api.JobEvent{}
 	scanner := bufio.NewScanner(streamResp.Body)
 	var eventType string
 	for scanner.Scan() {
@@ -91,7 +91,7 @@ func TestSubmitStreamFetchRoundTrip(t *testing.T) {
 			if eventType == "done" {
 				goto streamed
 			}
-			var ev service.JobEvent
+			var ev api.JobEvent
 			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +123,7 @@ streamed:
 	if err != nil {
 		t.Fatal(err)
 	}
-	var status service.StatusResponse
+	var status api.StatusResponse
 	if err := json.NewDecoder(resp2.Body).Decode(&status); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ streamed:
 	if err != nil {
 		t.Fatal(err)
 	}
-	var res service.ResultResponse
+	var res api.ResultResponse
 	if err := json.NewDecoder(resp3.Body).Decode(&res); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ streamed:
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats service.StatsResponse
+	var stats api.StatsResponse
 	if err := json.NewDecoder(resp4.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ streamed:
 	if resp5.StatusCode != http.StatusAccepted {
 		t.Fatalf("resubmit: %d %s", resp5.StatusCode, raw5)
 	}
-	var sub2 service.SubmitResponse
+	var sub2 api.SubmitResponse
 	if err := json.Unmarshal(raw5, &sub2); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func waitDone(t *testing.T, base, id string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var status service.StatusResponse
+		var status api.StatusResponse
 		err = json.NewDecoder(resp.Body).Decode(&status)
 		resp.Body.Close()
 		if err != nil {
@@ -215,7 +215,7 @@ func TestSubmitValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("bare spec rejected: %d %s", resp.StatusCode, raw)
 	}
-	var sub service.SubmitResponse
+	var sub api.SubmitResponse
 	if err := json.Unmarshal(raw, &sub); err != nil {
 		t.Fatal(err)
 	}
@@ -226,9 +226,14 @@ func TestSubmitValidation(t *testing.T) {
 		"unknown kind":     `{"simpoint":"mcf","setup":{"kind":"WAT"}}`,
 		"empty":            `{}`,
 		"not json":         `hello`,
+		// Unknown fields are refused, typos included; max_parallel is one
+		// since protocol v9.
+		"unknown field": `{"maxparallel":1,"jobs":[{"simpoint":"mcf","setup":{"kind":"OP"}}]}`,
+		"max_parallel":  `{"max_parallel":1,"jobs":[{"simpoint":"mcf","setup":{"kind":"OP"}}]}`,
 	} {
 		resp, raw := postJSON(t, ts.URL+"/v1/jobs", body)
-		if resp.StatusCode != http.StatusBadRequest {
+		var e api.Error
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(raw, &e) != nil || e.Code != api.CodeBadRequest {
 			t.Errorf("%s: status %d, body %s", name, resp.StatusCode, raw)
 		}
 	}
@@ -281,7 +286,7 @@ func TestSubmitRejectsBadSetups(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("good spec rejected: %d %s", resp.StatusCode, raw)
 	}
-	var sub service.SubmitResponse
+	var sub api.SubmitResponse
 	if err := json.Unmarshal(raw, &sub); err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +296,7 @@ func TestSubmitRejectsBadSetups(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp2.Body.Close()
-	var status service.StatusResponse
+	var status api.StatusResponse
 	if err := json.NewDecoder(resp2.Body).Decode(&status); err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +333,7 @@ func TestSubmitRejectsBadMachines(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("good machine rejected: %d %s", resp.StatusCode, raw)
 	}
-	var sub service.SubmitResponse
+	var sub api.SubmitResponse
 	if err := json.Unmarshal(raw, &sub); err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +343,7 @@ func TestSubmitRejectsBadMachines(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp2.Body.Close()
-	var status service.StatusResponse
+	var status api.StatusResponse
 	if err := json.NewDecoder(resp2.Body).Decode(&status); err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +375,7 @@ func TestSubmissionRetention(t *testing.T) {
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit %d: %d %s", i, resp.StatusCode, raw)
 		}
-		var sub service.SubmitResponse
+		var sub api.SubmitResponse
 		if err := json.Unmarshal(raw, &sub); err != nil {
 			t.Fatal(err)
 		}
@@ -418,7 +423,7 @@ func TestResultSurvivesRestart(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", resp.StatusCode, raw)
 	}
-	var sub service.SubmitResponse
+	var sub api.SubmitResponse
 	if err := json.Unmarshal(raw, &sub); err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +435,7 @@ func TestResultSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var res service.ResultResponse
+	var res api.ResultResponse
 	if err := json.NewDecoder(resp2.Body).Decode(&res); err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +463,7 @@ func TestResultSurvivesRestart(t *testing.T) {
 	if resp3.StatusCode != http.StatusAccepted {
 		t.Fatalf("resubmit: %d %s", resp3.StatusCode, raw3)
 	}
-	var sub3 service.SubmitResponse
+	var sub3 api.SubmitResponse
 	if err := json.Unmarshal(raw3, &sub3); err != nil {
 		t.Fatal(err)
 	}
@@ -546,73 +551,113 @@ func TestUniformJSONErrors(t *testing.T) {
 	}
 }
 
-// Completed submissions are garbage-collected by age: under sustained
-// traffic the TTL sweep drains the registry even while it sits below the
-// retention count. Results stay fetchable by key.
+// gatedStore holds every Get of a key containing hold until release is
+// closed, keeping a submission that needs such a key in flight.
+type gatedStore struct {
+	store.Store
+	hold    string
+	release chan struct{}
+}
+
+func (g gatedStore) Get(key string) ([]byte, bool) {
+	if strings.Contains(key, g.hold) {
+		<-g.release
+	}
+	return g.Store.Get(key)
+}
+
+// Completed submissions expire by age, on demand: with no later
+// submission to complete, the next lookup past the TTL expires a
+// completed one and counts it once, while an in-flight submission older
+// than the TTL stays queryable. Results stay fetchable by key.
 func TestSubmissionTTLSweep(t *testing.T) {
 	disk, err := store.OpenDisk(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := store.NewTiered(store.NewMemory(64<<20), disk)
-	eng := engine.New(engine.Options{Parallelism: 2, ResultStore: st})
+	gated := gatedStore{Store: st, hold: "|gzip-1|", release: make(chan struct{})}
+	release := sync.OnceFunc(func() { close(gated.release) })
+	t.Cleanup(release)
+	eng := engine.New(engine.Options{Parallelism: 2, ResultStore: gated})
+	const ttl = 30 * time.Millisecond
 	srv := service.New(context.Background(), eng, st)
-	srv.SetTTL(30 * time.Millisecond)
+	srv.SetTTL(ttl)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
-	resp, raw := postJSON(t, ts.URL+"/v1/jobs",
-		`{"simpoint":"mcf","setup":{"kind":"OP"},"opts":{"num_uops":2000}}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", resp.StatusCode, raw)
+	submit := func(body string) api.SubmitResponse {
+		t.Helper()
+		resp, raw := postJSON(t, ts.URL+"/v1/jobs", body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: %d %s", resp.StatusCode, raw)
+		}
+		var sub api.SubmitResponse
+		if err := json.Unmarshal(raw, &sub); err != nil {
+			t.Fatal(err)
+		}
+		return sub
 	}
-	var sub service.SubmitResponse
-	if err := json.Unmarshal(raw, &sub); err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, ts.URL, sub.ID)
-
-	// The sweep (TTL 30ms, swept at least every 50ms) must evict the
-	// completed submission; in-flight ones are never touched, so poll.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + sub.ID)
+	status := func(id string) (int, api.StatusResponse) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusNotFound {
-			break
+		defer resp.Body.Close()
+		var sr api.StatusResponse
+		json.NewDecoder(resp.Body).Decode(&sr)
+		return resp.StatusCode, sr
+	}
+	swept := func() string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("completed submission never swept")
+		defer resp.Body.Close()
+		scanner := bufio.NewScanner(resp.Body)
+		for scanner.Scan() {
+			if v, ok := strings.CutPrefix(scanner.Text(), "clusterd_submissions_swept_total "); ok {
+				return v
+			}
 		}
-		time.Sleep(20 * time.Millisecond)
+		t.Fatal("metrics missing clusterd_submissions_swept_total")
+		return ""
+	}
+
+	inflight := submit(`{"simpoint":"gzip-1","setup":{"kind":"OP"},"opts":{"num_uops":2000}}`)
+	done := submit(`{"simpoint":"mcf","setup":{"kind":"OP"},"opts":{"num_uops":2000}}`)
+	// The stream follows the submission to completion without a status
+	// poll that could itself expire it.
+	readStream(t, ts.URL, done.ID)
+	time.Sleep(2 * ttl)
+
+	for i := 0; i < 2; i++ {
+		if code, _ := status(done.ID); code != http.StatusNotFound {
+			t.Fatalf("lookup %d past the TTL: status %d, want 404", i, code)
+		}
+		if got := swept(); got != "1" {
+			t.Errorf("after lookup %d: clusterd_submissions_swept_total %s, want 1", i, got)
+		}
+	}
+	if code, sr := status(inflight.ID); code != http.StatusOK || sr.Done {
+		t.Errorf("in-flight submission older than the TTL: status %d, %+v", code, sr)
 	}
 
 	// The result outlives its submission id.
-	resp2, err := http.Get(ts.URL + "/v1/results?key=" + url.QueryEscape(sub.Keys[0]))
+	resp, err := http.Get(ts.URL + "/v1/results?key=" + url.QueryEscape(done.Keys[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Errorf("swept submission's result not fetchable: %d", resp2.StatusCode)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("expired submission's result not fetchable: %d", resp.StatusCode)
 	}
 
-	// The sweep shows up in the metrics endpoint.
-	resp3, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp3.Body.Close()
-	var body strings.Builder
-	if _, err := bufio.NewReader(resp3.Body).WriteTo(&body); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(body.String(), "clusterd_submissions_swept_total 1") {
-		t.Errorf("metrics missing sweep counter:\n%s", body.String())
-	}
+	// Let the held submission finish before the store's directory goes.
+	release()
+	readStream(t, ts.URL, inflight.ID)
 }
 
 // GET /metrics renders the engine and per-tier store counters in
@@ -625,7 +670,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", resp.StatusCode, raw)
 	}
-	var sub service.SubmitResponse
+	var sub api.SubmitResponse
 	if err := json.Unmarshal(raw, &sub); err != nil {
 		t.Fatal(err)
 	}
@@ -724,60 +769,6 @@ func TestBearerTokenEnforced(t *testing.T) {
 	}
 }
 
-// The per-batch parallelism hint is accepted (and clamped server-side):
-// a capped batch still completes every job correctly, and a hint beyond
-// the server's own limit is not an escalation vector.
-func TestSubmitMaxParallelHint(t *testing.T) {
-	ts, eng, _ := startServer(t)
-
-	for _, hint := range []int{1, 99} {
-		body := fmt.Sprintf(`{"max_parallel":%d,"jobs":[
-			{"simpoint":"gzip-1","setup":{"kind":"OP","clusters":2},"opts":{"num_uops":2000}},
-			{"simpoint":"mcf","setup":{"kind":"OP","clusters":2},"opts":{"num_uops":2000}},
-			{"simpoint":"crafty","setup":{"kind":"OP","clusters":2},"opts":{"num_uops":2000}}
-		]}`, hint)
-		resp, raw := postJSON(t, ts.URL+"/v1/jobs", body)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("hint %d: submit status %d %s", hint, resp.StatusCode, raw)
-		}
-		var sub service.SubmitResponse
-		if err := json.Unmarshal(raw, &sub); err != nil {
-			t.Fatal(err)
-		}
-		waitDone(t, ts.URL, sub.ID)
-
-		sresp, err := http.Get(ts.URL + "/v1/jobs/" + sub.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var status service.StatusResponse
-		err = json.NewDecoder(sresp.Body).Decode(&status)
-		sresp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if status.Completed != 3 {
-			t.Fatalf("hint %d: %d of 3 jobs completed", hint, status.Completed)
-		}
-		for _, ev := range status.Results {
-			if ev.Error != "" {
-				t.Errorf("hint %d: job %d failed: %s", hint, ev.Index, ev.Error)
-			}
-		}
-	}
-	if eng.Stats().Simulations == 0 {
-		t.Error("no simulations ran")
-	}
-
-	// Typos in the hint field are still rejected: the gate on unknown
-	// fields did not loosen with the new optional one.
-	resp, _ := postJSON(t, ts.URL+"/v1/jobs",
-		`{"maxparallel":1,"jobs":[{"simpoint":"mcf","setup":{"kind":"OP"}}]}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field accepted: %d", resp.StatusCode)
-	}
-}
-
 // TestSubmissionIDsUniqueAcrossRestarts stands two servers in for one
 // daemon before and after a restart: each numbers its submissions from
 // 1, yet their IDs must never collide, and a stream opened on the new
@@ -793,7 +784,7 @@ func TestSubmissionIDsUniqueAcrossRestarts(t *testing.T) {
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit: %d %s", resp.StatusCode, raw)
 		}
-		var sub service.SubmitResponse
+		var sub api.SubmitResponse
 		if err := json.Unmarshal(raw, &sub); err != nil {
 			t.Fatal(err)
 		}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"clustersim/internal/api"
 	"clustersim/internal/engine"
 	"clustersim/internal/store"
 )
@@ -25,7 +26,7 @@ import (
 func TestSSESlowConsumerDisconnected(t *testing.T) {
 	eng := engine.New(engine.Options{Parallelism: 1})
 	srv := New(context.Background(), eng, store.NewMemory(1<<20))
-	srv.SetSSEWriteTimeout(300 * time.Millisecond)
+	srv.sseWriteTimeout = 300 * time.Millisecond
 
 	// Hand-build a submission whose frames dwarf any socket buffering
 	// loopback can absorb (64 × 256 KiB = 16 MiB), so a reader that
@@ -37,9 +38,9 @@ func TestSSESlowConsumerDisconnected(t *testing.T) {
 	frame := append(append([]byte("data: "), bytes.Repeat([]byte("x"), 256<<10)...), "\n\n"...)
 	const frames = 64
 	for i := 0; i < frames; i++ {
-		sub.append(JobEvent{Index: i}, frame, false)
+		sub.append(api.JobEvent{Index: i}, frame, false)
 	}
-	sub.append(JobEvent{}, nil, true)
+	sub.append(api.JobEvent{}, nil, true)
 
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
