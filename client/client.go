@@ -391,28 +391,9 @@ func (c *Client) ResultSummary(ctx context.Context, key string) (*api.ResultResp
 // Simpoint carries identity only — attach the local simpoint if row
 // matching matters (Runner does).
 func (c *Client) Result(ctx context.Context, key string) (*engine.Result, error) {
-	req, err := c.newRequest(ctx, http.MethodGet,
-		"/v1/results?raw=1&key="+url.QueryEscape(key), nil)
+	blob, err := c.RawResult(ctx, key)
 	if err != nil {
 		return nil, err
-	}
-	start := time.Now()
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		c.observe("/v1/results", 0, start)
-		return nil, fmt.Errorf("client: fetching result: %w", err)
-	}
-	c.observe("/v1/results", resp.StatusCode, start)
-	defer resp.Body.Close()
-	if err := checkVersion(resp); err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
-	blob, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("client: reading result blob: %w", err)
 	}
 	res, err := engine.DecodeResult(blob)
 	if err != nil {

@@ -108,6 +108,33 @@ func TestSubmitStreamFetchRoundTrip(t *testing.T) {
 	}
 }
 
+// Both result fetches go through RawResult, so a drain's or backfill's
+// raw fetch reports to the call observer under the same route as a
+// decoded fetch.
+func TestResultFetchesObserved(t *testing.T) {
+	ts, _, _ := startServer(t)
+	var routes []string
+	var statuses []int
+	c, err := client.New(ts.URL, client.WithCallObserver(func(route string, status int, _ time.Duration) {
+		routes = append(routes, route)
+		statuses = append(statuses, status)
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := c.RawResult(ctx, "absent"); err == nil {
+		t.Error("raw fetch of an absent key succeeded")
+	}
+	if _, err := c.Result(ctx, "absent"); err == nil {
+		t.Error("fetch of an absent key succeeded")
+	}
+	if len(routes) != 2 || routes[0] != "/v1/results" || routes[1] != "/v1/results" ||
+		statuses[0] != http.StatusNotFound || statuses[1] != http.StatusNotFound {
+		t.Errorf("observed %q with statuses %v, want two 404s on /v1/results", routes, statuses)
+	}
+}
+
 // A remote runner must produce results that are indistinguishable from a
 // local engine's — same metrics, same complexity accounting, same
 // simpoint rows — because reports are rendered from them byte for byte.

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"time"
 
 	"clustersim/internal/api"
 )
@@ -42,17 +43,22 @@ func (c *Client) Keys(ctx context.Context, limit int, cursor string) (keys []str
 
 // RawResult fetches a stored result's encoded codec blob verbatim — the
 // bytes a drain or backfill re-uploads to another worker, kept opaque so
-// the migration is byte-exact whatever codec version wrote them.
+// the migration is byte-exact whatever codec version wrote them. It is
+// the one raw fetch: Result decodes what it returns. Each call reports to
+// the call observer under "/v1/results".
 func (c *Client) RawResult(ctx context.Context, key string) ([]byte, error) {
 	req, err := c.newRequest(ctx, http.MethodGet,
 		"/v1/results?raw=1&key="+url.QueryEscape(key), nil)
 	if err != nil {
 		return nil, err
 	}
+	start := time.Now()
 	resp, err := c.hc.Do(req)
 	if err != nil {
+		c.observe("/v1/results", 0, start)
 		return nil, fmt.Errorf("client: fetching result blob: %w", err)
 	}
+	c.observe("/v1/results", resp.StatusCode, start)
 	defer resp.Body.Close()
 	if err := checkVersion(resp); err != nil {
 		return nil, err

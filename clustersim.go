@@ -157,14 +157,6 @@ func OpenDiskStore(dir string, maxBytes int64) (ResultStore, error) {
 	return store.OpenDisk(dir, maxBytes)
 }
 
-// OpenCompressedDiskStore is OpenDiskStore with gzip-compressed records:
-// the same -cachemax budget holds several times more results. A store
-// opened this way still reads blobs written uncompressed (and vice
-// versa) — compression applies to new writes only.
-func OpenCompressedDiskStore(dir string, maxBytes int64) (ResultStore, error) {
-	return store.OpenDisk(dir, maxBytes, store.WithCompression())
-}
-
 // NewMemoryStore builds a byte-bounded in-memory result store.
 func NewMemoryStore(maxBytes int64) ResultStore { return store.NewMemory(maxBytes) }
 

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	clusterd -addr :8080 -cachedir /var/cache/clusterd
-//	clusterd -addr :8080 -cachedir /var/cache/clusterd -token s3cret -compress
+//	clusterd -addr :8080 -cachedir /var/cache/clusterd -token s3cret
 //
 //	curl -s localhost:8080/v1/jobs -d '{"simpoint":"gzip-1","setup":{"kind":"VC","num_vc":2,"clusters":2},"opts":{"num_uops":20000}}'
 //	curl -N localhost:8080/v1/jobs/<id from submit>/stream
@@ -94,7 +94,6 @@ func main() {
 		subTTL    = flag.Duration("subttl", time.Hour, "GC completed submissions after this long (0 = count-based retention only)")
 		retention = flag.Int("retention", 0, "completed submissions kept queryable by id (0 = server default; results stay fetchable by key regardless)")
 		token     = flag.String("token", "", "require this bearer token on every request (empty = no auth; /healthz stays open)")
-		compress  = flag.Bool("compress", false, "gzip result blobs in the disk store (old uncompressed blobs stay readable)")
 		coord     = flag.Bool("coordinator", false, "serve the fleet membership register on /v1/ring (for fleets sharing one placement view)")
 		traceCap  = flag.Int("tracecap", 4096, "completed job traces kept queryable on /v1/trace/{id} (0 disables tracing)")
 		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn, error (access log rides at debug)")
@@ -113,11 +112,7 @@ func main() {
 
 	var st store.Store = store.NewMemory(*memMax)
 	if *cacheDir != "" {
-		var dopts []store.DiskOption
-		if *compress {
-			dopts = append(dopts, store.WithCompression())
-		}
-		disk, err := store.OpenDisk(*cacheDir, *cacheMax, dopts...)
+		disk, err := store.OpenDisk(*cacheDir, *cacheMax)
 		if err != nil {
 			log.Error("opening disk store", "err", err)
 			os.Exit(1)

@@ -24,9 +24,12 @@
 //
 // Each phase is bracketed by a /v1/stats read: the delta of the server's
 // per-route request-latency histogram over the phase is cross-checked
-// against the client-observed percentiles, and a >2× divergence is warned
-// on stderr (stdout stays benchjson-parseable) — catching time spent
-// outside the handler, like transport queueing or connection churn.
+// against the client-observed median, and a >2× divergence is warned on
+// stderr (stdout stays benchjson-parseable) — catching time spent outside
+// the handler, like transport queueing or connection churn. The tails are
+// not compared: when loadgen and clusterd share the host's CPUs, the
+// client-side p99 is dominated by the scheduling of loadgen's own workers,
+// so a p99 check would warn on every run and carry no signal.
 package main
 
 import (
@@ -327,31 +330,26 @@ func main() {
 	}
 }
 
-// crossCheck compares the phase's client-observed percentiles against the
+// crossCheck compares the phase's client-observed median against the
 // server's histogram delta for the route the phase drove, warning on >2×
 // divergence — the signal that request time is going somewhere other than
 // the handler (transport queueing, connection setup, reconnects). Server
 // quantiles are bucket-interpolated, so sub-millisecond differences are
-// quantization, not divergence, and are not flagged.
+// quantization, not divergence, and are not flagged. Only p50 is compared:
+// with client and server on the same CPUs, the client's p99 measures the
+// scheduling of loadgen's workers beside the server, and a check that
+// warns on every run says nothing.
 func crossCheck(name, route string, r *result, server obs.Snapshot) {
 	if server.Count == 0 {
 		fmt.Fprintf(os.Stderr, "loadgen: %s: server recorded no requests on route %s during the phase\n", name, route)
 		return
 	}
-	for _, q := range []struct {
-		label string
-		p     float64
-	}{{"p50", 0.50}, {"p99", 0.99}} {
-		clientMs := r.percentileMs(q.p)
-		serverMs := server.Quantile(q.p) * 1e3
-		hi, lo := clientMs, serverMs
-		if hi < lo {
-			hi, lo = lo, hi
-		}
-		if hi > 2*lo && hi-lo > 1.0 {
-			fmt.Fprintf(os.Stderr, "loadgen: WARNING %s %s diverges >2x: client %.2fms vs server %.2fms (route %s)\n",
-				name, q.label, clientMs, serverMs, route)
-		}
+	clientMs := r.percentileMs(0.50)
+	serverMs := server.Quantile(0.50) * 1e3
+	hi, lo := max(clientMs, serverMs), min(clientMs, serverMs)
+	if hi > 2*lo && hi-lo > 1.0 {
+		fmt.Fprintf(os.Stderr, "loadgen: WARNING %s p50 diverges >2x: client %.2fms vs server %.2fms (route %s)\n",
+			name, clientMs, serverMs, route)
 	}
 }
 

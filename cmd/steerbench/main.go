@@ -124,7 +124,6 @@ func main() {
 		progress = flag.Bool("progress", false, "print live phase/ETA progress and engine cache stats to stderr")
 		remote   = flag.String("remote", "", "execute simulations remotely: one clusterd URL, or a comma-separated list to shard across a fleet; jobs that cannot travel run locally")
 		token    = flag.String("token", "", "bearer token for clusterd workers started with -token")
-		compress = flag.Bool("compress", false, "gzip result blobs in the -cachedir store (old uncompressed blobs stay readable)")
 		coordURL = flag.String("coordinator", "", "with a multi-worker -remote: share one membership view with other runners through this clusterd -coordinator URL")
 		readmit  = flag.Duration("readmit", 0, "with a multi-worker -remote: how long a failed worker is routed around before a half-open probe may re-admit it (0 = fleet default, 5s)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (pprof format; profiles are flushed on clean exit)")
@@ -201,11 +200,7 @@ func main() {
 
 	engOpts := clustersim.EngineOptions{Parallelism: *par, Tracer: tracer}
 	if *cacheDir != "" {
-		open := clustersim.OpenDiskStore
-		if *compress {
-			open = clustersim.OpenCompressedDiskStore
-		}
-		st, err := open(*cacheDir, *cacheMax)
+		st, err := clustersim.OpenDiskStore(*cacheDir, *cacheMax)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -114,7 +114,7 @@ const (
 	CodeUnauthorized     = "unauthorized"       // missing or wrong bearer token
 	CodeInternal         = "internal"           // server-side failure
 	CodeEpochConflict    = "epoch_conflict"     // ring transition based on a stale epoch
-	CodeUnsupported      = "unsupported"        // server cannot serve this (e.g. unlistable store, coordinator disabled)
+	CodeUnsupported      = "unsupported"        // server cannot serve this (e.g. tracing or coordinator disabled)
 	CodeRateLimited      = "rate_limited"       // tenant over its submission rate; retry after the hinted pause
 	CodeQuotaExceeded    = "quota_exceeded"     // tenant at its in-flight job quota; retry as work completes
 	CodeDeadlineExceeded = "deadline_exceeded"  // the request's deadline expired before the work could run

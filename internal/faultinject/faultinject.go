@@ -22,6 +22,7 @@
 package faultinject
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -242,6 +243,10 @@ func (fs *faultStore) Put(key string, blob []byte) {
 		return
 	}
 	fs.inner.Put(key, blob)
+}
+
+func (fs *faultStore) Keys(ctx context.Context, limit int, cursor string) ([]string, string, error) {
+	return fs.inner.Keys(ctx, limit, cursor)
 }
 
 func (fs *faultStore) Stats() store.Stats { return fs.inner.Stats() }

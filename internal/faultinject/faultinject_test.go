@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -128,6 +129,12 @@ func TestStoreInjectsMissesAndDrops(t *testing.T) {
 	}
 	if clean.Stats().Puts != mem.Stats().Puts {
 		t.Fatal("Stats not passed through")
+	}
+	// Key enumeration passes through the wrapper, so a fleet drain can
+	// list a chaos-wrapped store.
+	keys, next, err := clean.Keys(context.Background(), 0, "")
+	if err != nil || next != "" || len(keys) != 1 || keys[0] != "k" {
+		t.Fatalf("passthrough Keys = %q, %q, %v", keys, next, err)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"clustersim/fleet/controlplane"
 	"clustersim/internal/api"
 	"clustersim/internal/engine"
-	"clustersim/internal/store"
 )
 
 // maxUploadBytes bounds a PUT /v1/results body. Result blobs are a few
@@ -56,11 +55,7 @@ func (s *Server) handleKeys(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, api.CodeBadRequest, "malformed ?cursor=")
 		return
 	}
-	keys, next, err := store.ListKeys(r.Context(), s.st, limit, cursor)
-	if err == store.ErrNotListable {
-		httpError(w, http.StatusNotImplemented, api.CodeUnsupported, "store does not support key enumeration")
-		return
-	}
+	keys, next, err := s.st.Keys(r.Context(), limit, cursor)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, api.CodeInternal, "listing keys: %v", err)
 		return

@@ -116,7 +116,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"clusterd_ring_epoch", "Coordinator membership epoch (0 when not a coordinator).", "gauge", one(s.ringEpoch())},
 		{"clusterd_ring_transitions_total", "Membership transitions this coordinator accepted.", "counter", one(s.ringTransitions.Load())},
 		{"clusterd_ring_conflicts_total", "Ring proposals refused for a stale base epoch.", "counter", one(s.ringConflicts.Load())},
-		{"clusterd_store_get_collapses_total", "Cold store Gets that joined another caller's in-flight slow-tier fetch.", "counter", one(s.st.Stats().Collapses)},
 	}
 
 	if s.adm != nil {
@@ -166,8 +165,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		storeMetric("clusterd_store_errors_total", "I/O failures and corrupt blobs, by tier.", "counter", func(st store.Stats) int64 { return st.Errors }),
 		storeMetric("clusterd_store_entries", "Stored blobs by tier.", "gauge", func(st store.Stats) int64 { return st.Entries }),
 		storeMetric("clusterd_store_bytes", "Payload occupancy by tier.", "gauge", func(st store.Stats) int64 { return st.Bytes }),
-		storeMetric("clusterd_store_shards", "Lock stripes by tier (0 = unstriped).", "gauge", func(st store.Stats) int64 { return st.Shards }),
-		storeMetric("clusterd_store_shard_bytes_high_water", "Maximum occupancy any single shard reached, by tier.", "gauge", func(st store.Stats) int64 { return st.ShardBytesHighWater }),
 	)
 
 	var b strings.Builder

@@ -223,8 +223,8 @@ func TestResultETagNotModified(t *testing.T) {
 	}
 }
 
-// TestMetricsServingFamilies asserts the serving-path counters introduced
-// with the sharded store and encode-once streaming are scrapable.
+// TestMetricsServingFamilies asserts the serving-path counters of
+// encode-once streaming and conditional fetches are scrapable.
 func TestMetricsServingFamilies(t *testing.T) {
 	ts, _, _ := startServer(t)
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -239,16 +239,9 @@ func TestMetricsServingFamilies(t *testing.T) {
 		"clusterd_sse_frames_total",
 		"clusterd_sse_bytes_total",
 		"clusterd_result_not_modified_total",
-		"clusterd_store_get_collapses_total",
-		`clusterd_store_shards{tier="memory"}`,
-		`clusterd_store_shard_bytes_high_water{tier="memory"}`,
 	} {
 		if !strings.Contains(text, series) {
 			t.Errorf("metrics output missing %s", series)
 		}
-	}
-	// The memory tier really is striped.
-	if shards := scrapeMetric(t, ts.URL, `clusterd_store_shards{tier="memory"}`); shards < 1 {
-		t.Errorf("memory tier shards = %g", shards)
 	}
 }

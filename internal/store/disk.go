@@ -1,12 +1,9 @@
 package store
 
 import (
-	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -21,15 +18,11 @@ import (
 // not misread.
 const diskFormat = 1
 
-// Record payload encodings, carried per record in the header's format
-// field. The directory version stays 1 across this bump: raw and gzip
-// records coexist in one store, so enabling compression on an existing
-// cache directory keeps every old blob readable — only new writes are
-// compressed.
-const (
-	recordFormatRaw  = 1 // payload stored verbatim
-	recordFormatGzip = 2 // payload gzip-compressed; CRC covers the stored bytes
-)
+// recordFormat is the record encoding carried in each header's format
+// field: the payload stored verbatim. A record of any other format (such
+// as the gzip format 2 an older store could write) is foreign: Get
+// discards it and reports a miss, so the caller recomputes and re-Puts.
+const recordFormat = 1
 
 // diskMagic brands every record file.
 const diskMagic = 0x43535354 // "CSST"
@@ -43,7 +36,6 @@ const diskMagic = 0x43535354 // "CSST"
 type Disk struct {
 	root     string // <dir>/v<diskFormat>
 	maxBytes int64
-	compress bool // write new records gzip-compressed
 
 	mu      sync.Mutex // serializes occupancy bookkeeping and GC
 	bytes   int64
@@ -53,25 +45,13 @@ type Disk struct {
 	highWater                       atomic.Int64
 }
 
-// DiskOption configures a disk store.
-type DiskOption func(*Disk)
-
-// WithCompression gzip-compresses every newly written record's payload,
-// stretching the same -cachemax budget over more results. Reads are
-// format-tagged per record, so a store opened with compression still
-// serves raw records written before the option (and vice versa).
-func WithCompression() DiskOption { return func(d *Disk) { d.compress = true } }
-
 // OpenDisk opens (creating if needed) a disk store rooted at dir, bounded
 // to maxBytes of record payload; maxBytes <= 0 means unbounded. Existing
 // records from a previous process are reused.
-func OpenDisk(dir string, maxBytes int64, opts ...DiskOption) (*Disk, error) {
+func OpenDisk(dir string, maxBytes int64) (*Disk, error) {
 	d := &Disk{
 		root:     filepath.Join(dir, fmt.Sprintf("v%d", diskFormat)),
 		maxBytes: maxBytes,
-	}
-	for _, o := range opts {
-		o(d)
 	}
 	if err := os.MkdirAll(d.root, 0o755); err != nil {
 		return nil, fmt.Errorf("store: opening %s: %w", dir, err)
@@ -128,7 +108,7 @@ func (d *Disk) Put(key string, blob []byte) {
 		d.errs.Add(1)
 		return
 	}
-	rec := buildRecord(key, blob, d.compress)
+	rec := buildRecord(key, blob)
 	_, werr := tmp.Write(rec)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
@@ -267,63 +247,22 @@ func (d *Disk) gc(keep string) {
 	d.entries = remaining
 }
 
-// Pooled compression machinery: a hot serving path writes and reads many
-// records concurrently, and gzip writers/readers plus their staging
-// buffers are the dominant per-call allocations. All three pools hand the
-// object back only after its bytes have been copied out.
-var (
-	gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
-	gzipReaders = sync.Pool{New: func() any { return new(gzip.Reader) }}
-	recordBufs  = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-)
-
 // buildRecord frames a blob: magic, record format, key (for verification
-// against hash collisions and foreign files), CRC32 of the stored
-// payload, payload — gzip-compressed when compress is set. The CRC
-// always covers the bytes as stored, so corruption is caught before any
-// decompression is attempted.
-func buildRecord(key string, blob []byte, compress bool) []byte {
-	format := uint32(recordFormatRaw)
-	payload := blob
-	var buf *bytes.Buffer
-	if compress {
-		buf = recordBufs.Get().(*bytes.Buffer)
-		buf.Reset()
-		zw := gzipWriters.Get().(*gzip.Writer)
-		zw.Reset(buf)
-		zw.Write(blob)
-		err := zw.Close()
-		gzipWriters.Put(zw)
-		// Keep the raw form when gzip doesn't actually shrink the blob
-		// (high-entropy payloads): the format field is per record, so a
-		// compressing store may mix both.
-		if err == nil && buf.Len() < len(blob) {
-			format = recordFormatGzip
-			payload = buf.Bytes()
-		}
-	}
-	rec := make([]byte, 0, 20+len(key)+len(payload))
-	var hdr [20]byte
+// against hash collisions and foreign files), CRC32 of the payload,
+// payload.
+func buildRecord(key string, blob []byte) []byte {
+	rec := make([]byte, 20, 20+len(key)+len(blob))
 	le := binary.LittleEndian
-	le.PutUint32(hdr[0:], diskMagic)
-	le.PutUint32(hdr[4:], format)
-	le.PutUint32(hdr[8:], uint32(len(key)))
-	le.PutUint32(hdr[12:], crc32.ChecksumIEEE(payload))
-	le.PutUint32(hdr[16:], uint32(len(payload)))
-	rec = append(rec, hdr[:]...)
+	le.PutUint32(rec[0:], diskMagic)
+	le.PutUint32(rec[4:], recordFormat)
+	le.PutUint32(rec[8:], uint32(len(key)))
+	le.PutUint32(rec[12:], crc32.ChecksumIEEE(blob))
+	le.PutUint32(rec[16:], uint32(len(blob)))
 	rec = append(rec, key...)
-	rec = append(rec, payload...)
-	if buf != nil {
-		// The payload was copied into rec above; the staging buffer is
-		// free to be reused.
-		recordBufs.Put(buf)
-	}
-	return rec
+	return append(rec, blob...)
 }
 
-// parseRecord validates a record file and returns its payload,
-// decompressing records written by a compressing store. Both record
-// formats are always readable regardless of how this store writes.
+// parseRecord validates a record file and returns its payload.
 func parseRecord(data []byte, key string) ([]byte, error) {
 	le := binary.LittleEndian
 	if len(data) < 20 {
@@ -332,9 +271,8 @@ func parseRecord(data []byte, key string) ([]byte, error) {
 	if m := le.Uint32(data[0:]); m != diskMagic {
 		return nil, fmt.Errorf("store: bad magic %#x", m)
 	}
-	format := le.Uint32(data[4:])
-	if format != recordFormatRaw && format != recordFormatGzip {
-		return nil, fmt.Errorf("store: record format %d, want %d or %d", format, recordFormatRaw, recordFormatGzip)
+	if f := le.Uint32(data[4:]); f != recordFormat {
+		return nil, fmt.Errorf("store: record format %d, want %d", f, recordFormat)
 	}
 	keyLen := int(le.Uint32(data[8:]))
 	crc := le.Uint32(data[12:])
@@ -348,22 +286,6 @@ func parseRecord(data []byte, key string) ([]byte, error) {
 	blob := data[20+keyLen:]
 	if crc32.ChecksumIEEE(blob) != crc {
 		return nil, fmt.Errorf("store: payload CRC mismatch")
-	}
-	if format == recordFormatGzip {
-		zr := gzipReaders.Get().(*gzip.Reader)
-		if err := zr.Reset(bytes.NewReader(blob)); err != nil {
-			gzipReaders.Put(zr)
-			return nil, fmt.Errorf("store: opening compressed payload: %w", err)
-		}
-		raw, err := io.ReadAll(zr)
-		if cerr := zr.Close(); err == nil {
-			err = cerr
-		}
-		gzipReaders.Put(zr)
-		if err != nil {
-			return nil, fmt.Errorf("store: decompressing payload: %w", err)
-		}
-		return raw, nil
 	}
 	return blob, nil
 }

@@ -19,27 +19,6 @@ import (
 	"sort"
 )
 
-// ErrNotListable marks a store that cannot enumerate its keys.
-var ErrNotListable = errors.New("store: key enumeration not supported")
-
-// KeyLister is the optional enumeration side of a Store. limit caps the
-// page size (<= 0 means no bound); cursor is "" for the first page and
-// the previous page's next value afterwards. The returned next cursor is
-// "" when the listing is exhausted.
-type KeyLister interface {
-	Keys(ctx context.Context, limit int, cursor string) (keys []string, next string, err error)
-}
-
-// ListKeys enumerates st's keys when it supports listing, and returns
-// ErrNotListable otherwise — the one call sites use so they don't each
-// repeat the type assertion.
-func ListKeys(ctx context.Context, st Store, limit int, cursor string) ([]string, string, error) {
-	if kl, ok := st.(KeyLister); ok {
-		return kl.Keys(ctx, limit, cursor)
-	}
-	return nil, "", ErrNotListable
-}
-
 // page slices one page out of a sorted key list: the keys strictly after
 // cursor, at most limit of them, plus the cursor for the next page.
 func page(sorted []string, limit int, cursor string) ([]string, string) {
@@ -57,29 +36,26 @@ func page(sorted []string, limit int, cursor string) ([]string, string) {
 	return rest, ""
 }
 
-// Keys implements KeyLister. The order is lexicographic over the logical
+// Keys implements Store. The order is lexicographic over the logical
 // keys; the cursor is the last key of the previous page. Each page
-// snapshots the shard contents at call time, so a walk is linearizable
+// snapshots the store's contents at call time, so a walk is linearizable
 // per page, not across pages — the documented contract.
 func (m *Memory) Keys(ctx context.Context, limit int, cursor string) ([]string, string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, "", err
 	}
-	var all []string
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		for k := range s.entries {
-			all = append(all, k)
-		}
-		s.mu.Unlock()
+	m.mu.Lock()
+	all := make([]string, 0, len(m.entries))
+	for k := range m.entries {
+		all = append(all, k)
 	}
+	m.mu.Unlock()
 	sort.Strings(all)
 	keys, next := page(all, limit, cursor)
 	return keys, next, nil
 }
 
-// Keys implements KeyLister. The order is lexicographic over the keys'
+// Keys implements Store. The order is lexicographic over the keys'
 // content addresses (the on-disk filenames), so the walk never has to
 // load more than one page of records: the cursor is the last returned
 // key's address, and each page re-walks only the directory listing —
@@ -175,18 +151,10 @@ func le32(b []byte) uint32 {
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
-// Keys implements KeyLister by enumerating the slow tier — the complete,
+// Keys implements Store by enumerating the slow tier — the complete,
 // persistent one (every Put lands in both tiers, but the fast tier
 // evicts under its byte budget, so only the slow tier can answer "what
-// do I hold" exhaustively). A Tiered over an unlistable slow store falls
-// back to the fast tier rather than failing: better a hot-set listing
-// than none.
+// do I hold" exhaustively).
 func (t *Tiered) Keys(ctx context.Context, limit int, cursor string) ([]string, string, error) {
-	if kl, ok := t.Slow.(KeyLister); ok {
-		return kl.Keys(ctx, limit, cursor)
-	}
-	if kl, ok := t.Fast.(KeyLister); ok {
-		return kl.Keys(ctx, limit, cursor)
-	}
-	return nil, "", ErrNotListable
+	return t.Slow.Keys(ctx, limit, cursor)
 }

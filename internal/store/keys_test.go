@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// walkKeys pages through a listable store with the given page size and
+// walkKeys pages through a store with the given page size and
 // returns every key, failing on a walk that never terminates.
 func walkKeys(t *testing.T, st Store, limit int) []string {
 	t.Helper()
@@ -18,9 +18,9 @@ func walkKeys(t *testing.T, st Store, limit int) []string {
 		if pages > 1000 {
 			t.Fatal("key walk did not terminate")
 		}
-		keys, next, err := ListKeys(context.Background(), st, limit, cursor)
+		keys, next, err := st.Keys(context.Background(), limit, cursor)
 		if err != nil {
-			t.Fatalf("ListKeys: %v", err)
+			t.Fatalf("Keys: %v", err)
 		}
 		all = append(all, keys...)
 		if next == "" {
@@ -66,16 +66,10 @@ func TestKeysEnumerateEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compressed, err := OpenDisk(t.TempDir(), 0, WithCompression())
-	if err != nil {
-		t.Fatal(err)
-	}
 	stores := map[string]Store{
-		"memory":          NewMemory(0),
-		"memory-sharded":  NewMemoryShards(0, 4),
-		"disk":            disk,
-		"disk-compressed": compressed,
-		"tiered":          NewTiered(NewMemory(0), NewMemory(0)),
+		"memory": NewMemory(0),
+		"disk":   disk,
+		"tiered": NewTiered(NewMemory(0), NewMemory(0)),
 	}
 	for name, st := range stores {
 		t.Run(name, func(t *testing.T) {
@@ -170,19 +164,5 @@ func TestKeysHonorContext(t *testing.T) {
 	seed(d, 4)
 	if _, _, err := d.Keys(ctx, 0, ""); err == nil {
 		t.Error("disk walk ignored canceled context")
-	}
-}
-
-// ListKeys surfaces ErrNotListable for stores without enumeration.
-type unlistable struct{ Store }
-
-func TestListKeysUnsupported(t *testing.T) {
-	if _, _, err := ListKeys(context.Background(), unlistable{NewMemory(0)}, 0, ""); err != ErrNotListable {
-		t.Errorf("err = %v, want ErrNotListable", err)
-	}
-	// A tiered store over unlistable tiers reports the same.
-	ti := NewTiered(unlistable{NewMemory(0)}, unlistable{NewMemory(0)})
-	if _, _, err := ti.Keys(context.Background(), 0, ""); err != ErrNotListable {
-		t.Errorf("tiered err = %v, want ErrNotListable", err)
 	}
 }

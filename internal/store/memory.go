@@ -2,28 +2,15 @@ package store
 
 import (
 	"container/list"
-	"runtime"
 	"sync"
 )
 
 // Memory is an in-process blob store bounded by approximate payload bytes,
-// evicting least-recently-used entries. It is the fast tier of Tiered and
-// a drop-in Store for tests and cache-less deployments.
-//
-// The store is lock-striped: keys hash onto a power-of-two number of
-// shards, each an independent LRU with its own mutex and an equal slice
-// of the byte budget, so concurrent Gets and Puts from many request
-// handlers contend only when they touch the same shard instead of
-// serializing on one store-wide lock. Stats rolls the per-shard counters
-// up into one snapshot.
+// evicting least-recently-used entries: one map, one LRU list and one
+// mutex, so eviction follows a single global recency order over the whole
+// budget. It is the fast tier of Tiered and a drop-in Store for tests and
+// cache-less deployments.
 type Memory struct {
-	shards []memShard
-	mask   uint32
-}
-
-// memShard is one stripe: the original single-lock LRU, now holding
-// 1/len(shards) of the key space and of the byte budget.
-type memShard struct {
 	mu       sync.Mutex
 	entries  map[string]*memEntry
 	order    *list.List // LRU order, most recently used at back
@@ -40,130 +27,62 @@ type memEntry struct {
 }
 
 // NewMemory builds a memory store holding at most maxBytes of payload;
-// maxBytes <= 0 means unbounded. The shard count defaults to the smallest
-// power of two covering GOMAXPROCS (capped at 64) — one stripe per core
-// that could be hammering the store at once.
+// maxBytes <= 0 means unbounded.
 func NewMemory(maxBytes int64) *Memory {
-	return NewMemoryShards(maxBytes, 0)
-}
-
-// NewMemoryShards builds a memory store striped over an explicit number
-// of shards (rounded up to a power of two; <= 0 picks the default).
-// shards = 1 restores the seed's single-LRU semantics: one global
-// eviction order over the whole budget.
-func NewMemoryShards(maxBytes int64, shards int) *Memory {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-		if shards > 64 {
-			shards = 64
-		}
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	perShard := maxBytes
-	if maxBytes > 0 {
-		perShard = maxBytes / int64(n)
-		if perShard <= 0 {
-			perShard = 1
-		}
-	}
-	m := &Memory{shards: make([]memShard, n), mask: uint32(n - 1)}
-	for i := range m.shards {
-		m.shards[i] = memShard{
-			entries:  map[string]*memEntry{},
-			order:    list.New(),
-			maxBytes: perShard,
-		}
-	}
-	return m
-}
-
-// shard maps a key to its stripe with FNV-1a — cheap, allocation-free,
-// and well-mixed over the engine's content keys.
-func (m *Memory) shard(key string) *memShard {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return &m.shards[h&m.mask]
+	return &Memory{entries: map[string]*memEntry{}, order: list.New(), maxBytes: maxBytes}
 }
 
 // Get implements Store.
 func (m *Memory) Get(key string) ([]byte, bool) {
-	s := m.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[key]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.entries[key]
 	if !ok {
-		s.misses++
+		m.misses++
 		return nil, false
 	}
-	s.hits++
-	s.order.MoveToBack(e.elem)
+	m.hits++
+	m.order.MoveToBack(e.elem)
 	return e.blob, true
 }
 
 // Put implements Store.
 func (m *Memory) Put(key string, blob []byte) {
-	s := m.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.puts++
-	if e, ok := s.entries[key]; ok {
-		s.bytes += int64(len(blob)) - int64(len(e.blob))
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.puts++
+	if e, ok := m.entries[key]; ok {
+		m.bytes += int64(len(blob)) - int64(len(e.blob))
 		e.blob = blob
-		s.order.MoveToBack(e.elem)
+		m.order.MoveToBack(e.elem)
 	} else {
 		e := &memEntry{key: key, blob: blob}
-		e.elem = s.order.PushBack(e)
-		s.entries[key] = e
-		s.bytes += int64(len(blob))
+		e.elem = m.order.PushBack(e)
+		m.entries[key] = e
+		m.bytes += int64(len(blob))
 	}
-	if s.bytes > s.highWater {
-		s.highWater = s.bytes
+	if m.bytes > m.highWater {
+		m.highWater = m.bytes
 	}
-	for s.maxBytes > 0 && s.bytes > s.maxBytes && s.order.Len() > 1 {
-		front := s.order.Front()
+	for m.maxBytes > 0 && m.bytes > m.maxBytes && m.order.Len() > 1 {
+		front := m.order.Front()
 		victim := front.Value.(*memEntry)
 		if victim.key == key {
 			break // never evict the entry just written
 		}
-		s.order.Remove(front)
-		delete(s.entries, victim.key)
-		s.bytes -= int64(len(victim.blob))
-		s.evict++
+		m.order.Remove(front)
+		delete(m.entries, victim.key)
+		m.bytes -= int64(len(victim.blob))
+		m.evict++
 	}
 }
 
-// Stats implements Store: the sum over every shard. BytesHighWater is the
-// sum of the per-shard high-water marks (the tightest bound a striped
-// store can report without a global gauge); ShardBytesHighWater is the
-// hottest single shard's mark, the figure that says whether one stripe is
-// carrying the whole store.
+// Stats implements Store.
 func (m *Memory) Stats() Stats {
-	var st Stats
-	st.Shards = int64(len(m.shards))
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		st.Hits += s.hits
-		st.Misses += s.misses
-		st.Puts += s.puts
-		st.Evictions += s.evict
-		st.Entries += int64(len(s.entries))
-		st.Bytes += s.bytes
-		st.BytesHighWater += s.highWater
-		if s.highWater > st.ShardBytesHighWater {
-			st.ShardBytesHighWater = s.highWater
-		}
-		s.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return Stats{
+		Hits: m.hits, Misses: m.misses, Puts: m.puts, Evictions: m.evict,
+		Entries: int64(len(m.entries)), Bytes: m.bytes, BytesHighWater: m.highWater,
 	}
-	return st
 }

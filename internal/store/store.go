@@ -2,10 +2,12 @@
 // artifacts. A Store maps logical string keys — the engine's content keys,
 // which already encode everything that determines a result — to immutable
 // byte blobs. Three implementations compose into the engine's caching
-// hierarchy: Memory (a byte-bounded in-process LRU, the persistent twin of
-// the engine's single-flight caches), Disk (atomic, corruption-tolerant,
-// GC-bounded files so results outlive the process) and Tiered (memory over
-// disk, the layout cmd/clusterd serves from).
+// hierarchy: Memory (one byte-bounded in-process LRU), Disk (atomic,
+// corruption-tolerant, GC-bounded files so results outlive the process)
+// and Tiered (memory over disk, the layout cmd/clusterd serves from).
+// No store collapses concurrent reads of one key: the engine runs every
+// result lookup inside its own per-key single flight, which is the one
+// collapse on that path.
 //
 // Keys are versioned: every blob a store accepts carries the codec's
 // schema-version header, and Disk additionally namespaces its files under
@@ -14,6 +16,7 @@
 package store
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 )
@@ -30,6 +33,12 @@ type Store interface {
 	// best-effort: a store that cannot persist (disk full, I/O error)
 	// drops the blob and counts the error rather than failing the caller.
 	Put(key string, blob []byte)
+	// Keys returns one page of the stored logical keys in a stable
+	// per-store order. limit caps the page size (<= 0 means no bound);
+	// cursor is "" for the first page and the previous page's next value
+	// afterwards. The returned next cursor is "" when the listing is
+	// exhausted.
+	Keys(ctx context.Context, limit int, cursor string) (keys []string, next string, err error)
 	// Stats snapshots the store's counters.
 	Stats() Stats
 }
@@ -50,16 +59,6 @@ type Stats struct {
 	Bytes int64
 	// BytesHighWater is the maximum Bytes ever observed.
 	BytesHighWater int64
-	// Collapses counts Gets that joined another caller's in-flight
-	// slow-tier fetch instead of reading the slow tier themselves
-	// (Tiered only).
-	Collapses int64
-	// Shards is the store's lock-stripe count (Memory only; 0 for
-	// unstriped stores).
-	Shards int64
-	// ShardBytesHighWater is the maximum occupancy any single shard ever
-	// reached — the hot-stripe gauge of a striped store (Memory only).
-	ShardBytesHighWater int64
 }
 
 // add accumulates other into s (for tiered aggregation).
@@ -72,11 +71,6 @@ func (s *Stats) add(other Stats) {
 	s.Entries += other.Entries
 	s.Bytes += other.Bytes
 	s.BytesHighWater += other.BytesHighWater
-	s.Collapses += other.Collapses
-	s.Shards += other.Shards
-	if other.ShardBytesHighWater > s.ShardBytesHighWater {
-		s.ShardBytesHighWater = other.ShardBytesHighWater
-	}
 }
 
 // Addr is the content address of a logical key: the hex SHA-256 of the key

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -23,9 +24,7 @@ func TestMemoryBasicAndStats(t *testing.T) {
 }
 
 func TestMemoryByteBoundedLRU(t *testing.T) {
-	// One shard pins the seed's global-LRU semantics: a single eviction
-	// order over the whole budget.
-	m := NewMemoryShards(100, 1)
+	m := NewMemory(100)
 	pay := make([]byte, 40)
 	m.Put("a", pay)
 	m.Put("b", pay)
@@ -88,43 +87,6 @@ func TestTieredPromotesAndAggregates(t *testing.T) {
 	}
 }
 
-func TestMemoryShardedStatsRollUp(t *testing.T) {
-	m := NewMemoryShards(0, 4)
-	if got := m.Stats().Shards; got != 4 {
-		t.Fatalf("shards = %d, want 4", got)
-	}
-	for i := 0; i < 64; i++ {
-		key := fmt.Sprintf("key-%d", i)
-		m.Put(key, make([]byte, 10))
-		if _, ok := m.Get(key); !ok {
-			t.Fatalf("lost key %q", key)
-		}
-	}
-	st := m.Stats()
-	if st.Hits != 64 || st.Puts != 64 || st.Entries != 64 || st.Bytes != 640 {
-		t.Errorf("rolled-up stats = %+v", st)
-	}
-	if st.ShardBytesHighWater <= 0 || st.ShardBytesHighWater > st.BytesHighWater {
-		t.Errorf("shard high water %d out of range (total high water %d)",
-			st.ShardBytesHighWater, st.BytesHighWater)
-	}
-	// 64 keys over 4 shards: FNV must not have funneled everything into
-	// one stripe (that would re-create the global lock this store
-	// exists to remove).
-	if st.ShardBytesHighWater == st.BytesHighWater {
-		t.Errorf("all %d keys hashed to one shard", 64)
-	}
-}
-
-func TestMemoryShardCountRounding(t *testing.T) {
-	if got := NewMemoryShards(0, 3).Stats().Shards; got != 4 {
-		t.Errorf("3 shards rounded to %d, want 4", got)
-	}
-	if got := NewMemory(0).Stats().Shards; got < 1 {
-		t.Errorf("default shards = %d", got)
-	}
-}
-
 func TestAddrStable(t *testing.T) {
 	if Addr("x") != Addr("x") {
 		t.Error("Addr not deterministic")
@@ -155,4 +117,33 @@ func TestMemoryConcurrent(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		<-done
 	}
+}
+
+// TestTieredConcurrentMixed hammers a Tiered store with overlapping warm
+// and cold keys; run under -race this guards promotion racing Puts.
+func TestTieredConcurrentMixed(t *testing.T) {
+	slow := NewMemory(0)
+	for i := 0; i < 8; i++ {
+		slow.Put(fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i)))
+	}
+	ti := NewTiered(NewMemory(1<<16), slow)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 400; i++ {
+				k := i % 10 // two of these are permanent misses
+				want := fmt.Sprintf("v%d", k)
+				blob, ok := ti.Get(fmt.Sprintf("k%d", k))
+				if ok && string(blob) != want {
+					t.Errorf("k%d = %q, want %q", k, blob, want)
+				}
+				if i%7 == 0 {
+					ti.Put(fmt.Sprintf("k%d", k), []byte(want))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

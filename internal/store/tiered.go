@@ -1,75 +1,30 @@
 package store
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 // Tiered composes a fast store over a slow one: reads check Fast first and
 // promote Slow hits into Fast; writes land in both. The canonical layout
 // is Memory over Disk — recent results served from RAM, everything
 // surviving restarts on disk.
 //
-// Cold reads are single-flight: when N callers miss the fast tier on the
-// same key at once, one of them reads the slow tier (one disk read, one
-// gunzip, one promotion) while the rest block on that flight and share its
-// bytes. Stats.Collapses counts the joins — the redundant slow-tier work
-// the collapse avoided.
+// Cold reads of one key are not collapsed here: the engine calls Get from
+// inside its per-key single flight, so concurrent engine lookups of a key
+// already share one slow-tier read.
 type Tiered struct {
 	Fast, Slow Store
-
-	mu        sync.Mutex
-	flights   map[string]*tierFlight
-	collapses atomic.Int64
-}
-
-// tierFlight is one in-progress slow-tier fetch; joiners wait on done and
-// read the published result. Blobs are immutable per the Store contract,
-// so sharing the slice is safe.
-type tierFlight struct {
-	done chan struct{}
-	blob []byte
-	ok   bool
 }
 
 // NewTiered builds the composition.
 func NewTiered(fast, slow Store) *Tiered { return &Tiered{Fast: fast, Slow: slow} }
 
-// Get implements Store.
+// Get implements Store: the fast tier, else the slow tier plus promotion.
 func (t *Tiered) Get(key string) ([]byte, bool) {
 	if blob, ok := t.Fast.Get(key); ok {
 		return blob, true
 	}
-	t.mu.Lock()
-	if t.flights == nil {
-		// Lazy so a Tiered built by struct literal (the fields are
-		// exported) still collapses.
-		t.flights = make(map[string]*tierFlight)
+	blob, ok := t.Slow.Get(key)
+	if ok {
+		t.Fast.Put(key, blob)
 	}
-	if f, ok := t.flights[key]; ok {
-		// Counted at join time, so Stats exposes waiters piling onto a
-		// slow fetch while it is still in flight.
-		t.collapses.Add(1)
-		t.mu.Unlock()
-		<-f.done
-		return f.blob, f.ok
-	}
-	f := &tierFlight{done: make(chan struct{})}
-	t.flights[key] = f
-	t.mu.Unlock()
-
-	f.blob, f.ok = t.Slow.Get(key)
-	if f.ok {
-		t.Fast.Put(key, f.blob)
-	}
-	// Unpublish before releasing waiters: a Get arriving after the flight
-	// completes must consult the tiers (the promotion makes it a fast
-	// hit), not a stale flight.
-	t.mu.Lock()
-	delete(t.flights, key)
-	t.mu.Unlock()
-	close(f.done)
-	return f.blob, f.ok
+	return blob, ok
 }
 
 // Put implements Store.
@@ -78,12 +33,11 @@ func (t *Tiered) Put(key string, blob []byte) {
 	t.Slow.Put(key, blob)
 }
 
-// Stats implements Store: the sum over both layers, plus the composition's
-// own collapse counter. Use Layers for the per-tier breakdown.
+// Stats implements Store: the sum over both layers. Use Layers for the
+// per-tier breakdown.
 func (t *Tiered) Stats() Stats {
 	s := t.Fast.Stats()
 	s.add(t.Slow.Stats())
-	s.Collapses += t.collapses.Load()
 	return s
 }
 
