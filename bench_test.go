@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"testing"
 
+	"clustersim/internal/engine"
 	"clustersim/internal/experiments"
 	"clustersim/internal/partition"
 	"clustersim/internal/pipeline"
@@ -261,6 +262,37 @@ func BenchmarkCoreConstruction(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := core.Reset(cfg, steer.NewVC(2), tr); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkResultCodec measures the result codec on a real result (3,000
+// uops of gzip-1 under OP): Encode is what every persisted miss pays,
+// Decode what every remote fetch and store hit pays. CI gates both on
+// allocs/op and B/op via cmd/benchjson.
+func BenchmarkResultCodec(b *testing.B) {
+	res := Run(workload.ByName("gzip-1"), SetupOP(2), RunOptions{NumUops: 3000})
+	if res.Err != nil {
+		b.Fatal(res.Err)
+	}
+	blob, err := engine.EncodeResult(res)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("Encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := engine.EncodeResult(res); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := engine.DecodeResult(blob); err != nil {
 				b.Fatal(err)
 			}
 		}

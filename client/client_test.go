@@ -18,6 +18,7 @@ import (
 	"clustersim/client"
 	"clustersim/internal/api"
 	"clustersim/internal/engine"
+	"clustersim/internal/pipeline"
 	"clustersim/internal/service"
 	"clustersim/internal/sim"
 	"clustersim/internal/store"
@@ -132,6 +133,40 @@ func TestResultFetchesObserved(t *testing.T) {
 	if len(routes) != 2 || routes[0] != "/v1/results" || routes[1] != "/v1/results" ||
 		statuses[0] != http.StatusNotFound || statuses[1] != http.StatusNotFound {
 		t.Errorf("observed %q with statuses %v, want two 404s on /v1/results", routes, statuses)
+	}
+}
+
+// An upload reports to the call observer under the same route as the
+// fetches, with status 0 when the request never reaches a server.
+func TestResultUploadsObserved(t *testing.T) {
+	ts, _, _ := startServer(t)
+	var routes []string
+	var statuses []int
+	c, err := client.New(ts.URL, client.WithCallObserver(func(route string, status int, _ time.Duration) {
+		routes = append(routes, route)
+		statuses = append(statuses, status)
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := engine.EncodeResult(&engine.Result{
+		Simpoint: &workload.Simpoint{Name: "gzip-1"}, Setup: "OP", Metrics: &pipeline.Metrics{Cycles: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := c.PutResult(ctx, "uploaded", blob); err != nil {
+		t.Fatal(err)
+	}
+	if len(routes) != 1 || routes[0] != "/v1/results" || statuses[0] != http.StatusNoContent {
+		t.Fatalf("observed %q with statuses %v, want one 204 on /v1/results", routes, statuses)
+	}
+	ts.Close()
+	if err := c.PutResult(ctx, "uploaded", blob); err == nil {
+		t.Fatal("upload to a closed server succeeded")
+	}
+	if len(routes) != 2 || routes[1] != "/v1/results" || statuses[1] != 0 {
+		t.Errorf("observed %q with statuses %v, want a status-0 upload after the 204", routes, statuses)
 	}
 }
 

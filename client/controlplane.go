@@ -74,7 +74,9 @@ func (c *Client) RawResult(ctx context.Context, key string) ([]byte, error) {
 }
 
 // PutResult uploads one encoded result blob under its logical key. The
-// server validates that the blob decodes before storing it.
+// server validates that the blob decodes before storing it. Each call
+// reports to the call observer under "/v1/results", like RawResult, so a
+// drain's or backfill's uploads are timed beside its fetches.
 func (c *Client) PutResult(ctx context.Context, key string, blob []byte) error {
 	req, err := c.newRequest(ctx, http.MethodPut,
 		"/v1/results?key="+url.QueryEscape(key), bytes.NewReader(blob))
@@ -82,10 +84,13 @@ func (c *Client) PutResult(ctx context.Context, key string, blob []byte) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
+	start := time.Now()
 	resp, err := c.hc.Do(req)
 	if err != nil {
+		c.observe("/v1/results", 0, start)
 		return fmt.Errorf("client: uploading result: %w", err)
 	}
+	c.observe("/v1/results", resp.StatusCode, start)
 	defer resp.Body.Close()
 	if err := checkVersion(resp); err != nil {
 		return err

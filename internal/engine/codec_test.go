@@ -3,7 +3,9 @@ package engine_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"clustersim/internal/engine"
@@ -13,16 +15,9 @@ import (
 	"clustersim/internal/workload"
 )
 
-// sampleResult builds a fully-populated successful result, histograms
-// included, without running a simulation.
+// sampleResult builds a fully-populated successful result without running
+// a simulation.
 func sampleResult() *engine.Result {
-	h := func(limit int, samples ...int64) *stats.Histogram {
-		hg := stats.NewHistogram(limit)
-		for _, s := range samples {
-			hg.Observe(s)
-		}
-		return hg
-	}
 	return &engine.Result{
 		Simpoint: &workload.Simpoint{Name: "gzip-1", Bench: "gzip", FP: false, Weight: 0.25, Seed: 42},
 		Setup:    "VC(2->4)",
@@ -37,19 +32,17 @@ func sampleResult() *engine.Result {
 				{Dispatched: 10000, CopiesInserted: 100, OccupancySum: 999, IntIssued: 8000, FPIssued: 100, CopyIssued: 100, IntOccSum: 5, FPOccSum: 6},
 				{Dispatched: 10000, CopiesInserted: 221, OccupancySum: 888, IntIssued: 7000, FPIssued: 200, CopyIssued: 221, IntOccSum: 7, FPOccSum: 8},
 			},
-			Histograms: &pipeline.OccupancyHistograms{
-				ROB:         h(16, 1, 2, 3),
-				IntIQ:       h(16, 4, 5),
-				FPIQ:        h(16, 6),
-				CopyQ:       h(16, 7, 7, 7),
-				CopyLatency: h(16, 9, 10),
-			},
 		},
 		Complexity: steer.Complexity{
 			DependenceChecks: 1, VoteOps: 2, SerializedDecisions: 3,
 			CounterReads: 4, MapReads: 5, MapWrites: 6, Steered: 20000,
 		},
 	}
+}
+
+// describe prints everything the codec carries, for failure messages.
+func describe(r *engine.Result) string {
+	return fmt.Sprintf("%q %+v %+v %+v", r.Setup, *r.Simpoint, *r.Metrics, r.Complexity)
 }
 
 // Encode → decode → re-encode must be byte-identical, and every field must
@@ -64,27 +57,9 @@ func TestResultCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Setup != res.Setup {
-		t.Errorf("setup: %q != %q", dec.Setup, res.Setup)
+	if !reflect.DeepEqual(dec, res) {
+		t.Errorf("round trip changed the result:\n got %s\nwant %s", describe(dec), describe(res))
 	}
-	if !reflect.DeepEqual(dec.Metrics.PerCluster, res.Metrics.PerCluster) ||
-		dec.Metrics.Cycles != res.Metrics.Cycles ||
-		dec.Metrics.StallCycles != res.Metrics.StallCycles {
-		t.Error("metrics did not survive the round trip")
-	}
-	if !reflect.DeepEqual(dec.Complexity, res.Complexity) {
-		t.Error("complexity did not survive the round trip")
-	}
-	if dec.Simpoint.Name != "gzip-1" || dec.Simpoint.Seed != 42 || dec.Simpoint.Weight != 0.25 {
-		t.Errorf("simpoint identity lost: %+v", dec.Simpoint)
-	}
-	if got, want := dec.Metrics.Histograms.CopyQ.Count(), res.Metrics.Histograms.CopyQ.Count(); got != want {
-		t.Errorf("histogram count %d != %d", got, want)
-	}
-	if got, want := dec.Metrics.Histograms.ROB.Mean(), res.Metrics.Histograms.ROB.Mean(); got != want {
-		t.Errorf("histogram mean %v != %v", got, want)
-	}
-
 	again, err := engine.EncodeResult(dec)
 	if err != nil {
 		t.Fatal(err)
@@ -94,34 +69,137 @@ func TestResultCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// Every truncation of a valid blob must fail cleanly; so must blobs from a
-// different schema version or of the wrong payload kind.
+// fillDistinct sets every field reachable from v to a distinct non-zero
+// value, so a field the codec forgets decodes as zero and shows. The
+// named pointer fields are skipped: the codec carries neither programs
+// nor histograms. Any other kind fails the test, so a new field of a kind
+// the filler does not know cannot pass unfilled.
+func fillDistinct(t *testing.T, v reflect.Value, next *int64, skip map[string]bool) {
+	t.Helper()
+	*next++
+	n := *next * 1_000_003 // multi-byte varints
+	switch v.Kind() {
+	case reflect.Int64:
+		if *next%2 == 0 {
+			n = -n // both signs through the zigzag varint
+		}
+		v.SetInt(n)
+	case reflect.Uint64:
+		v.SetUint(uint64(n))
+	case reflect.Float64:
+		v.SetFloat(float64(n) + 0.5)
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.String:
+		v.SetString("s" + strconv.FormatInt(n, 10))
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fillDistinct(t, v.Index(i), next, skip)
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 3, 3))
+		for i := 0; i < v.Len(); i++ {
+			fillDistinct(t, v.Index(i), next, skip)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			if skip[v.Type().Name()+"."+f.Name] {
+				continue
+			}
+			fillDistinct(t, v.Field(i), next, skip)
+		}
+	default:
+		t.Fatalf("fillDistinct: %s values unsupported; teach the codec and this filler", v.Type())
+	}
+}
+
+// Every field of Metrics, ClusterMetrics, Complexity and the simpoint's
+// identity survives the codec: a field added to any of them without a
+// codec change fails here.
+func TestResultCodecCarriesEveryField(t *testing.T) {
+	skip := map[string]bool{"Simpoint.Program": true, "Metrics.Histograms": true}
+	res := &engine.Result{Simpoint: &workload.Simpoint{}, Metrics: &pipeline.Metrics{}}
+	var next int64
+	fillDistinct(t, reflect.ValueOf(res.Simpoint).Elem(), &next, skip)
+	fillDistinct(t, reflect.ValueOf(&res.Setup).Elem(), &next, skip)
+	fillDistinct(t, reflect.ValueOf(res.Metrics).Elem(), &next, skip)
+	fillDistinct(t, reflect.ValueOf(&res.Complexity).Elem(), &next, skip)
+
+	blob, err := engine.EncodeResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := engine.DecodeResult(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dec, res) {
+		t.Errorf("a field did not survive the codec:\n got %s\nwant %s", describe(dec), describe(res))
+	}
+	if again, err := engine.EncodeResult(dec); err != nil || !bytes.Equal(again, blob) {
+		t.Errorf("re-encoding is not byte-identical (err %v)", err)
+	}
+}
+
+// Every truncation of a valid blob must fail cleanly; so must a trailing
+// byte, a non-canonical field, and blobs from a different schema version
+// or of the wrong payload kind.
 func TestResultCodecRejectsMangledBlobs(t *testing.T) {
 	blob, err := engine.EncodeResult(sampleResult())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(blob); cut++ {
-		if _, err := engine.DecodeResult(blob[:cut]); err == nil {
-			t.Fatalf("truncation at %d/%d decoded successfully", cut, len(blob))
+		if _, err := engine.DecodeResult(blob[:cut]); !errors.Is(err, engine.ErrCodec) {
+			t.Fatalf("truncation at %d/%d: err = %v, want ErrCodec", cut, len(blob), err)
 		}
 	}
-
-	versioned := append([]byte(nil), blob...)
-	versioned[1]++ // future schema version
-	if _, err := engine.DecodeResult(versioned); !errors.Is(err, engine.ErrCodecVersion) {
-		t.Errorf("version mismatch: err = %v, want ErrCodecVersion", err)
+	if _, err := engine.DecodeResult(append(blob[:len(blob):len(blob)], 0)); !errors.Is(err, engine.ErrCodec) {
+		t.Errorf("trailing byte: err = %v, want ErrCodec", err)
 	}
 
-	jobBlob, err := engine.EncodeJobSpec(engine.JobSpec{Simpoint: "mcf", Setup: engine.SetupSpec{Kind: "OP"}})
+	mangle := func(i int, b byte) []byte {
+		m := append([]byte(nil), blob...)
+		m[i] = b
+		return m
+	}
+	if _, err := engine.DecodeResult(mangle(1, 1)); !errors.Is(err, engine.ErrCodecVersion) {
+		t.Errorf("v1 header: err = %v, want ErrCodecVersion", err)
+	}
+	if _, err := engine.DecodeResult(mangle(1, engine.CodecVersion+1)); !errors.Is(err, engine.ErrCodecVersion) {
+		t.Errorf("future version: err = %v, want ErrCodecVersion", err)
+	}
+	if _, err := engine.DecodeResult(mangle(2, 1)); err == nil || errors.Is(err, engine.ErrCodecVersion) {
+		t.Errorf("wrong payload kind: err = %v, want a non-version ErrCodec", err)
+	}
+	// The FP flag follows the two one-byte-length strings "gzip-1", "gzip".
+	fp := 3 + 1 + len("gzip-1") + 1 + len("gzip")
+	if _, err := engine.DecodeResult(mangle(fp, 2)); !errors.Is(err, engine.ErrCodec) {
+		t.Errorf("boolean byte 2: err = %v, want ErrCodec", err)
+	}
+}
+
+// A blob may carry at most pipeline.MaxClusters per-cluster records.
+func TestResultCodecClusterBound(t *testing.T) {
+	res := sampleResult()
+	res.Metrics.PerCluster = nil
+	blob, err := engine.EncodeResult(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := engine.DecodeResult(jobBlob); err == nil {
-		t.Error("a job blob decoded as a result")
+	// The blob ends in the cluster count, 0; splice in n all-zero cluster
+	// records.
+	withClusters := func(n int) []byte {
+		b := append([]byte(nil), blob[:len(blob)-1]...)
+		return append(append(b, byte(n)), make([]byte, 8*n)...)
 	}
-	if _, err := engine.DecodeJobSpec(blob); err == nil {
-		t.Error("a result blob decoded as a job spec")
+	dec, err := engine.DecodeResult(withClusters(pipeline.MaxClusters))
+	if err != nil || len(dec.Metrics.PerCluster) != pipeline.MaxClusters {
+		t.Fatalf("%d clusters: err = %v", pipeline.MaxClusters, err)
+	}
+	if _, err := engine.DecodeResult(withClusters(pipeline.MaxClusters + 1)); !errors.Is(err, engine.ErrCodec) {
+		t.Errorf("%d clusters: err = %v, want ErrCodec", pipeline.MaxClusters+1, err)
 	}
 }
 
@@ -134,10 +212,16 @@ func TestEncodeFailedResultRefused(t *testing.T) {
 	if _, err := engine.EncodeResult(nil); err == nil {
 		t.Error("a nil result must not be serializable")
 	}
+	res = sampleResult()
+	res.Metrics.Histograms = &pipeline.OccupancyHistograms{ROB: stats.NewHistogram(16)}
+	if _, err := engine.EncodeResult(res); err == nil {
+		t.Error("a result with histograms must not be serializable")
+	}
 }
 
-// Decoding attacker-ish arbitrary bytes must never panic, and a valid
-// blob surviving the corpus must round-trip byte-identically.
+// Decoding attacker-ish arbitrary bytes must never panic, and a blob that
+// decodes must be the one encoding of its result: re-encoding reproduces
+// it byte for byte.
 func FuzzDecodeResult(f *testing.F) {
 	blob, err := engine.EncodeResult(sampleResult())
 	if err != nil {
@@ -156,56 +240,8 @@ func FuzzDecodeResult(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded blob refused re-encoding: %v", err)
 		}
-		round, err := engine.DecodeResult(again)
-		if err != nil {
-			t.Fatalf("re-encoded blob undecodable: %v", err)
-		}
-		final, err := engine.EncodeResult(round)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(again, final) {
-			t.Error("encode(decode(x)) not a fixed point")
-		}
-	})
-}
-
-// Job specs round-trip losslessly and re-encode byte-identically for
-// arbitrary field values.
-func FuzzJobSpecCodec(f *testing.F) {
-	f.Add("gzip-1", "VC", 2, 4, 0, 8, 20000, 1000)
-	f.Add("", "", -1, 0, 99, -5, 0, 0)
-	f.Fuzz(func(t *testing.T, sp, kind string, clusters, numVC, region, chain, uops, warmup int) {
-		spec := engine.JobSpec{
-			Simpoint: sp,
-			Setup: engine.SetupSpec{
-				Kind: kind, NumClusters: clusters, NumVC: numVC,
-				RegionMaxOps: region, MaxChainLen: chain,
-			},
-			Opts: engine.OptionsSpec{NumUops: uops, WarmupUops: warmup},
-		}
-		blob, err := engine.EncodeJobSpec(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := engine.DecodeJobSpec(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dec != spec {
-			t.Fatalf("round trip changed the spec: %+v != %+v", dec, spec)
-		}
-		again, err := engine.EncodeJobSpec(dec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(blob, again) {
-			t.Error("job spec re-encoding not byte-identical")
-		}
-		for cut := 0; cut < len(blob); cut++ {
-			if _, err := engine.DecodeJobSpec(blob[:cut]); err == nil {
-				t.Fatalf("truncated job spec (%d/%d bytes) decoded", cut, len(blob))
-			}
+		if !bytes.Equal(again, data) {
+			t.Errorf("encode(decode(x)) != x:\n got %x\nwant %x", again, data)
 		}
 	})
 }

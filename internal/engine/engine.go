@@ -447,7 +447,7 @@ func (e *Engine) run(ctx context.Context, job Job, fl *obs.Flight) *Result {
 	if e.opts.DisableCache {
 		return e.execute(ctx, job, &rs, fl)
 	}
-	// Histogram runs stay in memory: the store's codec would drop them.
+	// Histogram runs stay in memory: the store's codec refuses them.
 	persist := !job.Opts.TrackHistograms
 	for {
 		// The compute closure runs on exactly one caller's goroutine, so

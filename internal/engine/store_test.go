@@ -67,7 +67,7 @@ func TestResultsPersistAcrossEngines(t *testing.T) {
 	}
 }
 
-// Histogram runs must never touch the store: the codec drops histograms,
+// Histogram runs must never touch the store: the codec carries no histograms,
 // so a stored copy would serve a histogram run without them.
 func TestHistogramRunsBypassStore(t *testing.T) {
 	st, err := store.OpenDisk(t.TempDir(), 0)

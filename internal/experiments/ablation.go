@@ -95,8 +95,7 @@ func one(sweep func(Options) (*AblationResult, error)) func(Options) ([]*Ablatio
 
 // AblationChainLen sweeps the chain-length cap of the VC partitioner: the
 // knob trading mapping staleness (long chains) against chain stability
-// (short chains). DESIGN.md calls this out as the paper's "selection of
-// chains" sensitivity (§4.2).
+// (short chains): the paper's "selection of chains" sensitivity (§4.2).
 func AblationChainLen(opt Options) (*AblationResult, error) {
 	caps := []int{4, 8, 16, 32, 64}
 	var variants []sim.Setup

@@ -2,7 +2,9 @@
 // evaluation (§5) on the simulated substrate: Figure 5 (2-cluster slowdowns
 // vs the hardware-only OP baseline), Figure 6 (copy-reduction and
 // workload-balance scatters), Figure 7 (4-cluster scalability), Tables 1–3,
-// and the design-choice ablations called out in DESIGN.md.
+// and ablations of the design choices the paper fixes (chain length,
+// virtual-cluster count, region scope, interconnect, queue sizes,
+// prefetching; see ablation.go).
 package experiments
 
 import (

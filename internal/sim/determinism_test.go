@@ -168,7 +168,7 @@ func TestPooledCoreByteIdentityOverriddenMachines(t *testing.T) {
 // existing content-addressed stores (all cached results re-simulate), so
 // it must be a deliberate decision, not a side effect.
 func TestResultKeysStableAcrossRewrite(t *testing.T) {
-	const crafty = "result|v1|crafty|s2698591577689284590|h66f41a72d268c871|"
+	const crafty = "result|v2|crafty|s2698591577689284590|h66f41a72d268c871|"
 	cases := []struct {
 		setup Setup
 		want  string
@@ -212,7 +212,7 @@ func TestResultKeysStableAcrossRewrite(t *testing.T) {
 	}
 	slow := engine.Job{Simpoint: workload.ByName("swim"), Setup: SetupVC(2, 2), Opts: RunOptions{
 		NumUops: 3000, WarmupUops: 500, Machine: engine.MachineSpec{LinkLatency: 4}}}
-	want := "result|v1|swim|s8753259172190019931|hd7dc3eeb24659f8e|VC|pVC/2/0/0|c2|u3000|w500|t|mlink_latency=4"
+	want := "result|v2|swim|s8753259172190019931|hd7dc3eeb24659f8e|VC|pVC/2/0/0|c2|u3000|w500|t|mlink_latency=4"
 	if key, ok := eng.ResultKey(slow); !ok || key != want {
 		t.Errorf("latency-4 VC: result key drifted:\n got %q (%v)\nwant %q", key, ok, want)
 	}

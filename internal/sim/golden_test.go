@@ -9,8 +9,8 @@ import (
 // Golden regression values: exact cycle and copy counts for fixed
 // (workload, setup) pairs at 5000 micro-ops. The simulator is fully
 // deterministic, so any drift here means the machine model changed — either
-// intentionally (update the table and note it in EXPERIMENTS.md, since all
-// recorded results shift) or by accident (a bug).
+// intentionally (update the table and say so in CHANGES.md, since every
+// recorded result shifts) or by accident (a bug).
 //
 // Regenerate with: go test ./internal/sim -run TestGolden -golden-print
 var goldenPrint = false
@@ -67,7 +67,7 @@ var goldenExpect = []goldenEntry{
 func TestGoldenDeterminism(t *testing.T) {
 	// If this test fails after an intentional model change, re-record the
 	// goldenExpect table via the loop that prints current values (set
-	// goldenPrint = true locally) and note the shift in EXPERIMENTS.md.
+	// goldenPrint = true locally) and note the shift in CHANGES.md.
 	entries := []goldenEntry{}
 	setups := goldenSetups()
 	names := []string{"crafty", "gzip-1", "swim", "mcf"}

@@ -1,8 +1,6 @@
 package stats
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"reflect"
 	"strings"
@@ -120,7 +118,7 @@ func TestHistogramMomentsProperty(t *testing.T) {
 
 // TestHistogramObserveNMatchesRepeatedObserve pins ObserveN(v, n) to n
 // calls of Observe(v) — buckets, count, sum and extremes — including the
-// clamped ends, n = 0, and a gob round trip of the result.
+// clamped ends and n = 0.
 func TestHistogramObserveNMatchesRepeatedObserve(t *testing.T) {
 	samples := []struct {
 		v int64
@@ -136,18 +134,6 @@ func TestHistogramObserveNMatchesRepeatedObserve(t *testing.T) {
 	if !reflect.DeepEqual(bulk, single) {
 		t.Fatalf("ObserveN diverged from repeated Observe:\n%+v\n%+v", bulk, single)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(bulk); err != nil {
-		t.Fatal(err)
-	}
-	var back Histogram
-	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(&back, single) {
-		t.Errorf("gob round trip of an ObserveN histogram:\n%+v\n%+v", &back, single)
-	}
-
 	// n = 0 on an empty histogram must leave it empty (extremes untouched).
 	empty := NewHistogram(4)
 	empty.ObserveN(2, 0)

@@ -3,8 +3,8 @@
 // branch predictability echo the published character of each benchmark, plus
 // a PinPoints-style phase selector that assigns weights to simulation points.
 //
-// This is the substitution documented in DESIGN.md §5: the paper runs IA32
-// traces of SPEC CPU2000 selected by PinPoints; steering quality depends on
+// This substitutes for the paper's inputs: the paper runs IA32 traces of
+// SPEC CPU2000 selected by PinPoints, but steering quality depends on
 // dependence-chain shape, ILP, and the sources of load imbalance (cache
 // misses, serial chains, branchy control flow), which are exactly the axes
 // the generator spans.
