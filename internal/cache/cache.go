@@ -4,7 +4,10 @@
 // paper's clustered backend shares across clusters.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config describes one cache level.
 type Config struct {
@@ -36,13 +39,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	// lastUse orders lines for LRU; larger is more recent.
-	lastUse uint64
-}
-
 // Stats accumulates cache event counts.
 type Stats struct {
 	Hits, Misses, Evictions uint64
@@ -54,12 +50,19 @@ func (s Stats) Accesses() uint64 { return s.Hits + s.Misses }
 // Cache is a set-associative cache with true-LRU replacement. It models
 // contents only (hit/miss); timing lives in Hierarchy.
 type Cache struct {
-	cfg      Config
-	sets     [][]line
-	setShift uint
-	setMask  uint64
-	useClock uint64
-	stats    Stats
+	cfg Config
+	// tags and stamps are the ways of every set, set by set: set s owns
+	// indices [s*Assoc, (s+1)*Assoc). A tag slot holds the line's tag
+	// plus one, so 0 marks an invalid way; a stamp orders valid ways for
+	// LRU, larger being more recent. Fills take the first invalid way, so
+	// a set's valid ways are always a prefix of it.
+	tags, stamps []uint64
+	// An address's line number is addr>>setShift; its set is the line
+	// number's low bits (setMask) and its tag the bits above (tagShift).
+	setShift, tagShift uint
+	setMask            uint64
+	useClock           uint64
+	stats              Stats
 
 	// per-cycle port accounting
 	portCycle  int64
@@ -73,21 +76,14 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	nsets := cfg.SizeBytes / (cfg.LineBytes * cfg.Assoc)
-	c := &Cache{cfg: cfg, sets: make([][]line, nsets)}
-	// One flat backing array for all sets: building a simulated core is on
-	// the experiment hot path, and per-set slices cost thousands of
-	// allocations for a large L2.
-	backing := make([]line, nsets*cfg.Assoc)
-	for i := range c.sets {
-		c.sets[i] = backing[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
-	}
-	shift := uint(0)
-	for 1<<shift != cfg.LineBytes {
-		shift++
-	}
-	c.setShift = shift
-	c.setMask = uint64(nsets - 1)
-	return c, nil
+	return &Cache{
+		cfg:      cfg,
+		tags:     make([]uint64, nsets*cfg.Assoc),
+		stamps:   make([]uint64, nsets*cfg.Assoc),
+		setShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		tagShift: uint(bits.TrailingZeros(uint(nsets))),
+		setMask:  uint64(nsets - 1),
+	}, nil
 }
 
 // MustNew builds a cache, panicking on config errors. For tests.
@@ -105,18 +101,11 @@ func (c *Cache) Stats() Stats { return c.stats }
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
+// indexTag returns the index of addr's set's first way and the tag slot
+// value (tag plus one) that marks addr's line.
 func (c *Cache) indexTag(addr uint64) (int, uint64) {
-	lineAddr := addr >> c.setShift
-	return int(lineAddr & c.setMask), lineAddr >> uint(popcount(c.setMask))
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
+	lineNum := addr >> c.setShift
+	return int(lineNum&c.setMask) * c.cfg.Assoc, lineNum>>c.tagShift + 1
 }
 
 // ReservePort claims a read or write port for the given cycle. It reports
@@ -142,12 +131,11 @@ func (c *Cache) ReservePort(cycle int64, write bool) bool {
 
 // Lookup probes for addr without filling. Touches LRU on hit.
 func (c *Cache) Lookup(addr uint64) bool {
-	set, tag := c.indexTag(addr)
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
+	base, tag := c.indexTag(addr)
+	for i, t := range c.tags[base : base+c.cfg.Assoc] {
+		if t == tag {
 			c.useClock++
-			ln.lastUse = c.useClock
+			c.stamps[base+i] = c.useClock
 			c.stats.Hits++
 			return true
 		}
@@ -159,10 +147,9 @@ func (c *Cache) Lookup(addr uint64) bool {
 // Contains probes for addr without touching statistics or LRU state
 // (internal probes such as prefetch filtering).
 func (c *Cache) Contains(addr uint64) bool {
-	set, tag := c.indexTag(addr)
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
+	base, tag := c.indexTag(addr)
+	for _, t := range c.tags[base : base+c.cfg.Assoc] {
+		if t == tag {
 			return true
 		}
 	}
@@ -172,30 +159,31 @@ func (c *Cache) Contains(addr uint64) bool {
 // Fill inserts the line holding addr, evicting the LRU way if needed.
 // Returns whether an eviction of a valid line occurred.
 func (c *Cache) Fill(addr uint64) bool {
-	set, tag := c.indexTag(addr)
+	base, tag := c.indexTag(addr)
+	tags := c.tags[base : base+c.cfg.Assoc]
+	stamps := c.stamps[base : base+c.cfg.Assoc]
 	victim := 0
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
+	for i, t := range tags {
+		if t == tag {
 			// Already present (MSHR race); refresh LRU only.
 			c.useClock++
-			ln.lastUse = c.useClock
+			stamps[i] = c.useClock
 			return false
 		}
-		if !ln.valid {
+		if t == 0 {
 			victim = i
 			break
 		}
-		if c.sets[set][i].lastUse < c.sets[set][victim].lastUse {
+		if stamps[i] < stamps[victim] {
 			victim = i
 		}
 	}
-	evicted := c.sets[set][victim].valid
+	evicted := tags[victim] != 0
 	if evicted {
 		c.stats.Evictions++
 	}
 	c.useClock++
-	c.sets[set][victim] = line{tag: tag, valid: true, lastUse: c.useClock}
+	tags[victim], stamps[victim] = tag, c.useClock
 	return evicted
 }
 
@@ -205,14 +193,10 @@ func (c *Cache) LineAddr(addr uint64) uint64 {
 }
 
 // Reset restores post-construction state (between runs) without
-// reallocating: the flat line backing is zeroed in place.
+// reallocating: the tag and stamp arrays are zeroed in place.
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		set := c.sets[i]
-		for j := range set {
-			set[j] = line{}
-		}
-	}
+	clear(c.tags)
+	clear(c.stamps)
 	c.useClock = 0
 	c.stats = Stats{}
 	c.portCycle = 0

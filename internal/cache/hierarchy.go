@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // HierarchyConfig assembles the two-level hierarchy of the paper's Table 2:
@@ -63,13 +64,13 @@ type Hierarchy struct {
 	// cycle, so expiry drops a prefix and the next fill is the first entry
 	// past the current cycle.
 	mshrs []mshr
-	// prefetches tracks prefetched lines by completion cycle (separate
-	// from demand MSHRs so prefetching never starves demand misses), and
-	// pfOrder orders the same records by completion cycle for expiry.
-	// pfOrder keeps copies of records since deleted by a demand touch; a
-	// copy whose map entry is gone (or differs) is stale and is dropped
-	// when it surfaces.
-	prefetches map[uint64]int64
+	// prefetches maps each prefetched line to its completion cycle
+	// (separate from demand MSHRs so prefetching never starves demand
+	// misses), and pfOrder orders the same records by completion cycle
+	// for expiry. pfOrder keeps copies of records since deleted by a
+	// demand touch; a copy whose table entry is gone (or differs) is
+	// stale and is dropped when it surfaces.
+	prefetches prefetchTable
 	pfOrder    prefetchHeap
 
 	// Counters.
@@ -104,7 +105,112 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	if err != nil {
 		return nil, fmt.Errorf("L2: %w", err)
 	}
-	return &Hierarchy{cfg: cfg, l1: l1, l2: l2, prefetches: make(map[uint64]int64)}, nil
+	h := &Hierarchy{cfg: cfg, l1: l1, l2: l2}
+	h.prefetches.init(l1.setShift)
+	return h, nil
+}
+
+// prefetchTable maps prefetched lines (by line address) to completion
+// cycles. It is open-addressed with linear probing and backward-shift
+// deletion: no tombstones, so n is the exact record count and a probe
+// never walks a dead slot. Slots are keyed by line number plus one, so a
+// zero slot is empty and Reset is a clear.
+type prefetchTable struct {
+	slots []pfSlot
+	// n counts the occupied slots; lineShift turns a line address into
+	// its line number, and hashShift a hashed key into a slot index.
+	n                    int
+	lineShift, hashShift uint
+}
+
+type pfSlot struct {
+	key   uint64 // line number plus one; 0 marks an empty slot
+	ready int64
+}
+
+// pfInitialSlots is the table's starting size; it doubles past half full.
+const pfInitialSlots = 256
+
+func (t *prefetchTable) init(lineShift uint) {
+	t.lineShift = lineShift
+	t.resize(pfInitialSlots)
+}
+
+func (t *prefetchTable) resize(size int) {
+	old := t.slots
+	t.slots = make([]pfSlot, size)
+	t.hashShift = uint(64 - bits.TrailingZeros(uint(size)))
+	for _, sl := range old {
+		if sl.key != 0 {
+			i, _ := t.find(sl.key)
+			t.slots[i] = sl
+		}
+	}
+}
+
+// home is key's preferred slot (Fibonacci hashing).
+func (t *prefetchTable) home(key uint64) int {
+	return int((key * 0x9E3779B97F4A7C15) >> t.hashShift)
+}
+
+// find returns key's slot, or the empty slot ending its probe run.
+func (t *prefetchTable) find(key uint64) (int, bool) {
+	mask := len(t.slots) - 1
+	for i := t.home(key); ; i = (i + 1) & mask {
+		switch t.slots[i].key {
+		case key:
+			return i, true
+		case 0:
+			return i, false
+		}
+	}
+}
+
+func (t *prefetchTable) key(line uint64) uint64 { return line>>t.lineShift + 1 }
+
+// get returns the completion cycle recorded for line.
+func (t *prefetchTable) get(line uint64) (int64, bool) {
+	i, ok := t.find(t.key(line))
+	return t.slots[i].ready, ok
+}
+
+// put records (or re-records) line as completing at ready.
+func (t *prefetchTable) put(line uint64, ready int64) {
+	key := t.key(line)
+	i, ok := t.find(key)
+	if !ok {
+		if 2*(t.n+1) > len(t.slots) {
+			t.resize(2 * len(t.slots))
+			i, _ = t.find(key)
+		}
+		t.n++
+	}
+	t.slots[i] = pfSlot{key, ready}
+}
+
+// remove deletes line's record, if any. Each later entry of the probe run
+// moves back into the hole unless its home lies cyclically in (hole, entry]
+// and it would become unreachable.
+func (t *prefetchTable) remove(line uint64) {
+	i, ok := t.find(t.key(line))
+	if !ok {
+		return
+	}
+	mask := len(t.slots) - 1
+	for j := (i + 1) & mask; t.slots[j].key != 0; j = (j + 1) & mask {
+		if (j-t.home(t.slots[j].key))&mask >= (j-i)&mask {
+			t.slots[i] = t.slots[j]
+			i = j
+		}
+	}
+	t.slots[i] = pfSlot{}
+	t.n--
+}
+
+// reset empties the table, keeping its size.
+func (t *prefetchTable) reset() {
+	clear(t.slots)
+	t.n = 0
 }
 
 // prefetchRec is one prefetch record in completion order.
@@ -160,7 +266,7 @@ func (p prefetchHeap) down(i int) {
 
 // live reports whether r is still the map's record for its line.
 func (h *Hierarchy) live(r prefetchRec) bool {
-	ready, ok := h.prefetches[r.line]
+	ready, ok := h.prefetches.get(r.line)
 	return ok && ready == r.ready
 }
 
@@ -169,8 +275,8 @@ func (h *Hierarchy) live(r prefetchRec) bool {
 // the live records by a sweep's worth, so the heap stays proportional
 // to the map however rarely a sweep runs.
 func (h *Hierarchy) addPrefetch(line uint64, ready int64) {
-	h.prefetches[line] = ready
-	if len(h.pfOrder) > 2*len(h.prefetches)+prefetchSweepAt {
+	h.prefetches.put(line, ready)
+	if len(h.pfOrder) > 2*h.prefetches.n+prefetchSweepAt {
 		keep := h.pfOrder[:0]
 		for _, r := range h.pfOrder {
 			if h.live(r) {
@@ -204,10 +310,10 @@ func (h *Hierarchy) expireMSHRs(cycle int64) {
 	if done > 0 {
 		h.mshrs = append(h.mshrs[:0], h.mshrs[done:]...)
 	}
-	if len(h.prefetches) > prefetchSweepAt {
+	if h.prefetches.n > prefetchSweepAt {
 		for len(h.pfOrder) > 0 && h.pfOrder[0].ready <= cycle {
 			if r := h.pfOrder.pop(); h.live(r) {
-				delete(h.prefetches, r.line)
+				h.prefetches.remove(r.line)
 			}
 		}
 	}
@@ -231,10 +337,10 @@ func (h *Hierarchy) Access(cycle int64, addr uint64, write bool) (AccessResult, 
 	// merged miss. Either way the first demand touch of a prefetched line
 	// re-arms the stream (tagged prefetching), keeping sequential streams
 	// running ahead of the consumer.
-	if pf, ok := h.prefetches[lineAddr]; ok {
+	if pf, ok := h.prefetches.get(lineAddr); ok {
 		h.prefetchAfter(cycle, lineAddr)
 		if pf <= cycle {
-			delete(h.prefetches, lineAddr)
+			h.prefetches.remove(lineAddr)
 		} else {
 			return AccessResult{Ready: pf + int64(h.cfg.L1.HitLatency), Level: 2, Merged: true}, true
 		}
@@ -284,7 +390,7 @@ func (h *Hierarchy) prefetchAfter(cycle int64, lineAddr uint64) {
 	lineBytes := uint64(h.cfg.L1.LineBytes)
 	for d := 1; d <= h.cfg.PrefetchDegree; d++ {
 		next := lineAddr + uint64(d)*lineBytes
-		if _, inflight := h.prefetches[next]; inflight {
+		if _, inflight := h.prefetches.get(next); inflight {
 			continue
 		}
 		already := false
@@ -324,7 +430,7 @@ func (h *Hierarchy) NextFill(after int64) int64 {
 			break
 		}
 	}
-	if len(h.prefetches) > prefetchSweepAt {
+	if h.prefetches.n > prefetchSweepAt {
 		next = h.nextPrefetch(0, after, next)
 	}
 	return next
@@ -348,12 +454,12 @@ func (h *Hierarchy) nextPrefetch(i int, after, next int64) int64 {
 
 // Reset restores post-construction state (between runs) without
 // reallocating: cache contents are zeroed in place, the MSHR backing and
-// prefetch map are kept.
+// prefetch table are kept.
 func (h *Hierarchy) Reset() {
 	h.l1.Reset()
 	h.l2.Reset()
 	h.mshrs = h.mshrs[:0]
-	clear(h.prefetches)
+	h.prefetches.reset()
 	h.pfOrder = h.pfOrder[:0]
 	h.L1Hits, h.L2Hits, h.MemAccesses = 0, 0, 0
 	h.MSHRFullEvents, h.Prefetches = 0, 0

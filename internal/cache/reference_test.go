@@ -6,12 +6,13 @@ import (
 	"testing"
 )
 
-// This file keeps the original linear-scan LSQ disambiguation and the
-// map-walking hierarchy as references, and drives seeded random
-// operation sequences through both them and the production structures:
-// the cursor, the known-store counts, the ordered MSHR file and the
-// prefetch heap are exact only if every status, ready cycle and counter
-// agrees.
+// This file keeps the original linear-scan LSQ disambiguation, the
+// per-set line-slice cache and the map-walking hierarchy as references,
+// and drives seeded random operation sequences through both them and the
+// production structures: the cursor, the known-store counts, the flat tag
+// and stamp arrays, the ordered MSHR file, the prefetch heap and the
+// open-addressed prefetch table are exact only if every status, ready
+// cycle and counter agrees.
 
 // refLSQ is the reference load/store queue: a plain slice in program
 // order, disambiguated by a full scan of the older entries.
@@ -131,12 +132,245 @@ func TestLSQMatchesLinearReference(t *testing.T) {
 	}
 }
 
+// refCache is the reference cache: a slice of lines per set, each line
+// carrying its tag, a valid bit and its LRU stamp.
+type refCache struct {
+	cfg      Config
+	sets     [][]refLine
+	setShift uint
+	setMask  uint64
+	useClock uint64
+	stats    Stats
+}
+
+type refLine struct {
+	tag     uint64
+	valid   bool
+	lastUse uint64
+}
+
+func newRefCache(cfg Config) *refCache {
+	nsets := cfg.SizeBytes / (cfg.LineBytes * cfg.Assoc)
+	c := &refCache{cfg: cfg, sets: make([][]refLine, nsets), setMask: uint64(nsets - 1)}
+	for i := range c.sets {
+		c.sets[i] = make([]refLine, cfg.Assoc)
+	}
+	for 1<<c.setShift != cfg.LineBytes {
+		c.setShift++
+	}
+	return c
+}
+
+func (c *refCache) indexTag(addr uint64) (int, uint64) {
+	lineAddr := addr >> c.setShift
+	tagShift := 0
+	for m := c.setMask; m != 0; m >>= 1 {
+		tagShift++
+	}
+	return int(lineAddr & c.setMask), lineAddr >> uint(tagShift)
+}
+
+func (c *refCache) Lookup(addr uint64) bool {
+	set, tag := c.indexTag(addr)
+	for i := range c.sets[set] {
+		if ln := &c.sets[set][i]; ln.valid && ln.tag == tag {
+			c.useClock++
+			ln.lastUse = c.useClock
+			c.stats.Hits++
+			return true
+		}
+	}
+	c.stats.Misses++
+	return false
+}
+
+func (c *refCache) Contains(addr uint64) bool {
+	set, tag := c.indexTag(addr)
+	for _, ln := range c.sets[set] {
+		if ln.valid && ln.tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *refCache) Fill(addr uint64) bool {
+	set, tag := c.indexTag(addr)
+	victim := 0
+	for i := range c.sets[set] {
+		ln := &c.sets[set][i]
+		if ln.valid && ln.tag == tag {
+			c.useClock++
+			ln.lastUse = c.useClock
+			return false
+		}
+		if !ln.valid {
+			victim = i
+			break
+		}
+		if ln.lastUse < c.sets[set][victim].lastUse {
+			victim = i
+		}
+	}
+	evicted := c.sets[set][victim].valid
+	if evicted {
+		c.stats.Evictions++
+	}
+	c.useClock++
+	c.sets[set][victim] = refLine{tag: tag, valid: true, lastUse: c.useClock}
+	return evicted
+}
+
+func (c *refCache) LineAddr(addr uint64) uint64 {
+	return addr &^ (uint64(c.cfg.LineBytes) - 1)
+}
+
+func (c *refCache) Reset() {
+	for _, set := range c.sets {
+		clear(set)
+	}
+	c.useClock = 0
+	c.stats = Stats{}
+}
+
+func TestCacheMatchesSetScanReference(t *testing.T) {
+	geometries := []Config{
+		{SizeBytes: 1 << 10, LineBytes: 64, Assoc: 4},
+		{SizeBytes: 4 << 10, LineBytes: 32, Assoc: 1},
+		{SizeBytes: 8 << 10, LineBytes: 64, Assoc: 16},
+		{SizeBytes: 512, LineBytes: 8, Assoc: 64}, // one set: no index bits
+		{SizeBytes: 64 << 10, LineBytes: 128, Assoc: 8},
+	}
+	for seed := int64(1); seed <= 15; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := geometries[seed%int64(len(geometries))]
+		c, ref := MustNew(cfg), newRefCache(cfg)
+		// Most addresses fall in a footprint a few times the capacity, so
+		// sets fill, hit and evict; some are drawn over the whole space.
+		span := uint64(cfg.SizeBytes) * uint64(1+rng.Intn(6))
+		evictions := uint64(0)
+		for step := 0; step < 20_000; step++ {
+			if step%7000 == 6999 {
+				c.Reset()
+				ref.Reset()
+			}
+			addr := uint64(rng.Int63n(int64(span)))
+			if rng.Intn(16) == 0 {
+				addr = rng.Uint64()
+			}
+			switch op := rng.Intn(3); op {
+			case 0:
+				if got, want := c.Lookup(addr), ref.Lookup(addr); got != want {
+					t.Fatalf("seed %d step %d: Lookup(%#x) = %v, reference %v", seed, step, addr, got, want)
+				}
+			case 1:
+				if got, want := c.Contains(addr), ref.Contains(addr); got != want {
+					t.Fatalf("seed %d step %d: Contains(%#x) = %v, reference %v", seed, step, addr, got, want)
+				}
+			default:
+				if got, want := c.Fill(addr), ref.Fill(addr); got != want {
+					t.Fatalf("seed %d step %d: Fill(%#x) evicted %v, reference %v", seed, step, addr, got, want)
+				}
+			}
+			if c.Stats() != ref.stats {
+				t.Fatalf("seed %d step %d: stats %+v, reference %+v", seed, step, c.Stats(), ref.stats)
+			}
+			evictions = max(evictions, ref.stats.Evictions)
+		}
+		if evictions == 0 {
+			t.Errorf("seed %d: no evictions; the victim choice is untested", seed)
+		}
+	}
+}
+
+// TestPrefetchTableMatchesMap drives the open-addressed prefetch table and
+// a map through the same puts, removes, lookups and resets. Line numbers
+// crowd a few home slots, so probe runs are long and wrap around the end
+// of the table, and removes land inside them; the count grows past
+// several resizes.
+func TestPrefetchTableMatchesMap(t *testing.T) {
+	const lineShift = 6
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var tab prefetchTable
+		tab.init(lineShift)
+		ref := map[uint64]int64{}
+		// pool holds chains of seven lines that share a home slot in the
+		// initial table, found by search.
+		var pool []uint64
+		for len(pool) < 64 {
+			line := uint64(rng.Intn(1<<20)) << lineShift
+			home := tab.home(tab.key(line))
+			for i := 0; i < 6; i++ {
+				for k := uint64(1); ; k++ {
+					cand := line + k<<lineShift
+					if tab.home(tab.key(cand)) == home {
+						pool = append(pool, cand)
+						line = cand
+						break
+					}
+				}
+			}
+		}
+		maxLen := 0
+		for step := 0; step < 40_000; step++ {
+			if step%15000 == 14999 {
+				tab.reset()
+				clear(ref)
+			}
+			var line uint64
+			if rng.Intn(3) == 0 {
+				line = pool[rng.Intn(len(pool))]
+			} else {
+				line = uint64(rng.Intn(4096)) << lineShift
+			}
+			switch op := rng.Intn(10); {
+			case op < 4 || (step/3000)%2 == 0 && op < 7:
+				ready := rng.Int63n(1 << 40)
+				tab.put(line, ready)
+				ref[line] = ready
+			case op < 7:
+				tab.remove(line)
+				delete(ref, line)
+			default:
+				got, gotOK := tab.get(line)
+				want, wantOK := ref[line]
+				if gotOK != wantOK || (gotOK && got != want) {
+					t.Fatalf("seed %d step %d: get(%#x) = %d %v, map %d %v", seed, step, line, got, gotOK, want, wantOK)
+				}
+			}
+			if tab.n != len(ref) {
+				t.Fatalf("seed %d step %d: table holds %d records, map %d", seed, step, tab.n, len(ref))
+			}
+			maxLen = max(maxLen, tab.n)
+		}
+		// Every record is still reachable, and nothing else is stored.
+		occupied := 0
+		for _, sl := range tab.slots {
+			if sl.key != 0 {
+				occupied++
+			}
+		}
+		if occupied != len(ref) {
+			t.Fatalf("seed %d: %d occupied slots for %d records", seed, occupied, len(ref))
+		}
+		for line, want := range ref {
+			if got, ok := tab.get(line); !ok || got != want {
+				t.Fatalf("seed %d: record %#x lost: %d %v, want %d", seed, line, got, ok, want)
+			}
+		}
+		if len(tab.slots) <= pfInitialSlots {
+			t.Errorf("seed %d: at most %d records; the table never grew", seed, maxLen)
+		}
+	}
+}
+
 // refHierarchy is the reference hierarchy: an unordered MSHR slice
 // rescanned on every access, and prefetch expiry and NextFill by walks
-// of the whole prefetch map.
+// of the whole prefetch map, over reference caches.
 type refHierarchy struct {
 	cfg        HierarchyConfig
-	l1, l2     *Cache
+	l1, l2     *refCache
 	mshrs      []mshr
 	prefetches map[uint64]int64
 
@@ -148,7 +382,7 @@ func newRefHierarchy(cfg HierarchyConfig) *refHierarchy {
 	if cfg.MSHRs == 0 {
 		cfg.MSHRs = 16
 	}
-	return &refHierarchy{cfg: cfg, l1: MustNew(cfg.L1), l2: MustNew(cfg.L2), prefetches: map[uint64]int64{}}
+	return &refHierarchy{cfg: cfg, l1: newRefCache(cfg.L1), l2: newRefCache(cfg.L2), prefetches: map[uint64]int64{}}
 }
 
 func (h *refHierarchy) expireMSHRs(cycle int64) {
@@ -300,14 +534,14 @@ func TestHierarchyMatchesMapWalkingReference(t *testing.T) {
 				t.Fatalf("seed %d step %d: Access(%d, %#x) = %+v %v, reference %+v %v",
 					seed, step, cycle, addr, got, gotOK, want, wantOK)
 			}
-			if len(h.prefetches) != len(ref.prefetches) {
-				t.Fatalf("seed %d step %d: %d prefetch records, reference %d", seed, step, len(h.prefetches), len(ref.prefetches))
+			if h.prefetches.n != len(ref.prefetches) {
+				t.Fatalf("seed %d step %d: %d prefetch records, reference %d", seed, step, h.prefetches.n, len(ref.prefetches))
 			}
 			// Stale copies are compacted at inserts, so the heap stays
 			// within twice the largest table plus a sweep's worth (the
 			// table may peak one record higher inside an access that
 			// then retires the touched record).
-			maxRecords = max(maxRecords, len(h.prefetches))
+			maxRecords = max(maxRecords, h.prefetches.n)
 			if len(h.pfOrder) > 2*(maxRecords+1)+prefetchSweepAt+1 {
 				t.Fatalf("seed %d step %d: %d heap entries, at most %d records", seed, step, len(h.pfOrder), maxRecords)
 			}

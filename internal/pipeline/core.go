@@ -18,23 +18,30 @@ const initialValue int64 = -1
 
 // uopState is the in-flight state of one dynamic micro-op. States live in a
 // ring buffer indexed by seq mod window, so the struct carries its own seq
-// and liveness to disambiguate slot reuse.
+// and liveness to disambiguate slot reuse. Its fields are ordered to pack
+// it into 64 bytes, which dispatch writes with plain moves.
 type uopState struct {
-	seq     int64
-	u       *trace.Uop
-	cluster int
-
-	live      bool
-	completed bool
-	// mispredicted marks a conditional branch whose prediction was wrong;
-	// its completion releases the fetch stall.
-	mispredicted bool
+	seq int64
+	u   *trace.Uop
 	// prevValue is the value the destination register held before this op
 	// (freed when this op commits).
 	prevValue int64
 	// srcValues are the operand value tags consumed (for store-data
 	// bookkeeping and debugging).
 	srcValues [2]int64
+	// A store whose data operand is not yet readable in its cluster parks
+	// on the operand's value until it arrives there (parkStore):
+	// parkNext links the next store parked on that value (its seq plus
+	// one; 0 ends the list), and parkKey is the store's drain key (see
+	// processEvents).
+	parkNext, parkKey int64
+	cluster           int32
+
+	live      bool
+	completed bool
+	// mispredicted marks a conditional branch whose prediction was wrong;
+	// its completion releases the fetch stall.
+	mispredicted bool
 }
 
 // valueState tracks one produced register value across clusters, and the
@@ -59,13 +66,20 @@ type valueState struct {
 	// not readable yet — a consumer in its own cluster, a copy in the
 	// value's home; valueReadyIn wakes and unlinks a cluster's share.
 	waiters cluster.WaitList
+	// stores heads the list of stores parked on the value as their data
+	// operand (seq plus one; 0 when none), linked through
+	// uopState.parkNext; valueReadyIn wakes a cluster's share.
+	stores int64
 }
 
 // event is a scheduled micro-architectural occurrence.
 type event struct {
 	kind eventKind
 	seq  int64
-	aux  int // copy destination cluster
+	// aux is a copy arrival's destination cluster. An event scheduled by
+	// another event's handler carries that handler's drain key instead
+	// (copy arrivals are only scheduled at issue).
+	aux int64
 }
 
 type eventKind uint8
@@ -75,8 +89,14 @@ const (
 	evAgen                        // load/store address generated
 	evMemTry                      // load retries disambiguation/cache access
 	evCopyArrive                  // copy lands in destination cluster
-	evStoreData                   // store waits for its data operand
+	evStoreData                   // store re-polls its data operand (storeDataPolls only)
+	numEventKinds
 )
+
+// dueStore is a woken store waiting to complete at its drain key.
+type dueStore struct {
+	key, seq int64
+}
 
 // fetchSlot is one frontend-pipe entry.
 type fetchSlot struct {
@@ -103,9 +123,13 @@ type plannedCopy struct {
 // eventWheelStats counts event-wheel activity; the bounded-memory and
 // idle-skip tests read it, and it is cheap enough to keep always on.
 type eventWheelStats struct {
-	// scheduled counts all scheduled events; overflowed counts the subset
-	// that landed beyond the wheel horizon (far-future overflow bucket).
+	// scheduled counts all scheduled events, including the retries that
+	// skipIdle charges for the cycles it skips; overflowed counts the
+	// subset that landed beyond the wheel horizon (far-future overflow
+	// bucket).
 	scheduled, overflowed int64
+	// drained counts the events actually handled, by kind.
+	drained [numEventKinds]int64
 	// skipped counts the idle cycles fast-forwarded rather than simulated.
 	skipped int64
 }
@@ -174,6 +198,21 @@ type Core struct {
 	evOverflowLen int
 	evStats       eventWheelStats
 
+	// Drain keys order the events a cycle's drain schedules for the next
+	// cycle, and the stores parked on a value (see processEvents).
+	// slotA and slotB split the next cycle's slot into the events
+	// scheduled before this cycle's drain, during it, and after it;
+	// aKeys and cKeys are the running key counters of regions A and C.
+	// evKey is the key of the event being handled (what it hands on to
+	// the events it schedules and the stores it parks), and a store it
+	// wakes is due in this drain if its key is above evDueAbove.
+	slotA, slotB      int
+	aKeys, cKeys      int64
+	evKey, evDueAbove int64
+	// dueNow holds the woken stores that complete in this cycle's drain,
+	// by descending key; dueNext those that complete in the next one.
+	dueNow, dueNext []dueStore
+
 	// planCopies is a dispatch-stage scratch buffer, reused across cycles
 	// so steering/dispatch never allocates.
 	planCopies []plannedCopy
@@ -187,8 +226,8 @@ type Core struct {
 	// successful memory accesses, issues, steering decisions, dispatches
 	// and fetches. A cycle that leaves it (and the hierarchy's prefetch
 	// count) unchanged is idle, and skipIdle may fast-forward past its
-	// repeats. retries counts the load and store-data polls re-armed for
-	// the next cycle.
+	// repeats. retries counts the load polls re-armed for the next cycle
+	// (and, with storeDataPolls, the store-data polls).
 	progress, retries uint64
 	// cycleStall is the dispatch stall reason of the current cycle.
 	cycleStall StallReason
@@ -225,9 +264,17 @@ var maxWheelHorizon = 4096
 // same machine; simulation code treats it as a constant.
 var idleSkip = true
 
-// checkInvariants makes issue verify the dataflow-readiness rule (see
-// checkIssue). It is a variable only so tests can switch the check on;
-// simulation code treats it as a constant.
+// storeDataPolls makes a store whose data operand is not ready re-poll it
+// every cycle instead of parking on its value: the reference the parking
+// is proven exact against. It is a variable only so tests can run that
+// reference; simulation code treats it as a constant.
+var storeDataPolls = false
+
+// checkInvariants makes the core verify, as it runs, the dataflow-readiness
+// rule at issue (see checkIssue), in-order single commits, the drain-key
+// order and the readiness of woken stores' data, and, after a completed
+// run, resource conservation (see checkDrained). It is a variable only so
+// tests can switch the checks on; simulation code treats it as a constant.
 var checkInvariants = false
 
 // wheelHorizon sizes the event wheel to cover every latency the machine
@@ -402,7 +449,7 @@ func (s steerCtx) ValueClusters(r uarch.Reg) uint32 {
 // --- value helpers ---------------------------------------------------------
 
 // valueReadyIn marks value seq readable in cluster ci, and wakes and
-// unlinks the entries parked on it there.
+// unlinks the entries and stores parked on it there.
 func (c *Core) valueReadyIn(seq int64, ci int) {
 	v := c.value(seq)
 	if v == nil {
@@ -414,6 +461,44 @@ func (c *Core) valueReadyIn(seq int64, ci int) {
 	}
 	v.readyMask |= bit
 	v.waiters.WakeIn(ci)
+	if v.stores != 0 {
+		c.wakeStores(v, ci)
+	}
+}
+
+// parkStore parks a store whose data operand is not readable in its
+// cluster on the operand's value, at the drain key of the event handling
+// it: the place its per-cycle poll would hold among the events each later
+// drain schedules for the cycle after.
+func (c *Core) parkStore(st *uopState) {
+	v := c.value(st.srcValues[0])
+	st.parkKey = c.evKey
+	st.parkNext, v.stores = v.stores, st.seq+1
+}
+
+// wakeStores unlinks the stores parked on v in cluster ci and schedules
+// their completion where their poll would have found the data: in this
+// drain if the poll comes after the event handling now (its key is above
+// evDueAbove), else in the next drain.
+func (c *Core) wakeStores(v *valueState, ci int) {
+	for p := &v.stores; *p != 0; {
+		st := &c.uops[(*p-1)&c.uopMask]
+		if int(st.cluster) != ci {
+			p = &st.parkNext
+			continue
+		}
+		*p, st.parkNext = st.parkNext, 0
+		d := dueStore{st.parkKey, st.seq}
+		if d.key <= c.evDueAbove {
+			c.dueNext = append(c.dueNext, d)
+			continue
+		}
+		// Keep dueNow sorted by descending key: its last entry is next.
+		c.dueNow = append(c.dueNow, d)
+		for i := len(c.dueNow) - 1; i > 0 && c.dueNow[i-1].key < d.key; i-- {
+			c.dueNow[i], c.dueNow[i-1] = c.dueNow[i-1], c.dueNow[i]
+		}
+	}
 }
 
 // valueIsReadyIn reports whether the operand value is readable in cluster ci.
@@ -506,6 +591,10 @@ func (c *Core) Reset(cfg Config, pol steer.Policy, tr *trace.Trace) error {
 	clear(c.evOverflow)
 	c.evOverflowLen = 0
 	c.evStats = eventWheelStats{}
+	c.slotA, c.slotB = 0, 0
+	c.aKeys, c.cKeys = 0, 0
+	c.evKey, c.evDueAbove = 0, 0
+	c.dueNow, c.dueNext = c.dueNow[:0], c.dueNext[:0]
 
 	c.planCopies = c.planCopies[:0]
 

@@ -262,8 +262,9 @@ func TestIdleSkipCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestIdleSkipStoreDataPolls drives the store-data poll (a store whose
-// data comes from a long-latency load) through skipped cycles.
+// TestIdleSkipStoreDataPolls drives store-data waits (a store whose data
+// comes from a long-latency load, parked on the load's value) through
+// skipped cycles.
 func TestIdleSkipStoreDataPolls(t *testing.T) {
 	b := prog.NewBuilder("storedata")
 	b.Load(uarch.IntReg(1), uarch.IntReg(10), prog.MemRef{

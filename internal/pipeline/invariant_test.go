@@ -23,26 +23,20 @@ func withInvariants(f func()) {
 	f()
 }
 
-// TestDataflowReadinessGoldenSetups runs the golden table's setups (see
-// internal/sim/golden_test.go) over the quick suite with the
-// dataflow-readiness check on: no micro-op issues before the operands it
-// waited on are readable in its cluster, and no copy issues before its
-// value is readable in its home cluster. Every run goes both cycle by
-// cycle and with idle skipping, which must agree, and every run must
-// complete: a deadlock both modes share is still a failure, and only a
-// completed run reaches the end-of-run conservation check.
-func TestDataflowReadinessGoldenSetups(t *testing.T) {
-	uops := 5000 // the golden table's length
-	if testing.Short() {
-		uops = 1000
-	}
-	setups := []struct {
-		name     string
-		annotate func(*prog.Program, partition.Options) // nil: unannotated
-		targets  int
-		clusters int
-		make     func() steer.Policy
-	}{
+// goldenSetup is one setup of the golden table (see
+// internal/sim/golden_test.go): the compiler pass its traces are annotated
+// with (nil: unannotated) for a target cluster count, the machine's
+// cluster count and a fresh-policy factory.
+type goldenSetup struct {
+	name     string
+	annotate func(*prog.Program, partition.Options)
+	targets  int
+	clusters int
+	make     func() steer.Policy
+}
+
+func goldenSetups() []goldenSetup {
+	return []goldenSetup{
 		{"OP", nil, 0, 2, func() steer.Policy { return &steer.OP{} }},
 		{"one-cluster", nil, 0, 2, func() steer.Policy { return &steer.OneCluster{} }},
 		{"OB", partition.AnnotateOB, 2, 2, func() steer.Policy { return &steer.Static{Label: "OB"} }},
@@ -50,19 +44,43 @@ func TestDataflowReadinessGoldenSetups(t *testing.T) {
 		{"VC", partition.AnnotateVC, 2, 2, func() steer.Policy { return steer.NewVC(2) }},
 		{"VC(2->4)", partition.AnnotateVC, 2, 4, func() steer.Policy { return steer.NewVC(2) }},
 	}
+}
+
+// goldenUops is the golden table's trace length, shortened under -short.
+func goldenUops() int {
+	if testing.Short() {
+		return 1000
+	}
+	return 5000
+}
+
+// trace expands simpoint sp for machine cfg as the golden table does.
+func (s goldenSetup) trace(cfg Config, sp *workload.Simpoint, uops int) *trace.Trace {
+	p := sp.Program.Clone()
+	if s.annotate != nil {
+		s.annotate(p, partition.Options{
+			NumVC: s.targets, NumClusters: s.targets,
+			IssueInt: cfg.Cluster.IssueInt, IssueFP: cfg.Cluster.IssueFP,
+			CommLatency: cfg.Net.Latency + 1,
+		})
+	}
+	return trace.Expand(p, trace.Options{NumUops: uops, Seed: sp.Seed})
+}
+
+// TestDataflowReadinessGoldenSetups runs the golden table's setups over
+// the quick suite with the invariant checks on: no micro-op issues before
+// the operands it waited on are readable in its cluster, and no copy
+// issues before its value is readable in its home cluster. Every run goes
+// both cycle by cycle and with idle skipping, which must agree, and every
+// run must complete: a deadlock both modes share is still a failure, and
+// only a completed run reaches the end-of-run conservation check.
+func TestDataflowReadinessGoldenSetups(t *testing.T) {
+	uops := goldenUops()
 	withInvariants(func() {
-		for _, s := range setups {
+		for _, s := range goldenSetups() {
 			cfg := DefaultConfig(s.clusters)
 			for _, sp := range workload.QuickSuite() {
-				p := sp.Program.Clone()
-				if s.annotate != nil {
-					s.annotate(p, partition.Options{
-						NumVC: s.targets, NumClusters: s.targets,
-						IssueInt: cfg.Cluster.IssueInt, IssueFP: cfg.Cluster.IssueFP,
-						CommLatency: cfg.Net.Latency + 1,
-					})
-				}
-				tr := trace.Expand(p, trace.Options{NumUops: uops, Seed: sp.Seed})
+				tr := s.trace(cfg, sp, uops)
 				label := fmt.Sprintf("%s/%s", s.name, sp.Name)
 				if _, err := checkSkipEquivalent(t, label, cfg, s.make, tr); err != "" {
 					t.Errorf("%s: run did not complete: %s", label, err)

@@ -1,8 +1,11 @@
 package pipeline
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"clustersim/internal/cache"
 	"clustersim/internal/cluster"
@@ -113,9 +116,11 @@ func (c *Core) Run() (*Metrics, error) {
 // divider, a link or a store port — cheap to poll, easy to get wrong), when
 // the next cycle already holds other events, and on the first cycle of a
 // policy stall: only a repeated stalled Steer is guaranteed to change
-// nothing but Complexity (see steer.Policy). The hierarchy's own attempt
-// counters (MSHRFullEvents, per-cache lookup statistics) are not part of
-// Metrics and count only the accesses actually made.
+// nothing but Complexity (see steer.Policy). A store woken for the next
+// cycle never waits across a skip: only a completion or a copy arrival
+// wakes one, and either is progress. The hierarchy's own attempt counters
+// (MSHRFullEvents, per-cache lookup statistics) are not part of Metrics
+// and count only the accesses actually made.
 func (c *Core) skipIdle(retries uint64, steerRepeats bool, lastCommit int64) {
 	if c.cycleStall == StallPolicy && !steerRepeats {
 		return
@@ -171,14 +176,17 @@ func (c *Core) skipIdle(retries uint64, steerRepeats bool, lastCommit int64) {
 	c.evStats.scheduled += int64(retries) * k
 	c.evStats.skipped += k
 	// The last skipped cycle would have re-armed the retries, in order,
-	// behind whatever the first simulated cycle already holds.
+	// behind whatever the first simulated cycle already holds: they are
+	// that slot's drain-scheduled region (see processEvents).
 	if to := until & c.wheelMask; to != from {
-		if len(c.wheel[to]) == 0 {
+		c.slotA = len(c.wheel[to])
+		if c.slotA == 0 {
 			c.wheel[to], c.wheel[from] = c.wheel[from], c.wheel[to]
 		} else {
 			c.wheel[to] = append(c.wheel[to], c.wheel[from]...)
 			c.wheel[from] = c.wheel[from][:0]
 		}
+		c.slotB = len(c.wheel[to])
 	}
 	c.cycle = until - 1
 }
@@ -280,6 +288,10 @@ func (c *Core) commit() {
 		if !st.completed {
 			return
 		}
+		if checkInvariants && (!st.live || st.seq != c.committed) {
+			panic(fmt.Sprintf("pipeline: commit of seq %d (live %v) after %d commits at cycle %d",
+				st.seq, st.live, c.committed, c.cycle))
+		}
 		if st.u.Static.Opcode == uarch.OpStore {
 			// Stores write the cache at retirement through the single L1
 			// write port; port or MSHR pressure stalls commit.
@@ -296,7 +308,7 @@ func (c *Core) commit() {
 		if st.u.Static.Dst != uarch.RegNone {
 			c.freeValue(st.prevValue)
 		}
-		c.clusters[st.cluster].InFlight--
+		c.clusters[int(st.cluster)].InFlight--
 		st.live = false
 		c.robHead++
 		c.robLen--
@@ -308,34 +320,107 @@ func (c *Core) commit() {
 
 // --- events (writeback / copy delivery / memory progress) -------------------
 
+// processEvents drains this cycle's events, and completes each woken
+// store exactly where the per-cycle poll it replaces (storeDataPolls)
+// would have found its data.
+//
+// A cycle X's slot holds, in order, the events scheduled before cycle
+// X−1's drain (region A), those scheduled during it (region B: every poll
+// re-arm and every other cycle+1 event a handler schedules), and those
+// scheduled after it, at X−1's issue (region C); slotA and slotB record
+// the boundaries. Each handled event has a drain key, which it hands on to
+// the events it schedules and the stores it parks: an A event's key is
+// below, and a C event's above, every key minted in an earlier cycle, each
+// region's in drain order, and a B event keeps the key it was scheduled
+// with. A slot's B events, scheduled in drain order, are thus in ascending
+// key order, and a poll holds the same place among them in every cycle it
+// waits: the key of the event that first armed it.
+//
+// A parked store carries the key its poll would have had. Once woken, it
+// is due in this drain if that key is above evDueAbove, and in the next
+// drain otherwise: in region A the bar is the drain's last A key (a poll
+// armed in an earlier cycle comes after every A event; one armed by an A
+// event of this drain not before the next), in region B the waking
+// event's own key, and in region C nothing is due. Due stores complete
+// among the B events in key order, those keyed above them all before the
+// first C event.
 func (c *Core) processEvents() {
+	next := &c.wheel[(c.cycle+1)&c.wheelMask]
+	aEnd, bEnd := c.slotA, c.slotB
+	c.slotA = len(*next)
+	if len(c.dueNext) > 0 {
+		c.dueNow, c.dueNext = c.dueNext, c.dueNow[:0]
+		slices.SortFunc(c.dueNow, func(a, b dueStore) int { return cmp.Compare(b.key, a.key) })
+	}
+	var over []event
 	if c.evOverflowLen > 0 {
-		if over, ok := c.evOverflow[c.cycle]; ok {
+		if over = c.evOverflow[c.cycle]; over != nil {
 			delete(c.evOverflow, c.cycle)
 			c.evOverflowLen -= len(over)
-			for i := range over {
-				c.handleEvent(over[i])
-			}
 		}
 	}
 	idx := c.cycle & c.wheelMask
 	evs := c.wheel[idx]
-	if len(evs) == 0 {
+	if len(evs) == 0 && len(over) == 0 && len(c.dueNow) == 0 {
+		c.slotB = c.slotA
 		return
 	}
 	// Detach the slot while draining. In-window schedules during the drain
 	// always land in other slots (a same-slot target would be exactly one
 	// horizon ahead, which goes to overflow), so the backing array can be
-	// put straight back for reuse.
+	// put straight back for reuse. Overflow events were scheduled at least
+	// a horizon ago, so they lead region A.
 	c.wheel[idx] = nil
-	for i := range evs {
-		c.handleEvent(evs[i])
+	nA := int64(len(over) + aEnd)
+	c.aKeys -= nA
+	c.evKey, c.evDueAbove = c.aKeys, c.aKeys+nA-1
+	for _, ev := range over {
+		c.handleEvent(ev)
+		c.evKey++
+	}
+	for _, ev := range evs[:aEnd] {
+		c.handleEvent(ev)
+		c.evKey++
+	}
+	for i, ev := range evs[aEnd:bEnd] {
+		if checkInvariants && i > 0 && ev.aux <= evs[aEnd+i-1].aux {
+			panic(fmt.Sprintf("pipeline: drain key %d follows %d at cycle %d", ev.aux, evs[aEnd+i-1].aux, c.cycle))
+		}
+		c.completeDue(ev.aux)
+		c.evKey, c.evDueAbove = ev.aux, ev.aux
+		c.handleEvent(ev)
+	}
+	c.completeDue(math.MaxInt64)
+	c.evDueAbove = math.MaxInt64
+	for _, ev := range evs[bEnd:] {
+		c.evKey = c.cKeys
+		c.cKeys++
+		c.handleEvent(ev)
 	}
 	c.wheel[idx] = evs[:0]
+	c.slotB = len(*next)
+}
+
+// completeDue completes, in key order, the due stores keyed below limit.
+// Each completes as its poll would have: as a B event with its own key.
+func (c *Core) completeDue(limit int64) {
+	for n := len(c.dueNow); n > 0 && c.dueNow[n-1].key < limit; n = len(c.dueNow) {
+		d := c.dueNow[n-1]
+		c.dueNow = c.dueNow[:n-1]
+		st := c.uop(d.seq)
+		if checkInvariants && !c.valueIsReadyIn(st.srcValues[0], int(st.cluster)) {
+			panic(fmt.Sprintf("pipeline: store seq %d woken before its data value %d arrived in cluster %d at cycle %d",
+				st.seq, st.srcValues[0], st.cluster, c.cycle))
+		}
+		c.evKey, c.evDueAbove = d.key, d.key
+		c.lsq.SetStoreData(st.seq)
+		c.finish(st.seq)
+	}
 }
 
 // handleEvent dispatches one drained event to its handler.
 func (c *Core) handleEvent(ev event) {
+	c.evStats.drained[ev.kind]++
 	switch ev.kind {
 	case evComplete:
 		c.finish(ev.seq)
@@ -348,9 +433,9 @@ func (c *Core) handleEvent(ev event) {
 		}
 	case evCopyArrive:
 		c.progress++
-		c.valueReadyIn(ev.seq, ev.aux)
+		c.valueReadyIn(ev.seq, int(ev.aux))
 		if c.copyInserted != nil {
-			key := copyKey{ev.seq, ev.aux}
+			key := copyKey{ev.seq, int(ev.aux)}
 			if t0, ok := c.copyInserted[key]; ok {
 				c.m.Histograms.CopyLatency.Observe(c.cycle - t0)
 				delete(c.copyInserted, key)
@@ -365,23 +450,30 @@ func (c *Core) handleEvent(ev event) {
 
 // storeDataCheck completes a store once its data operand is readable in its
 // cluster (the store-data half of the split store; the address half already
-// ran). Polls once per cycle while the data is in flight.
+// ran). While the data is in flight the store parks on its value, and the
+// value's arrival in the store's cluster completes it (see processEvents);
+// with storeDataPolls it re-polls every cycle instead.
 func (c *Core) storeDataCheck(st *uopState) {
 	if st.completed {
 		return
 	}
-	if c.valueIsReadyIn(st.srcValues[0], st.cluster) {
+	if c.valueIsReadyIn(st.srcValues[0], int(st.cluster)) {
 		c.lsq.SetStoreData(st.seq)
 		c.finish(st.seq)
 		return
 	}
-	c.retry(evStoreData, st.seq)
+	if storeDataPolls {
+		c.retry(evStoreData, st.seq)
+		return
+	}
+	c.parkStore(st)
 }
 
-// retry re-arms a poll of seq for the next cycle.
+// retry re-arms a poll of seq for the next cycle, at the handler's drain
+// key.
 func (c *Core) retry(kind eventKind, seq int64) {
 	c.retries++
-	c.schedule(c.cycle+1, event{kind, seq, 0})
+	c.schedule(c.cycle+1, event{kind, seq, c.evKey})
 }
 
 // finish completes execution of a micro-op.
@@ -393,7 +485,7 @@ func (c *Core) finish(seq int64) {
 	st.completed = true
 	c.progress++
 	if st.u.Static.Dst != uarch.RegNone {
-		c.valueReadyIn(seq, st.cluster)
+		c.valueReadyIn(seq, int(st.cluster))
 	}
 	if st.mispredicted {
 		// Branch resolved: release the frontend. The refill cost is the
@@ -426,7 +518,7 @@ func (c *Core) memTry(st *uopState) {
 		c.retry(evMemTry, st.seq)
 	case cache.LoadForward:
 		c.progress++
-		c.schedule(c.cycle+1, event{evComplete, st.seq, 0})
+		c.schedule(c.cycle+1, event{evComplete, st.seq, c.evKey})
 	case cache.LoadAccess:
 		if !c.mem.L1().ReservePort(c.cycle, false) {
 			c.retry(evMemTry, st.seq)
@@ -438,7 +530,7 @@ func (c *Core) memTry(st *uopState) {
 			return
 		}
 		c.progress++
-		c.schedule(res.Ready, event{evComplete, st.seq, 0})
+		c.schedule(res.Ready, event{evComplete, st.seq, c.evKey})
 	}
 }
 
@@ -471,7 +563,7 @@ func (c *Core) issue() {
 				panic(fmt.Sprintf("pipeline: copy of value %d issued in cluster %d before the value was ready there at cycle %d",
 					e.Seq, cl.ID, c.cycle))
 			}
-			c.schedule(arr, event{evCopyArrive, e.Seq, e.Aux})
+			c.schedule(arr, event{evCopyArrive, e.Seq, int64(e.Aux)})
 			c.progress++
 			return true
 		})
@@ -486,7 +578,7 @@ func (c *Core) checkIssue(st *uopState) {
 		if i == 0 && st.u.Static.Opcode == uarch.OpStore {
 			continue
 		}
-		if !c.valueIsReadyIn(vseq, st.cluster) {
+		if !c.valueIsReadyIn(vseq, int(st.cluster)) {
 			panic(fmt.Sprintf("pipeline: seq %d issued in cluster %d before operand value %d arrived there at cycle %d",
 				st.seq, st.cluster, vseq, c.cycle))
 		}
@@ -495,10 +587,14 @@ func (c *Core) checkIssue(st *uopState) {
 
 // checkDrained enforces resource conservation after a completed run: every
 // issue queue is empty; the live values are exactly the architectural
-// registers' current values, with no entry still parked on them; and in
+// registers' current values, with no entry or store still parked on them
+// and no woken store left to complete; and in
 // each cluster the free registers plus those held by live values make up
 // the whole register files.
 func (c *Core) checkDrained() {
+	if len(c.dueNow)+len(c.dueNext) != 0 {
+		panic(fmt.Sprintf("pipeline: %d woken stores not completed after the run", len(c.dueNow)+len(c.dueNext)))
+	}
 	held := make([][2]int, c.cfg.NumClusters) // per cluster: int, FP
 	live := 0
 	count := func(v *valueState) {
@@ -509,6 +605,9 @@ func (c *Core) checkDrained() {
 		v.waiters.Each(func(e *cluster.Entry) {
 			panic(fmt.Sprintf("pipeline: seq %d still parked on value %d after the run", e.Seq, v.seq))
 		})
+		if v.stores != 0 {
+			panic(fmt.Sprintf("pipeline: store seq %d still parked on value %d after the run", v.stores-1, v.seq))
+		}
 		bank := 0
 		if v.reg.IsFP() {
 			bank = 1
@@ -762,7 +861,7 @@ func (c *Core) tryDispatch(slot *fetchSlot) StallReason {
 	}
 	st := &c.uops[seq&c.uopMask]
 	*st = uopState{
-		seq: seq, u: u, cluster: ci, live: true,
+		seq: seq, u: u, cluster: int32(ci), live: true,
 		mispredicted: slot.mispred, prevValue: initialValue,
 		srcValues: vseqs,
 	}

@@ -778,6 +778,16 @@ func TestSubmissionIDsUniqueAcrossRestarts(t *testing.T) {
 	before, _, _ := startServer(t)
 	after, _, _ := startServer(t)
 	job := `{"simpoint":"gzip-1","setup":{"kind":"OP","clusters":2},"opts":{"num_uops":500}}`
+	// Every accepted submission finishes before the test returns: its
+	// result is still being written to the server's disk store, whose
+	// temporary directory the test's cleanup removes.
+	type accepted struct{ base, id string }
+	var pending []accepted
+	defer func() {
+		for _, a := range pending {
+			waitDone(t, a.base, a.id)
+		}
+	}()
 	submit := func(ts *httptest.Server) string {
 		t.Helper()
 		resp, raw := postJSON(t, ts.URL+"/v1/jobs", job)
@@ -788,6 +798,7 @@ func TestSubmissionIDsUniqueAcrossRestarts(t *testing.T) {
 		if err := json.Unmarshal(raw, &sub); err != nil {
 			t.Fatal(err)
 		}
+		pending = append(pending, accepted{ts.URL, sub.ID})
 		return sub.ID
 	}
 	seen := map[string]bool{}
