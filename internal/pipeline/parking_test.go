@@ -148,15 +148,6 @@ func TestStoreParkingMatchesPolling(t *testing.T) {
 	}
 }
 
-// drainedTotal sums a core's drained events over every kind.
-func drainedTotal(c *Core) int64 {
-	n := int64(0)
-	for _, d := range c.evStats.drained {
-		n += d
-	}
-	return n
-}
-
 // TestStoreParkingDrainedEvents pins the event work of BenchmarkCoreHotLoop's
 // OP-mcf input (10k uops of the memory-bound mcf simpoint under OP, two
 // clusters): the parking core drains no store-data poll at all, and the
@@ -190,7 +181,11 @@ func TestStoreParkingDrainedEvents(t *testing.T) {
 		core *Core
 		want int64
 	}{{"parked", parked, 18_346}, {"polled", polled, 204_148}} {
-		if got := drainedTotal(c.core); got != c.want {
+		got := int64(0)
+		for _, n := range c.core.evStats.drained {
+			got += n
+		}
+		if got != c.want {
 			t.Errorf("%s core drained %d events (%.3f per uop; by kind %v), pinned %d (%.3f)",
 				c.name, got, float64(got)/10_000, c.core.evStats.drained, c.want, float64(c.want)/10_000)
 		}
