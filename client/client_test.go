@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -28,6 +29,11 @@ import (
 // startServer builds a clusterd-shaped stack behind httptest and a client
 // pointed at it.
 func startServer(t *testing.T) (*httptest.Server, *client.Client, *engine.Engine) {
+	return startServerWith(t, func(h http.Handler) http.Handler { return h })
+}
+
+// startServerWith is startServer with the service handler wrapped by wrap.
+func startServerWith(t *testing.T, wrap func(http.Handler) http.Handler) (*httptest.Server, *client.Client, *engine.Engine) {
 	t.Helper()
 	disk, err := store.OpenDisk(t.TempDir(), 0)
 	if err != nil {
@@ -35,7 +41,7 @@ func startServer(t *testing.T) (*httptest.Server, *client.Client, *engine.Engine
 	}
 	st := store.NewTiered(store.NewMemory(64<<20), disk)
 	eng := engine.New(engine.Options{Parallelism: 2, ResultStore: st})
-	ts := httptest.NewServer(service.New(context.Background(), eng, st))
+	ts := httptest.NewServer(wrap(service.New(context.Background(), eng, st)))
 	t.Cleanup(ts.Close)
 	c, err := client.New(ts.URL, client.WithBackoff(10*time.Millisecond, 50*time.Millisecond))
 	if err != nil {
@@ -324,10 +330,40 @@ func TestHybridMixedBatch(t *testing.T) {
 	}
 }
 
+// submitLog wraps a server handler and records the ID of every
+// submission it accepts, whether or not the client read the ack.
+type submitLog struct {
+	inner http.Handler
+	mu    sync.Mutex
+	ids   []string
+}
+
+func (l *submitLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost || r.URL.Path != "/v1/jobs" {
+		l.inner.ServeHTTP(w, r)
+		return
+	}
+	rec := httptest.NewRecorder()
+	l.inner.ServeHTTP(rec, r)
+	var ack api.SubmitResponse
+	if rec.Code == http.StatusAccepted && json.Unmarshal(rec.Body.Bytes(), &ack) == nil {
+		l.mu.Lock()
+		l.ids = append(l.ids, ack.ID)
+		l.mu.Unlock()
+	}
+	maps.Copy(w.Header(), rec.Header())
+	w.WriteHeader(rec.Code)
+	w.Write(rec.Body.Bytes())
+}
+
 // Canceling the context mid-stream unblocks every pending job with the
 // context's error and closes the runner's channel.
 func TestStreamContextCancellation(t *testing.T) {
-	_, c, _ := startServer(t)
+	accepted := &submitLog{}
+	_, c, _ := startServerWith(t, func(h http.Handler) http.Handler {
+		accepted.inner = h
+		return accepted
+	})
 	ctx, cancel := context.WithCancel(context.Background())
 
 	sps := []*workload.Simpoint{workload.ByName("gzip-1"), workload.ByName("mcf"),
@@ -376,6 +412,36 @@ func TestStreamContextCancellation(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("Stream did not return after cancellation")
 	}
+
+	// Canceling a subscriber does not cancel the server's run: let every
+	// accepted submission finish before t.TempDir's cleanup removes the
+	// disk store its results are written to.
+	accepted.mu.Lock()
+	ids := slices.Clone(accepted.ids)
+	accepted.mu.Unlock()
+	if !slices.Contains(ids, sub.ID) {
+		t.Fatalf("submission %s missing from the accepted %v", sub.ID, ids)
+	}
+	for _, id := range ids {
+		waitStatusDone(t, c, id)
+	}
+}
+
+// waitStatusDone polls a submission's status until it reports done.
+func waitStatusDone(t *testing.T, c *client.Client, id string) {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for time.Now().Before(deadline) {
+		st, err := c.Status(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Done {
+			return
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	t.Fatalf("submission %s never finished", id)
 }
 
 // abortingStream wraps the service handler and kills the first stream

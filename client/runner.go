@@ -1,9 +1,11 @@
 // Runner adapts a Client to the engine.Runner interface: jobs are
 // converted to declarative JobSpecs, shipped to clusterd in one batch per
-// Stream call, followed over SSE, and their full results fetched back by
-// content key through the engine codec. Everything written against
-// engine.Runner — sim.RunMatrixOn, the experiment harness, steerbench —
-// therefore runs against a clusterd fleet unchanged.
+// Stream call, and followed over SSE, whose completion events carry each
+// full result encoded by the engine codec — one request per batch to
+// submit and one stream to follow it, with no per-result fetch.
+// Everything written against engine.Runner — sim.RunMatrixOn, the
+// experiment harness, steerbench — therefore runs against a clusterd
+// fleet unchanged.
 package client
 
 import (
@@ -49,7 +51,7 @@ func (e *JobError) Error() string { return "clusterd: " + e.Message }
 type RunnerOption func(*Runner)
 
 // WithRunnerTracer records one client-side flight per remote batch
-// (spans: submit, stream, and one fetch per result) into t, under the
+// (spans: submit and stream) into t, under the
 // same trace-ID base the server derives per-job IDs from — so a
 // steerbench -trace-out timeline lines the client's view up against
 // the workers' span trees.
@@ -119,10 +121,11 @@ func (r *Runner) Stream(ctx context.Context, jobs []engine.Job) <-chan engine.Jo
 	return out
 }
 
-// streamRemote runs one batch submission end-to-end: submit, follow the
-// SSE stream, fetch each completed job's full result by key. Jobs whose
-// events never arrive (stream failure, cancellation) are reported with
-// the stream's error so every submitted job yields exactly one result.
+// streamRemote runs one batch submission end-to-end: submit, then follow
+// the SSE stream, decoding each completed job's result from its event.
+// Jobs whose events never arrive (stream failure, cancellation) are
+// reported with the stream's error so every submitted job yields exactly
+// one result.
 func (r *Runner) streamRemote(ctx context.Context, jobs []engine.Job, specs []engine.JobSpec, remoteIdx []int, out chan<- engine.JobResult) {
 	fail := func(err error) {
 		for _, idx := range remoteIdx {
@@ -152,10 +155,8 @@ func (r *Runner) streamRemote(ctx context.Context, jobs []engine.Job, specs []en
 		return
 	}
 
-	// Fetch results concurrently as their completion events arrive; the
-	// semaphore keeps a wide batch from opening unbounded connections.
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, 8)
+	// out holds a slot for every job, so the callback never blocks the
+	// stream.
 	arrived := make([]bool, len(specs))
 	t0 = fl.Begin()
 	streamErr := r.c.Stream(ctx, sub.ID, func(ev api.JobEvent) {
@@ -164,20 +165,9 @@ func (r *Runner) streamRemote(ctx context.Context, jobs []engine.Job, specs []en
 		}
 		arrived[ev.Index] = true
 		idx := remoteIdx[ev.Index]
-		job := jobs[idx]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			tf := fl.Begin()
-			res := r.fetch(ctx, job, ev)
-			fl.Span("fetch", tf)
-			out <- engine.JobResult{Index: idx, Job: job, Result: res}
-		}()
+		out <- engine.JobResult{Index: idx, Job: jobs[idx], Result: eventResult(jobs[idx], ev)}
 	})
 	fl.Span("stream", t0)
-	wg.Wait()
 	if streamErr == nil {
 		streamErr = errors.New("client: stream completed with missing results")
 	}
@@ -192,21 +182,24 @@ func (r *Runner) streamRemote(ctx context.Context, jobs []engine.Job, specs []en
 	}
 }
 
-// fetch turns one completion event into a full result: failures surface
-// as error results, successes are fetched by key and re-bound to the
-// submitting job's simpoint so result rows match the local suite.
-func (r *Runner) fetch(ctx context.Context, job engine.Job, ev api.JobEvent) *engine.Result {
+// eventResult turns one completion event into a full result: failures
+// surface as JobError results, successes are decoded from the event's
+// encoded result and re-bound to the submitting job's simpoint so result
+// rows match the local suite. A success event without a decodable result
+// is a protocol error, never a JobError.
+func eventResult(job engine.Job, ev api.JobEvent) *engine.Result {
 	if ev.Error != "" {
 		return &engine.Result{Simpoint: job.Simpoint, Setup: job.Setup.Label,
 			Err: &JobError{Message: ev.Error}}
 	}
-	if ev.Key == "" {
+	if len(ev.Result) == 0 {
 		return &engine.Result{Simpoint: job.Simpoint, Setup: job.Setup.Label,
-			Err: errors.New("client: server reported success but no result key")}
+			Err: errors.New("client: server reported success but sent no result")}
 	}
-	res, err := r.c.Result(ctx, ev.Key)
+	res, err := engine.DecodeResult(ev.Result)
 	if err != nil {
-		return &engine.Result{Simpoint: job.Simpoint, Setup: job.Setup.Label, Err: err}
+		return &engine.Result{Simpoint: job.Simpoint, Setup: job.Setup.Label,
+			Err: fmt.Errorf("client: %w", err)}
 	}
 	res.Simpoint = job.Simpoint
 	return res

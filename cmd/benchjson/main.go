@@ -12,6 +12,8 @@
 //
 // -out refreshes a snapshot in place: when the file already exists, its
 // note (unless -note overrides it) and its "before" block are preserved.
+// A benchmark run several times (go test -count N) records the median of
+// each of its metrics over the runs.
 //
 // With -baseline, the exit status is non-zero when any benchmark present
 // in both runs regresses: uops/s below (1 - maxregress) × baseline,
@@ -80,7 +82,8 @@ var procsSuffix = regexp.MustCompile(`-\d+$`)
 // with different core counts compare — but only when every result line
 // carries the same suffix (the decoration is uniform within one run), so
 // a benchmark legitimately named "gzip-1" on a 1-CPU run is not mangled
-// alongside differently-named siblings.
+// alongside differently-named siblings. A name reported several times
+// (go test -count N) records the median of each metric over its runs.
 func parse(r *bufio.Scanner) (map[string]Metrics, error) {
 	type row struct {
 		name string
@@ -134,15 +137,39 @@ func parse(r *bufio.Scanner) (map[string]Metrics, error) {
 			break
 		}
 	}
-	out := map[string]Metrics{}
+	runs := map[string][]Metrics{}
 	for _, rw := range rows {
-		name := rw.name
-		if suffix != "" {
-			name = strings.TrimSuffix(name, suffix)
-		}
-		out[name] = rw.met
+		name := strings.TrimSuffix(rw.name, suffix)
+		runs[name] = append(runs[name], rw.met)
+	}
+	out := make(map[string]Metrics, len(runs))
+	for name, ms := range runs {
+		out[name] = medianMetrics(ms)
 	}
 	return out, nil
+}
+
+// metricFields lists m's figures, so they can be combined field by field.
+func metricFields(m *Metrics) []*float64 {
+	return []*float64{&m.NsPerOp, &m.BytesPerOp, &m.AllocsPerOp, &m.UopsPerSec,
+		&m.AllocsPerUop, &m.ReqPerSec, &m.P50Ms, &m.P99Ms}
+}
+
+// medianMetrics returns the per-metric median of one benchmark's runs:
+// the middle value for an odd count, the mean of the middle two for an
+// even one.
+func medianMetrics(runs []Metrics) Metrics {
+	var out Metrics
+	vals := make([]float64, len(runs))
+	for f, p := range metricFields(&out) {
+		for i := range runs {
+			vals[i] = *metricFields(&runs[i])[f]
+		}
+		sort.Float64s(vals)
+		n := len(vals)
+		*p = (vals[(n-1)/2] + vals[n/2]) / 2
+	}
+	return out
 }
 
 // compare gates the fresh run against the baseline. Benchmarks missing on

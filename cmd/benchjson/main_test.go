@@ -233,3 +233,25 @@ func TestOutRefreshPreservesHistory(t *testing.T) {
 		t.Error("benchmarks not refreshed")
 	}
 }
+
+// A name repeated by -count N records the median of each metric, not
+// whichever run came last.
+func TestParseRepeatedNameKeepsMedian(t *testing.T) {
+	out := `BenchmarkCoreHotLoop/OP-8 	 100	 6000000 ns/op	 0.30 allocs/uop	 2760000 uops/s
+BenchmarkCoreHotLoop/OP-8 	 100	 5000000 ns/op	 0.40 allocs/uop	 2100000 uops/s
+BenchmarkCoreHotLoop/OP-8 	 100	 7000000 ns/op	 0.35 allocs/uop	 1940000 uops/s
+BenchmarkCoreHotLoop/VC-8 	 100	 4000000 ns/op
+BenchmarkCoreHotLoop/VC-8 	 100	 5000000 ns/op
+`
+	m := parseSample(t, out)
+	if len(m) != 2 {
+		t.Fatalf("parsed %d benchmarks, want 2: %+v", len(m), m)
+	}
+	op := m["CoreHotLoop/OP"]
+	if op.NsPerOp != 6000000 || op.UopsPerSec != 2100000 || op.AllocsPerUop != 0.35 {
+		t.Errorf("CoreHotLoop/OP = %+v, want the per-metric medians 6000000 ns/op, 2100000 uops/s, 0.35 allocs/uop", op)
+	}
+	if vc := m["CoreHotLoop/VC"]; vc.NsPerOp != 4500000 {
+		t.Errorf("CoreHotLoop/VC ns/op = %v, want the mean of the middle two, 4500000", vc.NsPerOp)
+	}
+}

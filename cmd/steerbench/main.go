@@ -190,7 +190,7 @@ func main() {
 
 	// -trace-out traces the whole run: the local engine records per-stage
 	// flights directly, remote runners record one client-side flight per
-	// batch (submit/stream/fetch spans), and everything lands in one
+	// batch (submit and stream spans), and everything lands in one
 	// Chrome-trace timeline. The capacity is sized for a full suite; the
 	// ring evicts the oldest flights beyond it rather than failing.
 	var tracer *obs.Tracer

@@ -82,7 +82,14 @@ const (
 	// server answers a v8 submission that still sets the field with
 	// bad_request; the bump makes the mismatch fail at construction
 	// instead.
-	Version = 9
+	//
+	// v10: a successful job's JobEvent carries its full result, encoded
+	// by the engine codec, in result. A v9 server streams success events
+	// without it, which a v10 client can only report as a protocol error
+	// per job; the bump makes the mismatch fail at construction instead.
+	// GET /v1/results is unchanged and remains the way to fetch a result
+	// by key.
+	Version = 10
 	// VersionHeader is the HTTP response header carrying Version.
 	VersionHeader = "Clustersim-Api-Version"
 	// TraceHeader optionally carries a caller-chosen trace-ID base on
@@ -192,11 +199,17 @@ type JobEvent struct {
 	// deterministic simulation failures (branch on Error's presence,
 	// not Code's). Introduced with protocol v5.
 	Code string `json:"code,omitempty"`
-	// Headline metrics for dashboards; fetch the key for everything.
+	// Headline metrics for dashboards that do not decode Result.
 	IPC    float64 `json:"ipc,omitempty"`
 	Cycles int64   `json:"cycles,omitempty"`
 	Uops   int64   `json:"uops,omitempty"`
 	Copies int64   `json:"copies,omitempty"`
+	// Result is the job's full result as engine.EncodeResult writes it
+	// (base64 in JSON) — the same bytes GET /v1/results?key=…&raw=1
+	// serves — so a subscriber needs no second request per job. Every
+	// successful job's event carries it; failed and canceled jobs' events
+	// never do. Introduced with protocol v10.
+	Result []byte `json:"result,omitempty"`
 }
 
 // StatusResponse reports a submission's progress.

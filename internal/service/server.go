@@ -8,7 +8,7 @@
 //
 //	POST /v1/jobs                  submit {"jobs":[spec...]} or one spec
 //	GET  /v1/jobs/{id}             submission status + finished results
-//	GET  /v1/jobs/{id}/stream      SSE: one event per completed job
+//	GET  /v1/jobs/{id}/stream      SSE: one event per completed job, result included
 //	GET  /v1/results?key=K         fetch a stored result by content key
 //	PUT  /v1/results?key=K         upload a validated result blob (v3)
 //	GET  /v1/keys                  page through the store's logical keys (v3)
@@ -319,7 +319,7 @@ func (s *Server) retire(sub *submission) {
 // s.mu.
 func (s *Server) evictOldest() {
 	delete(s.subs, s.retired[0].id)
-	s.retired[0] = nil // the backing array must not pin its events
+	s.retired[0] = nil // the backing array must not pin its frames
 	s.retired = s.retired[1:]
 }
 
@@ -338,57 +338,58 @@ func (s *Server) expire() {
 	}
 }
 
-// submission tracks one POST /v1/jobs batch as its jobs complete.
+// submission tracks one POST /v1/jobs batch as its jobs complete. Each
+// completed job is held once, as its SSE frame: the stream replays the
+// frames as they are, and the rarely polled status route decodes them.
 type submission struct {
 	id    string
-	specs []engine.JobSpec
-	keys  []string
+	total int // jobs in the batch
 
 	// completedAt is set (under the server mutex) when the submission
 	// retires; TTL expiry keys off it.
 	completedAt time.Time
 
 	mu      sync.Mutex
-	events  []api.JobEvent
-	frames  [][]byte // pre-rendered SSE frames, index-aligned with events
+	frames  [][]byte // pre-rendered SSE result frames, in completion order
 	done    bool
 	changed chan struct{} // closed and replaced on every state change
 }
 
-// snapshot returns the events from index from on, whether the submission
-// has finished, and a channel closed on the next state change.
-func (sub *submission) snapshot(from int) ([]api.JobEvent, bool, <-chan struct{}) {
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
-	evs := sub.events[min(from, len(sub.events)):]
-	return evs, sub.done, sub.changed
-}
+// The SSE result frame around one JSON-encoded api.JobEvent.
+const (
+	framePrefix = "event: result\ndata: "
+	frameSuffix = "\n\n"
+)
 
-// snapshotFrames is snapshot for the SSE path: the already-encoded frames
-// every subscriber shares. Frames are immutable once appended, so the
-// returned slices may be written without holding the lock.
-func (sub *submission) snapshotFrames(from int) ([][]byte, bool, <-chan struct{}) {
+// snapshot returns the frames from index from on, whether the submission
+// has finished, and a channel closed on the next state change. Frames are
+// immutable once appended, so the returned slices may be read without
+// holding the lock.
+func (sub *submission) snapshot(from int) ([][]byte, bool, <-chan struct{}) {
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
 	frames := sub.frames[min(from, len(sub.frames)):]
 	return frames, sub.done, sub.changed
 }
 
-func (sub *submission) append(ev api.JobEvent, frame []byte, done bool) {
+// append records one result frame, or with a nil frame marks the
+// submission done, and wakes every waiting subscriber.
+func (sub *submission) append(frame []byte) {
 	sub.mu.Lock()
-	if !done {
-		sub.events = append(sub.events, ev)
+	if frame != nil {
 		sub.frames = append(sub.frames, frame)
+	} else {
+		sub.done = true
 	}
-	sub.done = sub.done || done
 	close(sub.changed)
 	sub.changed = make(chan struct{})
 	sub.mu.Unlock()
 }
 
-// appendResult records one completed job on the submission: the event for
-// status queries, and its SSE frame — marshaled exactly once, here, at
-// append time — for every current and future subscriber to share.
+// appendResult records one completed job on the submission as its SSE
+// frame — marshaled exactly once, here, at append time — for every
+// current and future subscriber to share. A successful job's frame
+// carries the encoded result, so subscribers need not fetch it by key.
 func (s *Server) appendResult(sub *submission, jr engine.JobResult, key string) {
 	ev := jobEvent(jr, key)
 	data, err := json.Marshal(ev)
@@ -398,11 +399,19 @@ func (s *Server) appendResult(sub *submission, jr engine.JobResult, key string) 
 		data = []byte("{}")
 	}
 	s.sseMarshals.Add(1)
-	frame := make([]byte, 0, len(data)+len("event: result\ndata: \n\n"))
-	frame = append(frame, "event: result\ndata: "...)
+	frame := make([]byte, 0, len(framePrefix)+len(data)+len(frameSuffix))
+	frame = append(frame, framePrefix...)
 	frame = append(frame, data...)
-	frame = append(frame, "\n\n"...)
-	sub.append(ev, frame, false)
+	frame = append(frame, frameSuffix...)
+	sub.append(frame)
+}
+
+// frameEvent decodes the api.JobEvent a result frame carries.
+func frameEvent(frame []byte) (api.JobEvent, error) {
+	var ev api.JobEvent
+	data := frame[len(framePrefix) : len(frame)-len(frameSuffix)]
+	err := json.Unmarshal(data, &ev)
+	return ev, err
 }
 
 // httpError writes the uniform JSON error body: a stable machine-readable
@@ -506,8 +515,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.nextID++
 	sub := &submission{
 		id:      fmt.Sprintf("sub-%s-%d", s.boot, s.nextID),
-		specs:   specs,
-		keys:    keys,
+		total:   len(specs),
 		changed: make(chan struct{}),
 	}
 	s.subs[sub.id] = sub
@@ -535,7 +543,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				s.adm.Release(tenant, 1)
 			}
 		}
-		sub.append(api.JobEvent{}, nil, true)
+		sub.append(nil)
 		s.retire(sub)
 		s.log.Debug("submission done", "id", sub.id, "jobs", len(jobs),
 			"dur_ms", time.Since(start).Milliseconds())
@@ -591,9 +599,16 @@ func jobEvent(jr engine.JobResult, key string) api.JobEvent {
 		Setup:    jr.Job.Setup.Label,
 		Key:      key,
 	}
-	if jr.Result.Err != nil {
-		ev.Error = jr.Result.Err.Error()
-		ev.Code = errorCode(jr.Result.Err)
+	err := jr.Result.Err
+	if err == nil {
+		// Wire jobs never track histograms, so a successful result always
+		// encodes; should one not, the job is reported failed rather than
+		// streamed as a success without its result.
+		ev.Result, err = engine.EncodeResult(jr.Result)
+	}
+	if err != nil {
+		ev.Error = err.Error()
+		ev.Code = errorCode(err)
 		return ev
 	}
 	m := jr.Result.Metrics
@@ -619,9 +634,18 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, api.CodeNotFound, "unknown submission %q", r.PathValue("id"))
 		return
 	}
-	events, done, _ := sub.snapshot(0)
+	frames, done, _ := sub.snapshot(0)
+	events := make([]api.JobEvent, len(frames))
+	for i, frame := range frames {
+		ev, err := frameEvent(frame)
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, api.CodeInternal, "decoding job event %d: %v", i, err)
+			return
+		}
+		events[i] = ev
+	}
 	writeJSON(w, http.StatusOK, api.StatusResponse{
-		ID: sub.id, Total: len(sub.specs), Completed: len(events), Done: done, Results: events,
+		ID: sub.id, Total: sub.total, Completed: len(events), Done: done, Results: events,
 	})
 }
 
@@ -661,7 +685,7 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 
 	sent := 0
 	for {
-		frames, done, changed := sub.snapshotFrames(sent)
+		frames, done, changed := sub.snapshot(sent)
 		for _, frame := range frames {
 			// Frames were encoded once at append time; every subscriber
 			// writes the same shared bytes.

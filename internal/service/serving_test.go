@@ -2,10 +2,13 @@ package service_test
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/url"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -242,6 +245,92 @@ func TestMetricsServingFamilies(t *testing.T) {
 	} {
 		if !strings.Contains(text, series) {
 			t.Errorf("metrics output missing %s", series)
+		}
+	}
+}
+
+// TestResultEventsCarryEncodedResult pins the v10 event contract: a
+// successful job's event carries exactly the blob GET /v1/results serves
+// raw for its key, a replay after completion and the status route return
+// the same events, and a failed job's event carries no result.
+func TestResultEventsCarryEncodedResult(t *testing.T) {
+	ts, _, _ := startServer(t)
+
+	body := `{"jobs":[
+		{"simpoint":"gzip-1","setup":{"kind":"OP","clusters":2},"opts":{"num_uops":20000}},
+		{"simpoint":"mcf","setup":{"kind":"VC","num_vc":2,"clusters":2},"opts":{"num_uops":20000}}
+	]}`
+	resp, raw := postJSON(t, ts.URL+"/v1/jobs", body)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, raw)
+	}
+	var sub api.SubmitResponse
+	if err := json.Unmarshal(raw, &sub); err != nil {
+		t.Fatal(err)
+	}
+
+	live := readStream(t, ts.URL, sub.ID)
+	if len(live) != 2 {
+		t.Fatalf("live stream carried %d events, want 2", len(live))
+	}
+	events := make([]api.JobEvent, len(live))
+	for i, payload := range live {
+		ev := &events[i]
+		if err := json.Unmarshal([]byte(payload), ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Error != "" || len(ev.Result) == 0 {
+			t.Fatalf("event %d: error %q, %d result bytes", i, ev.Error, len(ev.Result))
+		}
+		rr, err := http.Get(ts.URL + "/v1/results?raw=1&key=" + url.QueryEscape(ev.Key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := io.ReadAll(rr.Body)
+		rr.Body.Close()
+		if err != nil || rr.StatusCode != http.StatusOK {
+			t.Fatalf("raw fetch of %s: %d %v", ev.Key, rr.StatusCode, err)
+		}
+		if !bytes.Equal(ev.Result, blob) {
+			t.Errorf("event %d result (%d bytes) differs from the stored blob (%d bytes)",
+				i, len(ev.Result), len(blob))
+		}
+	}
+
+	// The submission is done: a replay carries the same frames, and the
+	// status route decodes them into the same events.
+	if replay := readStream(t, ts.URL, sub.ID); !slices.Equal(replay, live) {
+		t.Errorf("replay differs from the live stream:\nreplay %q\nlive   %q", replay, live)
+	}
+	var status api.StatusResponse
+	mustGetJSON(t, ts.URL+"/v1/jobs/"+sub.ID, &status)
+	if !status.Done || status.Total != 2 || status.Completed != 2 {
+		t.Errorf("status: done %v, %d of %d", status.Done, status.Completed, status.Total)
+	}
+	if !reflect.DeepEqual(status.Results, events) {
+		t.Errorf("status results differ from the streamed events:\nstatus %+v\nstream %+v",
+			status.Results, events)
+	}
+
+	// Jobs past a 1 ms deadline fail; their events carry no result.
+	resp, raw = postJobs(t, ts.URL, batchBody(3, 80001, ""), map[string]string{api.DeadlineHeader: "1"})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, raw)
+	}
+	if err := json.Unmarshal(raw, &sub); err != nil {
+		t.Fatal(err)
+	}
+	failed := readStream(t, ts.URL, sub.ID)
+	if len(failed) != 3 {
+		t.Fatalf("failed batch streamed %d events, want 3", len(failed))
+	}
+	for i, payload := range failed {
+		var ev api.JobEvent
+		if err := json.Unmarshal([]byte(payload), &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Error == "" || strings.Contains(payload, `"result"`) {
+			t.Errorf("failed event %d: %s", i, payload)
 		}
 	}
 }

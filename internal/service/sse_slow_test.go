@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"clustersim/internal/api"
 	"clustersim/internal/engine"
 	"clustersim/internal/store"
 )
@@ -38,9 +37,9 @@ func TestSSESlowConsumerDisconnected(t *testing.T) {
 	frame := append(append([]byte("data: "), bytes.Repeat([]byte("x"), 256<<10)...), "\n\n"...)
 	const frames = 64
 	for i := 0; i < frames; i++ {
-		sub.append(api.JobEvent{Index: i}, frame, false)
+		sub.append(frame)
 	}
-	sub.append(api.JobEvent{}, nil, true)
+	sub.append(nil)
 
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
