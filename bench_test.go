@@ -11,15 +11,20 @@ package clustersim
 // copy ratios, and steering-logic rates.
 
 import (
+	"context"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 
+	"clustersim/client"
 	"clustersim/internal/engine"
 	"clustersim/internal/experiments"
 	"clustersim/internal/partition"
 	"clustersim/internal/pipeline"
 	"clustersim/internal/prog"
+	"clustersim/internal/service"
 	"clustersim/internal/steer"
+	"clustersim/internal/store"
 	"clustersim/internal/trace"
 	"clustersim/internal/uarch"
 	"clustersim/internal/workload"
@@ -297,6 +302,61 @@ func BenchmarkResultCodec(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkServeWarmBatch measures the serving path's fixed cost per job:
+// each op is one warm batch (the quick suite × OP/VC/OB/RHOP at 2,000
+// uops, every result already cached) through client.Runner → service →
+// engine over httptest. allocs/op and B/op count the whole process,
+// client and server alike; CI gates both via cmd/benchjson. The per-job
+// figures, SSE bytes included, are for reading, not gated.
+func BenchmarkServeWarmBatch(b *testing.B) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	st := store.NewMemory(64 << 20)
+	ts := httptest.NewServer(service.New(ctx, engine.New(engine.Options{ResultStore: st}), st))
+	defer ts.Close()
+	c, err := client.New(ts.URL)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := client.NewRunner(c)
+	var jobs []engine.Job
+	for _, sp := range workload.QuickSuite() {
+		for _, s := range []Setup{SetupOP(2), SetupVC(2, 2), SetupOB(2), SetupRHOP(2)} {
+			jobs = append(jobs, engine.Job{Simpoint: sp, Setup: s, Opts: RunOptions{NumUops: 2_000}})
+		}
+	}
+	batch := func() {
+		for jr := range r.Stream(ctx, jobs) {
+			if jr.Result.Err != nil {
+				b.Fatal(jr.Result.Err)
+			}
+		}
+	}
+	sseBytes := func() int64 {
+		stats, err := c.Stats(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return stats.Serving.SSEBytes
+	}
+	batch() // simulates every job once; each measured batch is all hits
+	var before, after runtime.MemStats
+	sse0 := sseBytes()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N * len(jobs))
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/job")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/job")
+	b.ReportMetric(float64(sseBytes()-sse0)/n, "sse-B/job")
 }
 
 // BenchmarkPipelineOP measures raw simulation throughput under the

@@ -264,6 +264,27 @@ func TestRunnerFallback(t *testing.T) {
 	}
 }
 
+// A job whose run size no worker accepts fails alone, before the batch
+// is sent: the rest of its batch still runs remotely.
+func TestRunnerBadSizeFailsAlone(t *testing.T) {
+	_, c, serverEng := startServer(t)
+	opts := engine.RunOptions{NumUops: 2000}
+	jobs := []engine.Job{
+		{Simpoint: workload.ByName("gzip-1"), Setup: sim.SetupOP(2), Opts: opts},
+		{Simpoint: workload.ByName("gzip-1"), Setup: sim.SetupOP(2), Opts: engine.RunOptions{NumUops: -1}},
+		{Simpoint: workload.ByName("mcf"), Setup: sim.SetupOP(2), Opts: opts},
+		{Simpoint: workload.ByName("mcf"), Setup: sim.SetupOP(2), Opts: engine.RunOptions{NumUops: 1 << 40}},
+	}
+	for jr := range client.NewRunner(c).Stream(context.Background(), jobs) {
+		if failed, bad := jr.Result.Err != nil, jr.Index%2 == 1; failed != bad {
+			t.Errorf("job %d: err %v", jr.Index, jr.Result.Err)
+		}
+	}
+	if n := serverEng.Stats().Simulations; n != 2 {
+		t.Errorf("server ran %d simulations, want the 2 well-sized jobs", n)
+	}
+}
+
 // One Stream through Hybrid that mixes suite jobs with custom-program
 // jobs returns every result under its submitted index, runs the custom
 // jobs on the local engine only, and reports progress once per job.

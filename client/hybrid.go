@@ -19,14 +19,8 @@ func Hybrid(remote, local engine.Runner) engine.Runner {
 
 type hybrid struct{ remote, local engine.Runner }
 
-// travels reports whether job has a declarative wire form.
-func travels(job engine.Job) bool {
-	_, err := sim.SpecFromJob(job)
-	return err == nil
-}
-
 func (h *hybrid) Run(ctx context.Context, job engine.Job) *engine.Result {
-	if travels(job) {
+	if _, err := sim.SpecFromJob(job); err == nil {
 		return h.remote.Run(ctx, job)
 	}
 	return h.local.Run(ctx, job)
@@ -38,7 +32,7 @@ func (h *hybrid) Stream(ctx context.Context, jobs []engine.Job) <-chan engine.Jo
 	var remoteJobs, localJobs []engine.Job
 	var remoteIdx, localIdx []int
 	for i, job := range jobs {
-		if travels(job) {
+		if _, err := sim.SpecFromJob(job); err == nil {
 			remoteJobs, remoteIdx = append(remoteJobs, job), append(remoteIdx, i)
 		} else {
 			localJobs, localIdx = append(localJobs, job), append(localIdx, i)

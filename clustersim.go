@@ -183,13 +183,14 @@ type MachineSpec = engine.MachineSpec
 const PrefetchOff = engine.PrefetchOff
 
 // JobFromSpec resolves a declarative job spec against the synthetic suite
-// and validates its setup spec.
+// and validates its setup spec, machine override and run size.
 func JobFromSpec(spec JobSpec) (Job, error) { return sim.JobFromSpec(spec) }
 
 // SpecFromJob converts a runnable Job back to its declarative wire form —
-// the inverse of JobFromSpec. Non-suite workloads, histogram runs, and
-// setups or machine overrides that do not resolve have no wire form and
-// return an error; such jobs execute locally only.
+// the inverse of JobFromSpec. Non-suite workloads, histogram runs, run
+// sizes JobFromSpec refuses, and setups or machine overrides that do not
+// resolve have no wire form and return an error; such jobs execute
+// locally only.
 func SpecFromJob(job Job) (JobSpec, error) { return sim.SpecFromJob(job) }
 
 // Runner is the execution seam every consumer submits jobs through: the

@@ -35,7 +35,8 @@
 // byte-identical reports. With -remote, simulations execute on a clusterd
 // instance through the client SDK instead of in-process; the report is
 // byte-identical to a local run, and the daemon's content-addressed store
-// dedups repeated invocations across every client that ever submitted.
+// dedups repeated invocations across every client that ever submitted
+// (so -cachedir, which persists local runs, is refused with -remote).
 // With several comma-separated URLs the batch shards across the fleet by
 // consistent hash of each job's result key, and a worker lost mid-run is
 // survived: its unfinished jobs re-shard onto the remaining workers (the
@@ -119,10 +120,10 @@ func main() {
 		par      = flag.Int("parallel", 0, "concurrent simulations (0 = all cores)")
 		out      = flag.String("out", "", "also write the report to this file")
 		csvDir   = flag.String("csvdir", "", "write per-figure CSV files into this directory")
-		cacheDir = flag.String("cachedir", "", "persist completed results in this directory (reruns skip finished simulations; with -remote it only backs the jobs that run locally)")
+		cacheDir = flag.String("cachedir", "", "persist completed results in this directory (reruns skip finished simulations; local runs only, refused with -remote)")
 		cacheMax = flag.Int64("cachemax", 0, "bound the -cachedir store to this many bytes (0 = unbounded)")
 		progress = flag.Bool("progress", false, "print live phase/ETA progress and engine cache stats to stderr")
-		remote   = flag.String("remote", "", "execute simulations remotely: one clusterd URL, or a comma-separated list to shard across a fleet; jobs that cannot travel run locally")
+		remote   = flag.String("remote", "", "execute simulations remotely: one clusterd URL, or a comma-separated list to shard across a fleet")
 		token    = flag.String("token", "", "bearer token for clusterd workers started with -token")
 		coordURL = flag.String("coordinator", "", "with a multi-worker -remote: share one membership view with other runners through this clusterd -coordinator URL")
 		readmit  = flag.Duration("readmit", 0, "with a multi-worker -remote: how long a failed worker is routed around before a half-open probe may re-admit it (0 = fleet default, 5s)")
@@ -198,32 +199,35 @@ func main() {
 		tracer = obs.NewTracer(16384)
 	}
 
-	engOpts := clustersim.EngineOptions{Parallelism: *par, Tracer: tracer}
-	if *cacheDir != "" {
-		st, err := clustersim.OpenDiskStore(*cacheDir, *cacheMax)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		engOpts.ResultStore = st
-	}
-	eng := clustersim.NewEngine(engOpts)
-
 	// The runner is the execution seam: the local engine by default, a
 	// clusterd client when -remote is one URL, a sharded fleet runner when
-	// it is a comma-separated list. A remote runner is composed with the
-	// local engine through client.Hybrid, which runs the jobs that have no
-	// declarative wire form (every paper job has one, ablations included);
-	// -progress wraps whichever runner results. Everything downstream is
-	// runner-agnostic.
-	var runner clustersim.Runner = eng
+	// it is a comma-separated list. A remote run ships every job, so it
+	// keeps no local engine: each paper job has a declarative wire form,
+	// ablations included. -progress wraps whichever runner results.
+	// Everything downstream is runner-agnostic.
+	var runner clustersim.Runner
 	var fl *fleet.Runner // non-nil when sharding, for the fleet footer
 	urls := splitURLs(*remote)
-	if *remote != "" && len(urls) == 0 {
+	switch {
+	case *remote != "" && len(urls) == 0:
 		// "-remote ," (e.g. from unset env vars) must not silently run the
 		// whole suite locally with the remote flags ignored.
 		fmt.Fprintf(os.Stderr, "steerbench: -remote %q contains no URLs\n", *remote)
 		os.Exit(1)
+	case len(urls) > 0 && *cacheDir != "":
+		fmt.Fprintln(os.Stderr, "steerbench: -cachedir persists local runs only; a remote run persists in the workers' own -cachedir")
+		os.Exit(1)
+	case len(urls) == 0:
+		engOpts := clustersim.EngineOptions{Parallelism: *par, Tracer: tracer}
+		if *cacheDir != "" {
+			st, err := clustersim.OpenDiskStore(*cacheDir, *cacheMax)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
+			engOpts.ResultStore = st
+		}
+		runner = clustersim.NewEngine(engOpts)
 	}
 	var ropts []client.RunnerOption
 	if tracer != nil {
@@ -274,9 +278,6 @@ func main() {
 		defer fl.Close()
 		fmt.Fprintf(os.Stderr, "steerbench: sharding across %d clusterd workers\n", len(urls))
 		runner = fl
-	}
-	if len(urls) > 0 {
-		runner = client.Hybrid(runner, eng)
 	}
 	meter := newProgressMeter()
 	if *progress {

@@ -393,13 +393,9 @@ func (f *Runner) Stream(ctx context.Context, jobs []engine.Job) <-chan engine.Jo
 				}}
 				continue
 			}
-			key, ok := engine.ResultKey(job)
-			if !ok {
-				// Unreachable: every remoteable job has a content key
-				// (SpecFromJob rejects the uncacheable shapes). Shard by
-				// identity so a future divergence degrades instead of dying.
-				key = job.Simpoint.Name + "|" + job.Setup.Label
-			}
+			// A job SpecFromJob accepts has a key, read off the same
+			// resolution of its setup.
+			key, _ := engine.ResultKey(job)
 			tasks = append(tasks, task{idx: i, key: key})
 		}
 		if len(tasks) > 0 {

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -289,12 +290,27 @@ func (e *Engine) Stream(ctx context.Context, jobs []Job) <-chan JobResult {
 	return out
 }
 
-// fingerprint identifies a simpoint's program content across suite
-// reconstructions (workload.Suite synthesizes fresh Program values per
-// call, deterministically, so name + seed + content hash is a stable key
-// that also keeps distinct custom programs from aliasing).
-func fingerprint(sp *workload.Simpoint) string {
-	return fmt.Sprintf("%s|s%d|h%016x", sp.Name, sp.Seed, sp.Program.Fingerprint())
+// storePrefix namespaces result keys for persistent stores: the codec
+// schema version is folded in so that blobs written by an older codec
+// never even key-collide with the current one.
+var storePrefix = "result|v" + strconv.Itoa(CodecVersion) + "|"
+
+// appendFingerprint appends the identity of a simpoint's program content
+// across suite reconstructions, "name|s<seed>|h<content hash, 16 hex
+// digits>" (workload.Suite synthesizes fresh Program values per call,
+// deterministically, so name + seed + content hash is a stable key that
+// also keeps distinct custom programs from aliasing).
+func appendFingerprint(b []byte, sp *workload.Simpoint) []byte {
+	b = append(strconv.AppendInt(append(append(b, sp.Name...), "|s"...), sp.Seed, 10), "|h"...)
+	for fp, shift := sp.Program.Fingerprint(), 60; shift >= 0; shift -= 4 {
+		b = append(b, "0123456789abcdef"[fp>>shift&0xf])
+	}
+	return b
+}
+
+// appendNum appends a key field: its tag, then v in decimal.
+func appendNum(b []byte, tag string, v int) []byte {
+	return strconv.AppendInt(append(b, tag...), int64(v), 10)
 }
 
 // machine resolves the machine a job runs on: the Table 2 machine of the
@@ -312,56 +328,68 @@ func machine(clusters int, opt *RunOptions) (pipeline.Config, string, error) {
 	return cfg, key, err
 }
 
-// resultKey returns the whole-result cache key of a job whose setup
-// resolved to rs, or the machine override's validation error.
-func resultKey(job Job, rs *resolved) (string, error) {
+// resolveJob is the one resolver of a job: it returns the job's setup
+// resolution (NewSetup's memo while it is current) and the key suffix
+// naming its machine, or why the job cannot run: a setup that does not
+// resolve, a negative run size, or a machine override out of bounds.
+func resolveJob(job *Job) (resolved, string, error) {
+	rs := job.Setup.memo
+	var err error
+	if rs.kind == nil || rs.spec != job.Setup.SetupSpec {
+		if rs, err = resolve(job.Setup.SetupSpec); err != nil {
+			return rs, "", err
+		}
+	}
+	if job.Opts.NumUops < 0 || job.Opts.WarmupUops < 0 {
+		return rs, "", fmt.Errorf("engine: negative num_uops %d or warmup_uops %d", job.Opts.NumUops, job.Opts.WarmupUops)
+	}
 	// A job on the Table 2 machine pays only this comparison; any other
 	// machine appends the canonical override's suffix, so its machine-
 	// derived pass options are keyed too.
 	var m string
 	if job.Opts.Machine != (MachineSpec{}) || job.Opts.TrackHistograms {
-		var err error
-		if _, m, err = machine(rs.clusters, &job.Opts); err != nil {
-			return "", err
-		}
+		_, m, err = machine(rs.clusters, &job.Opts)
 	}
-	// The pass's static signature is folded in so label collisions between
-	// setups with different compiler passes cannot alias. The "t" field
-	// once carried a hand-written tweak name; it stays so Table 2 keys
-	// keep their bytes and existing stores stay warm.
-	return fmt.Sprintf("%s|%s|p%s|c%d|u%d|w%d|t%s",
-		fingerprint(job.Simpoint), rs.label, rs.sig, rs.clusters,
-		job.Opts.NumUops, job.Opts.WarmupUops, m), nil
+	return rs, m, err
 }
 
-// storeKey namespaces a result-cache key for a persistent store: the
-// codec schema version is folded in so that blobs written by an older
-// codec never even key-collide with the current one.
-func storeKey(key string) string {
-	return fmt.Sprintf("result|v%d|%s", CodecVersion, key)
+// Validate reports why the job cannot run, or nil: its setup does not
+// resolve, a run size is negative, or a machine knob is out of bounds.
+func (job Job) Validate() error {
+	_, _, err := resolveJob(&job)
+	return err
+}
+
+// resultKey returns the key of a job that resolved to rs on the machine
+// m names: its persistent-store key, which also keys the in-memory
+// result cache. The pass's static signature is folded in so label
+// collisions between setups with different compiler passes cannot
+// alias. The "t" field once carried a hand-written tweak name; it stays
+// so Table 2 keys keep their bytes and existing stores stay warm.
+func resultKey(job *Job, rs *resolved, m string) string {
+	b := appendFingerprint(append(make([]byte, 0, 192), storePrefix...), job.Simpoint)
+	b = appendNum(append(append(append(append(b, '|'), rs.label...), "|p"...), rs.sig...), "|c", rs.clusters)
+	b = appendNum(appendNum(b, "|u", job.Opts.NumUops), "|w", job.Opts.WarmupUops)
+	return string(append(append(b, "|t"...), m...))
 }
 
 // ResultKey returns the persistent-store key a job's result is (or would
-// be) stored under, and whether it has one: its setup and machine
-// override resolve, and it does not track histograms (such runs are
-// never persisted). It depends on the job alone, not on any engine:
-// services use it to hand clients a fetch address at submission time,
-// and fleets to shard jobs by key.
+// be) stored under, and whether it has one: the job validates, and it
+// does not track histograms (such runs are never persisted). It depends
+// on the job alone, not on any engine: services use it to hand clients a
+// fetch address at submission time, and fleets to shard jobs by key.
 func ResultKey(job Job) (string, bool) {
 	job.Opts = job.Opts.withDefaults()
-	rs, err := resolve(job.Setup.SetupSpec)
+	rs, m, err := resolveJob(&job)
 	if err != nil || job.Opts.TrackHistograms {
 		return "", false
 	}
-	key, err := resultKey(job, &rs)
-	if err != nil {
-		return "", false
-	}
-	return storeKey(key), true
+	return resultKey(&job, &rs, m), true
 }
 
-// ResultKey is the package-level ResultKey, kept as a method for callers
-// that hold an engine.
+// ResultKey is the package-level ResultKey as a method. It stays for the
+// benchmark harness (perfbench/), which keys results through an engine
+// it holds.
 func (e *Engine) ResultKey(job Job) (string, bool) { return ResultKey(job) }
 
 // storedResult serves a result-cache miss from the persistent store, if
@@ -373,7 +401,7 @@ func (e *Engine) storedResult(key string, job Job, fl *obs.Flight) *Result {
 		return nil
 	}
 	t0 := fl.Begin()
-	blob, ok := e.opts.ResultStore.Get(storeKey(key))
+	blob, ok := e.opts.ResultStore.Get(key)
 	if !ok {
 		e.storeMisses.Add(1)
 		return nil
@@ -407,7 +435,7 @@ func (e *Engine) persistResult(key string, res *Result, fl *obs.Flight) {
 	}
 	fl.Span("encode", t0)
 	t0 = fl.Begin()
-	e.opts.ResultStore.Put(storeKey(key), blob)
+	e.opts.ResultStore.Put(key, blob)
 	fl.Span("store_put", t0)
 }
 
@@ -433,17 +461,14 @@ func (e *Engine) run(ctx context.Context, job Job, fl *obs.Flight) *Result {
 	if err := ctx.Err(); err != nil {
 		return &Result{Simpoint: job.Simpoint, Setup: job.Setup.Label, Err: e.shed(err)}
 	}
-	rs, err := resolve(job.Setup.SetupSpec)
+	rs, m, err := resolveJob(&job)
 	if err != nil {
 		return &Result{Simpoint: job.Simpoint, Setup: job.Setup.Label, Err: err}
 	}
 	// Results carry the label the spec derives, whatever the caller's
 	// Label field says: it is part of the cache key.
 	job.Setup.Label = rs.label
-	key, err := resultKey(job, &rs)
-	if err != nil {
-		return &Result{Simpoint: job.Simpoint, Setup: job.Setup.Label, Err: err}
-	}
+	key := resultKey(&job, &rs, m)
 	if e.opts.DisableCache {
 		return e.execute(ctx, job, &rs, fl)
 	}
@@ -623,6 +648,6 @@ func (e *Engine) annotated(sp *workload.Simpoint, rs *resolved, cfg *pipeline.Co
 		p, _ := build()
 		return p
 	}
-	p, _, _ := e.progs.get(nil, fingerprint(sp)+"|"+rs.programKey(cfg), build)
+	p, _, _ := e.progs.get(nil, rs.programKey(sp, cfg), build)
 	return p
 }

@@ -262,7 +262,7 @@ func TestInvalidMachineFailsRun(t *testing.T) {
 		if _, ok := eng.ResultKey(job); ok {
 			t.Errorf("%+v: has a result key", m)
 		}
-		if err := m.Validate(); err == nil {
+		if err := job.Validate(); err == nil {
 			t.Errorf("%+v: Validate accepted it", m)
 		}
 	}
@@ -302,6 +302,34 @@ func TestHistogramRunsKeyedApart(t *testing.T) {
 		if st := eng.Stats(); st.Simulations != 2 || st.ResultHits != 2 {
 			t.Errorf("want one simulation per variant, then hits: %+v", st)
 		}
+	}
+}
+
+// A negative run size fails its job with an error on every engine path,
+// cached, uncached and streamed, instead of panicking the trace
+// expansion, and such a job has no result key.
+func TestNegativeRunSizeFailsRun(t *testing.T) {
+	ctx := context.Background()
+	eng := engine.New(engine.Options{Parallelism: 1})
+	for _, opts := range []sim.RunOptions{{NumUops: -1}, {NumUops: 2000, WarmupUops: -1}} {
+		job := engine.Job{Simpoint: workload.ByName("gzip-1"), Setup: sim.SetupOP(2), Opts: opts}
+		if res := eng.Run(ctx, job); res.Err == nil {
+			t.Errorf("%+v: cached run succeeded", opts)
+		}
+		if res := engine.Execute(ctx, job); res.Err == nil {
+			t.Errorf("%+v: uncached run succeeded", opts)
+		}
+		for jr := range eng.Stream(ctx, []engine.Job{job}) {
+			if jr.Result.Err == nil {
+				t.Errorf("%+v: streamed run succeeded", opts)
+			}
+		}
+		if _, ok := engine.ResultKey(job); ok {
+			t.Errorf("%+v: job has a result key", opts)
+		}
+	}
+	if st := eng.Stats(); st.Simulations != 0 {
+		t.Errorf("negative sizes reached the pipeline: %+v", st)
 	}
 }
 

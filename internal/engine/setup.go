@@ -9,6 +9,7 @@ import (
 	"clustersim/internal/pipeline"
 	"clustersim/internal/prog"
 	"clustersim/internal/steer"
+	"clustersim/internal/workload"
 )
 
 // Setup is one steering configuration (paper Table 3): the declarative
@@ -23,6 +24,12 @@ type Setup struct {
 	// its cache keys and results, so an edited Label never aliases another
 	// configuration.
 	Label string
+	// memo is NewSetup's resolution of memo.spec, so that the run, its
+	// keys and the wire check read it instead of resolving again. It is
+	// read only when it resolved (its kind is set) and while SetupSpec
+	// still equals memo.spec: a hand-built or edited Setup resolves
+	// afresh.
+	memo resolved
 }
 
 // NewSetup resolves a spec into a Setup, with the cluster count defaulted
@@ -31,8 +38,7 @@ type Setup struct {
 // error together with a Setup whose runs fail with that same error.
 func NewSetup(spec SetupSpec) (Setup, error) {
 	rs, err := resolve(spec)
-	spec.NumClusters = rs.clusters
-	return Setup{SetupSpec: spec, Label: rs.label}, err
+	return Setup{SetupSpec: rs.spec, Label: rs.label, memo: rs}, err
 }
 
 // field is a set of the optional SetupSpec fields a kind reads.
@@ -70,7 +76,7 @@ func static(r resolved) steer.Policy { return &steer.Static{Label: r.label} }
 // kinds is every steering scheme a SetupSpec can name: the paper's five
 // (OP, one-cluster, OB, RHOP, VC), the hardware heuristics of the policy
 // survey (ADV, LC, SLC, MOD), and the OP-nostall and VC-comm variants.
-var kinds = map[string]kind{
+var kinds = map[string]*kind{
 	"OP":          {policy: func(resolved) steer.Policy { return &steer.OP{} }},
 	"OP-nostall":  {policy: func(resolved) steer.Policy { return &steer.OP{NoStall: true} }},
 	"one-cluster": {policy: func(resolved) steer.Policy { return &steer.OneCluster{} }},
@@ -89,7 +95,10 @@ var kinds = map[string]kind{
 // resolved is a setup spec resolved to what a run executes, with every
 // default filled in.
 type resolved struct {
-	kind
+	*kind
+	// spec is the spec resolved, with its cluster count defaulted: a spec
+	// that resolves exactly as the one given did.
+	spec  SetupSpec
 	label string
 	// clusters is the physical cluster count; numVC the pass's target
 	// count (virtual clusters for VC, physical ones for OB and RHOP).
@@ -101,14 +110,15 @@ type resolved struct {
 }
 
 // resolve is the one place that maps a SetupSpec to its label, pass and
-// policy, and the one place that validates it. Even on error the cluster
-// count and label are filled in, best effort, for NewSetup.
+// policy, and the one place that validates it. Even on error the spec's
+// cluster count and the label are filled in, best effort, for NewSetup;
+// the kind is set only on success.
 func resolve(s SetupSpec) (resolved, error) {
-	r := resolved{clusters: s.NumClusters, numVC: s.NumVC,
-		regionMaxOps: s.RegionMaxOps, maxChainLen: s.MaxChainLen}
-	if r.clusters == 0 {
-		r.clusters = 2
+	if s.NumClusters == 0 {
+		s.NumClusters = 2
 	}
+	r := resolved{spec: s, clusters: s.NumClusters, numVC: s.NumVC,
+		regionMaxOps: s.RegionMaxOps, maxChainLen: s.MaxChainLen}
 	if r.numVC == 0 {
 		r.numVC = r.clusters
 	}
@@ -244,17 +254,6 @@ func applyMachine(cfg *pipeline.Config, m *MachineSpec) (string, error) {
 	return "|" + string(key), nil
 }
 
-// Validate reports whether every knob of the override is within its
-// bound.
-func (m MachineSpec) Validate() error {
-	if m == (MachineSpec{}) {
-		return nil
-	}
-	cfg := pipeline.DefaultConfig(2)
-	_, err := applyMachine(&cfg, &m)
-	return err
-}
-
 // passOptions derives the pass options from the machine configuration
 // being run: issue widths and communication cost come from the live
 // config (machine override included), not from a hardcoded default
@@ -271,13 +270,15 @@ func (r *resolved) passOptions(cfg *pipeline.Config) partition.Options {
 	}
 }
 
-// programKey is the annotated-program cache signature of the setup's
-// pass under a machine configuration.
-func (r *resolved) programKey(cfg *pipeline.Config) string {
+// programKey is the annotated-program cache key of a simpoint under the
+// setup's pass and a machine configuration: the simpoint's fingerprint,
+// then the pass signature, or "clean" for hardware-only kinds.
+func (r *resolved) programKey(sp *workload.Simpoint, cfg *pipeline.Config) string {
+	b := append(appendFingerprint(make([]byte, 0, 128), sp), '|')
 	if r.pass == nil {
-		return "clean"
+		return string(append(b, "clean"...))
 	}
 	o := r.passOptions(cfg)
-	return fmt.Sprintf("%s|vc%d|ii%d|if%d|cl%d|ch%d|rg%d",
-		r.pass.name, o.NumVC, o.IssueInt, o.IssueFP, o.CommLatency, o.MaxChainLen, o.RegionMaxOps)
+	b = appendNum(appendNum(appendNum(append(b, r.pass.name...), "|vc", o.NumVC), "|ii", o.IssueInt), "|if", o.IssueFP)
+	return string(appendNum(appendNum(appendNum(b, "|cl", o.CommLatency), "|ch", o.MaxChainLen), "|rg", o.RegionMaxOps))
 }

@@ -230,6 +230,13 @@ func TestSubmitValidation(t *testing.T) {
 		// since protocol v9.
 		"unknown field": `{"maxparallel":1,"jobs":[{"simpoint":"mcf","setup":{"kind":"OP"}}]}`,
 		"max_parallel":  `{"max_parallel":1,"jobs":[{"simpoint":"mcf","setup":{"kind":"OP"}}]}`,
+		// Run sizes are bounded: a negative one or one of 2^62 uops would
+		// panic the trace expansion, and its sum must not overflow past
+		// the bound either.
+		"negative num_uops": `{"simpoint":"mcf","setup":{"kind":"OP"},"opts":{"num_uops":-5}}`,
+		"negative warmup":   `{"simpoint":"mcf","setup":{"kind":"OP"},"opts":{"warmup_uops":-1}}`,
+		"oversized run":     `{"simpoint":"mcf","setup":{"kind":"OP"},"opts":{"num_uops":4611686018427387904}}`,
+		"overflowing total": `{"simpoint":"mcf","setup":{"kind":"OP"},"opts":{"num_uops":4611686018427387904,"warmup_uops":4611686018427387904}}`,
 	} {
 		resp, raw := postJSON(t, ts.URL+"/v1/jobs", body)
 		var e api.Error

@@ -24,14 +24,31 @@ var suiteIndex = sync.OnceValue(func() map[string]suiteIdentity {
 	return idx
 })
 
+// maxWireUops bounds num_uops + warmup_uops of a job that crosses the
+// wire. A worker expands a job's whole trace up front at about 24 B/uop,
+// so 1<<22 (about 4.2M uops) caps one request near 96 MiB of trace: 35×
+// the 120k default run, yet far below the gigabytes one request could
+// otherwise make a worker allocate.
+const maxWireUops = 1 << 22
+
+// checkSizes refuses a run size no worker should be asked for: negative,
+// or past maxWireUops in total.
+func checkSizes(numUops, warmupUops int) error {
+	if numUops < 0 || warmupUops < 0 || numUops > maxWireUops || warmupUops > maxWireUops-numUops {
+		return fmt.Errorf("sim: num_uops %d + warmup_uops %d outside 0..%d", numUops, warmupUops, maxWireUops)
+	}
+	return nil
+}
+
 // SpecFromJob converts a runnable job back to its declarative wire form —
 // the inverse of JobFromSpec, used by remote runners to ship a job to a
 // clusterd worker. Not every job can travel: workloads outside the
 // synthetic suite have no declarative form, histogram runs need the
-// histograms the wire result does not carry, and a setup or machine
-// override that does not resolve fails anywhere. The returned error says
-// which constraint failed so hybrid runners can route such jobs to a
-// local fallback.
+// histograms the wire result does not carry, a run size JobFromSpec
+// would refuse is refused here, and a setup or machine override that
+// does not resolve fails anywhere. The returned error says which
+// constraint failed so hybrid runners can route such jobs to a local
+// fallback. A job it accepts has an engine.ResultKey.
 func SpecFromJob(job engine.Job) (engine.JobSpec, error) {
 	if job.Simpoint == nil {
 		return engine.JobSpec{}, fmt.Errorf("sim: job has no simpoint")
@@ -39,11 +56,11 @@ func SpecFromJob(job engine.Job) (engine.JobSpec, error) {
 	if job.Opts.TrackHistograms {
 		return engine.JobSpec{}, fmt.Errorf("sim: histogram runs run locally only (the wire result carries no histograms)")
 	}
-	if _, err := engine.NewSetup(job.Setup.SetupSpec); err != nil {
-		return engine.JobSpec{}, fmt.Errorf("sim: setup %q: %w", job.Setup.Label, err)
-	}
-	if err := job.Opts.Machine.Validate(); err != nil {
+	if err := job.Validate(); err != nil {
 		return engine.JobSpec{}, fmt.Errorf("sim: %w", err)
+	}
+	if err := checkSizes(job.Opts.NumUops, job.Opts.WarmupUops); err != nil {
+		return engine.JobSpec{}, err
 	}
 	suite, ok := suiteIndex()[job.Simpoint.Name]
 	if !ok {
@@ -72,24 +89,24 @@ func SpecFromJob(job engine.Job) (engine.JobSpec, error) {
 // the simpoint is looked up in the synthetic suite (programs are never
 // shipped — they are rebuilt deterministically from the suite tables) and
 // the setup spec is resolved and validated by engine.NewSetup, the
-// machine override by MachineSpec.Validate. A negative trace length or
-// warmup is refused too: it would size the trace negative.
+// machine override by Job.Validate. A run size outside
+// 0..maxWireUops is refused too: a negative one would size the trace
+// negative, an oversized one ask the worker for gigabytes.
 func JobFromSpec(spec engine.JobSpec) (engine.Job, error) {
 	sp := workload.ByName(spec.Simpoint)
 	if sp == nil {
 		return engine.Job{}, fmt.Errorf("sim: unknown simpoint %q", spec.Simpoint)
 	}
-	if spec.Opts.NumUops < 0 || spec.Opts.WarmupUops < 0 {
-		return engine.Job{}, fmt.Errorf("sim: negative num_uops %d or warmup_uops %d",
-			spec.Opts.NumUops, spec.Opts.WarmupUops)
+	if err := checkSizes(spec.Opts.NumUops, spec.Opts.WarmupUops); err != nil {
+		return engine.Job{}, err
 	}
 	setup, err := engine.NewSetup(spec.Setup)
 	if err != nil {
 		return engine.Job{}, err
 	}
-	opts := spec.Opts.RunOptions()
-	if err := opts.Machine.Validate(); err != nil {
+	job := engine.Job{Simpoint: sp, Setup: setup, Opts: spec.Opts.RunOptions()}
+	if err := job.Validate(); err != nil {
 		return engine.Job{}, err
 	}
-	return engine.Job{Simpoint: sp, Setup: setup, Opts: opts}, nil
+	return job, nil
 }

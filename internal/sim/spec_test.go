@@ -87,6 +87,17 @@ func TestSpecFromJobRejections(t *testing.T) {
 			want: "link_latency 65 outside 1..64",
 		},
 		{
+			name: "negative run size",
+			job:  engine.Job{Simpoint: sp, Setup: SetupOP(2), Opts: RunOptions{NumUops: -1}},
+			want: "num_uops -1",
+		},
+		{
+			name: "oversized run",
+			job: engine.Job{Simpoint: sp, Setup: SetupOP(2),
+				Opts: RunOptions{NumUops: maxWireUops, WarmupUops: 1}},
+			want: "outside 0..4194304",
+		},
+		{
 			name: "custom workload",
 			job: engine.Job{Simpoint: &workload.Simpoint{
 				Name: "homegrown", Bench: "homegrown", Weight: 1, Seed: 7,
@@ -111,6 +122,57 @@ func TestSpecFromJobRejections(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// A job travels only with a store key: SpecFromJob ok implies
+// engine.ResultKey ok, so a fleet can shard every job it ships by key.
+// The jobs span every constraint SpecFromJob checks, on both sides of it.
+func TestSpecFromJobImpliesResultKey(t *testing.T) {
+	sp := workload.ByName("mcf")
+	var jobs []engine.Job
+	for _, setup := range []Setup{SetupOP(2), SetupVC(2, 4), SetupScoped("RHOP", 2, 64),
+		SetupVC(-1, 2), SetupKind("WAT", 2), {SetupSpec: engine.SetupSpec{Kind: "OB"}}} {
+		for _, opts := range []RunOptions{
+			{}, {NumUops: 3000, WarmupUops: 500}, {NumUops: -1}, {WarmupUops: -1},
+			{NumUops: maxWireUops}, {NumUops: maxWireUops + 1}, {NumUops: 1 << 62, WarmupUops: 1 << 62},
+			{TrackHistograms: true}, {Machine: engine.MachineSpec{IQ: 24}},
+			{Machine: engine.MachineSpec{LinkLatency: 65}},
+		} {
+			jobs = append(jobs, engine.Job{Simpoint: sp, Setup: setup, Opts: opts})
+		}
+	}
+	travelled := 0
+	for _, job := range jobs {
+		if _, err := SpecFromJob(job); err != nil {
+			continue
+		}
+		travelled++
+		if _, ok := engine.ResultKey(job); !ok {
+			t.Errorf("%s %+v travels without a result key", job.Setup.Label, job.Opts)
+		}
+	}
+	if travelled == 0 || travelled == len(jobs) {
+		t.Errorf("%d of %d jobs travel: the cases miss one side of the check", travelled, len(jobs))
+	}
+}
+
+// JobFromSpec bounds the run size a client can ask for: negative sizes
+// and totals past maxWireUops are refused, the bound itself is accepted.
+func TestJobFromSpecBoundsRunSize(t *testing.T) {
+	for _, o := range []engine.OptionsSpec{
+		{NumUops: -1}, {WarmupUops: -1},
+		{NumUops: maxWireUops + 1}, {NumUops: maxWireUops, WarmupUops: 1},
+		{NumUops: 1 << 62}, {NumUops: 1 << 62, WarmupUops: 1 << 62},
+	} {
+		if _, err := JobFromSpec(engine.JobSpec{Simpoint: "crafty", Setup: engine.SetupSpec{Kind: "OP"}, Opts: o}); err == nil {
+			t.Errorf("%+v accepted", o)
+		}
+	}
+	for _, o := range []engine.OptionsSpec{{}, {NumUops: maxWireUops}, {NumUops: maxWireUops - 500, WarmupUops: 500}} {
+		if _, err := JobFromSpec(engine.JobSpec{Simpoint: "crafty", Setup: engine.SetupSpec{Kind: "OP"}, Opts: o}); err != nil {
+			t.Errorf("%+v: %v", o, err)
 		}
 	}
 }
